@@ -29,6 +29,7 @@ from . import __version__
 from .acceptance import BASE_SEED, run_all
 from .diffengine import DEFAULT_GRID, DEFAULT_TOL, TGrid, gateaux_verdict, norm_functional
 from .errors import (
+    EvalFailureError,
     MalformedPointError,
     PreconditionFailedError,
     SpaceMismatchError,
@@ -186,8 +187,24 @@ def _np_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_np_default) + "\n"
+def _render(doc: dict) -> str:
+    """The report as strict JSON (RFC 8259: no NaN or Infinity)."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, default=_np_default, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EvalFailureError(f"the report holds a non-finite number: {exc}") from exc
+
+
+def _error_doc(exc: ToolkitError) -> dict:
+    # a context may carry a non-finite float; it is reported as its name
+    context = json.loads(json.dumps(exc.context, default=_np_default), parse_constant=str)
+    return {
+        "error": {"code": exc.code, "message": str(exc), "context": context},
+        "version": __version__,
+    }
+
+
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -428,34 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = getattr(args, "output", None)
     try:
         cfg = _config_of(args)
         echo, result = args.handler(args, cfg)
-    except VALIDATION_ERRORS as exc:
-        _emit(
+        text = _render(
             {
-                "error": {"code": exc.code, "message": str(exc), "context": exc.context},
+                "command": args.command,
+                "inputs": echo,
+                "result": result,
                 "version": __version__,
-            },
-            getattr(args, "output", None),
+            }
         )
-        return 2
     except ToolkitError as exc:
-        _emit(
-            {
-                "error": {"code": exc.code, "message": str(exc), "context": exc.context},
-                "version": __version__,
-            },
-            getattr(args, "output", None),
-        )
-        return 3
-    doc = {
-        "command": args.command,
-        "inputs": echo,
-        "result": result,
-        "version": __version__,
-    }
-    _emit(doc, getattr(args, "output", None))
+        _emit(_render(_error_doc(exc)), output)
+        return 2 if isinstance(exc, VALIDATION_ERRORS) else 3
+    _emit(text, output)
     if args.command == "suite" and not result["all_passed"]:
         return 1
     return 0

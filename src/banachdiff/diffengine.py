@@ -4,8 +4,9 @@ One-sided difference quotients over geometric step grids, with verdicts
 for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
-below the structural scale of the point; limit detection is therefore
-plain agreement of the last two grid quotients, with no extrapolation.
+below the structural scale of the point.  Each one-sided limit is read off
+the earliest, tightest plateau of three consecutive grid quotients whose
+internal gaps stay under the tolerance, with no extrapolation.
 
 Verdict vocabulary deliberately includes INCONCLUSIVE: when probes fail
 to converge, or converge to something no representable linear functional
@@ -23,6 +24,7 @@ import numpy as np
 
 from ._rng import philox_gen
 from .errors import (
+    EvalFailureError,
     NonconvergentPerturbationError,
     PreconditionFailedError,
 )
@@ -34,7 +36,7 @@ from .spaces import (
     constant_fn,
     eval_norm,
     linear_combine,
-    pw_point,
+    pw_from_values,
     seq_point,
     subtract,
 )
@@ -61,7 +63,10 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Functional:
-    """A named real-valued map on points of one space."""
+    """A named real-valued map on points of one space.
+
+    A call that yields a non-finite value raises :class:`EvalFailureError`.
+    """
 
     name: str
     evaluator: Callable[[SpacePoint], float]
@@ -72,7 +77,13 @@ class Functional:
             raise PreconditionFailedError(
                 f"functional {self.name!r} expects {self.space_tag.value}, got {x.space.value}"
             )
-        return float(self.evaluator(x))
+        value = float(self.evaluator(x))
+        if not math.isfinite(value):
+            raise EvalFailureError(
+                f"functional {self.name!r} returned {value}, not a finite number",
+                functional=self.name,
+            )
+        return value
 
 
 def norm_functional(space: Space) -> Functional:
@@ -110,9 +121,10 @@ DEFAULT_GRID = TGrid()
 class QuotientTrace:
     """Forward/backward difference quotients of one direction over a grid.
 
-    ``d_plus``/``d_minus`` are set only when the two smallest-step
-    quotients on that side agree within the tolerance used to build the
-    trace; the matching ``converged`` flag records which happened.
+    ``d_plus``/``d_minus`` are set only when that side's quotients hold a
+    plateau: three consecutive quotients whose internal gaps stay under the
+    tolerance used to build the trace (see :func:`_series_limit`).  The
+    matching ``converged`` flag records which happened.
     """
 
     steps: tuple[float, ...]
@@ -205,16 +217,11 @@ def _series_limit(qs: Sequence[float], tol: float) -> tuple[float | None, bool]:
     data every gap is zero and this returns the common value unchanged; on
     curved data the gaps shrink monotonically and the smallest-step window
     still wins, so the returned value matches the plain last quotient.
+    Grids have at least three steps (see :class:`TGrid`).
     """
-    n = len(qs)
-    if n < 2:
-        return None, False
-    if n == 2:
-        gap = abs(qs[1] - qs[0])
-        return (qs[1], True) if gap < tol else (None, False)
     best_i = 0
     best_score = math.inf
-    for i in range(n - 2):
+    for i in range(len(qs) - 2):
         score = max(abs(qs[i + 1] - qs[i]), abs(qs[i + 2] - qs[i + 1]))
         if score < best_score:
             best_score = score
@@ -222,6 +229,22 @@ def _series_limit(qs: Sequence[float], tol: float) -> tuple[float | None, bool]:
     if best_score < tol:
         return qs[best_i + 2], True
     return None, False
+
+
+def _quotient_trace(steps, fq: Sequence[float], bq: Sequence[float], tol: float) -> QuotientTrace:
+    """The trace of forward quotients ``fq`` and backward quotients ``bq``
+    over ``steps``, with each side's limit read by :func:`_series_limit`."""
+    d_plus, conv_p = _series_limit(fq, tol)
+    d_minus, conv_m = _series_limit(bq, tol)
+    return QuotientTrace(
+        steps=tuple(float(t) for t in steps),
+        forward_q=tuple(fq),
+        backward_q=tuple(bq),
+        d_plus=d_plus,
+        d_minus=d_minus,
+        converged_plus=conv_p,
+        converged_minus=conv_m,
+    )
 
 
 def one_sided_derivatives(
@@ -238,17 +261,7 @@ def one_sided_derivatives(
     steps = grid.steps()
     fq = [(f(linear_combine(1.0, x, float(t), h)) - fx) / t for t in steps]
     bq = [(f(linear_combine(1.0, x, float(-t), h)) - fx) / -t for t in steps]
-    d_plus, conv_p = _series_limit(fq, tol)
-    d_minus, conv_m = _series_limit(bq, tol)
-    return QuotientTrace(
-        steps=tuple(float(t) for t in steps),
-        forward_q=tuple(fq),
-        backward_q=tuple(bq),
-        d_plus=d_plus,
-        d_minus=d_minus,
-        converged_plus=conv_p,
-        converged_minus=conv_m,
-    )
+    return _quotient_trace(steps, fq, bq, tol)
 
 
 def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
@@ -258,7 +271,7 @@ def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
         return [seq_point(x.space, eye[k]) for k in range(x.dim)]
     if x.space in (Space.C_AB, Space.LINF_R):
         one = constant_fn(x.space, x.a, x.b, 1.0)
-        ramp = pw_point(x.space, x.a, x.b, [], [1.0], [0.0])
+        ramp = pw_from_values(x.space, [x.a, x.b], [x.a, x.b])
         return [one, ramp]
     return []  # NBV_AB: no sparse representation is identifiable
 
@@ -471,20 +484,9 @@ def hadamard_verdict(
         for t, k in zip(steps, padded):
             fq.append((f(linear_combine(1.0, x, float(t), k)) - fx) / t)
             bq.append((f(linear_combine(1.0, x, float(-t), k)) - fx) / -t)
-        d_plus, conv_p = _series_limit(fq, tol)
-        d_minus, conv_m = _series_limit(bq, tol)
-        traces.append(
-            QuotientTrace(
-                steps=tuple(float(t) for t in steps),
-                forward_q=tuple(fq),
-                backward_q=tuple(bq),
-                d_plus=d_plus,
-                d_minus=d_minus,
-                converged_plus=conv_p,
-                converged_minus=conv_m,
-            )
-        )
-        if not conv_p or abs(d_plus - limit) > tol * max(1.0, abs(limit)):
+        tr = _quotient_trace(steps, fq, bq, tol)
+        traces.append(tr)
+        if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
             return DiffVerdict(
                 status=VerdictStatus.INCONCLUSIVE,
                 traces=tuple(traces),
@@ -566,16 +568,13 @@ def _unit_ball_directions(x: SpacePoint, rng: np.random.Generator, count: int) -
             p = seq_point(x.space, d)
             out.append(linear_combine(1.0 / eval_norm(p).value, p, 0.0, p))
         return out
-    knots = x.knots()
     while len(out) < count:
-        vals = rng.uniform(-1.0, 1.0, size=knots.shape[0])
+        vals = rng.uniform(-1.0, 1.0, size=x.knots.shape[0])
         if x.space is Space.NBV_AB:
             vals[0] = 0.0
         if not np.any(vals):
             continue
-        slopes = np.diff(vals) / np.diff(knots)
-        intercepts = vals[:-1] - slopes * knots[:-1]
-        d = pw_point(x.space, x.a, x.b, list(knots[1:-1]), list(slopes), list(intercepts), _repair=True)
+        d = pw_from_values(x.space, x.knots, vals)
         nd = eval_norm(d).value
         if nd == 0.0:
             continue

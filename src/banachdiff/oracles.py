@@ -31,8 +31,8 @@ from .spaces import (
     NormValue,
     Space,
     SpacePoint,
+    _lerp,
     eval_norm,
-    pw_point,
     seq_point,
     sig,
     step_fn,
@@ -198,23 +198,31 @@ def oracle_linf(x: SpacePoint, eps: float) -> LinearFunctionalRep | None:
 
 
 def _sup_scan(x: SpacePoint) -> tuple[float, list[tuple[float, float]]]:
-    """Sup of |x| plus the (position, value) closure candidates in t-order."""
-    left, right = x.segment_values()
-    k = x.knots()
-    cands: list[tuple[float, float]] = []
-    for i in range(left.shape[0]):
-        cands.append((float(k[i]), float(left[i])))
-        cands.append((float(k[i + 1]), float(right[i])))
+    """Sup of |x| plus the (position, value) candidates in t-order.
+
+    The candidates are the value at ``a``, then at each later knot its
+    left limit followed, except at ``b``, by its attained value.
+    """
+    pos = np.repeat(x.knots, 2)[1:-1]
+    vals = np.column_stack((x.lefts, x.values)).ravel()[1:-1]
+    cands = list(zip(pos.tolist(), vals.tolist()))
     return max(abs(v) for _, v in cands), cands
 
 
-def _unique_argmax(x: SpacePoint) -> tuple[float, float, float] | None:
-    """(t0, f(t0), norm) when |x| peaks at exactly one domain point."""
+def _peak_sites(x: SpacePoint) -> tuple[float, dict[float, float]]:
+    """Sup of |x| and, in t-order, each position where a candidate reaches
+    it, mapped to the first such candidate value there."""
     norm, cands = _sup_scan(x)
     sites: dict[float, float] = {}
     for pos, val in cands:
         if abs(val) == norm and pos not in sites:
             sites[pos] = val
+    return norm, sites
+
+
+def _unique_argmax(x: SpacePoint) -> tuple[float, float, float] | None:
+    """(t0, f(t0), norm) when |x| peaks at exactly one domain point."""
+    norm, sites = _peak_sites(x)
     if len(sites) != 1 or norm == 0.0:
         return None
     t0, v = next(iter(sites.items()))
@@ -222,23 +230,28 @@ def _unique_argmax(x: SpacePoint) -> tuple[float, float, float] | None:
 
 
 def _gap_outside(x: SpacePoint, t0: float, rho: float, norm: float) -> float:
-    """norm minus the sup of |x| outside the open rho-ball around t0."""
-    competitors = [0.0]
-    k = x.knots()
-    lo, hi = t0 - rho, t0 + rho
-    for i in range(x.slopes.shape[0]):
-        s, c = float(x.slopes[i]), float(x.intercepts[i])
-        kl, kr = float(k[i]), float(k[i + 1])
-        # clip the segment's closed span to the complement of (lo, hi)
-        for a_, b_ in ((kl, min(kr, lo)), (max(kl, hi), kr)):
-            if a_ <= b_:
-                competitors.append(abs(s * a_ + c))
-                competitors.append(abs(s * b_ + c))
+    """norm minus the sup of |x| outside the open rho-ball around t0.
+
+    ``rho = 0`` leaves out only t0 itself: the competitors are then the
+    values and left limits at every other knot.  LINF_R also counts its
+    constant tails, which lie outside every ball.
+    """
+    k, v, e = x.knots, x.values, x.lefts
+    if rho == 0.0:
+        off = k != t0
+        competitors = [v[off], e[off]]
+    else:
+        # clip each segment [kl, kr] to the complement of (t0 - rho, t0 + rho)
+        kl, kr, start, end = k[:-1], k[1:], v[:-1], e[1:]
+        lo, hi = t0 - rho, t0 + rho
+        left_part = kl <= lo
+        right_part = kr >= hi
+        at_lo = _lerp(start, end, (np.clip(lo, kl, kr) - kl) / (kr - kl))
+        at_hi = _lerp(start, end, (np.clip(hi, kl, kr) - kl) / (kr - kl))
+        competitors = [start[left_part], at_lo[left_part], at_hi[right_part], end[right_part]]
     if x.space is Space.LINF_R:
-        # the constant tails always lie outside the ball far enough out
-        competitors.append(abs(value_at(x, x.a)))
-        competitors.append(abs(value_at(x, x.b)))
-    return norm - max(competitors)
+        competitors.append(v[[0, -1]])
+    return norm - max(float(np.abs(c).max(initial=0.0)) for c in competitors)
 
 
 def oracle_csup(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
@@ -272,7 +285,7 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
     _expect(f, Space.LINF_R)
     if rho <= 0.0:
         raise PreconditionFailedError("rho must be positive")
-    if f.breakpoints.shape[0] and np.any(f.jumps() != 0.0):
+    if np.any(f.jumps() != 0.0):
         raise PreconditionFailedError("oracle_Linf needs a continuous representation")
     hit = _unique_argmax(f)
     if hit is None:
@@ -332,16 +345,12 @@ def witness_Linf(f: SpacePoint) -> SpacePoint:
     sup of a two-peak function responds to the fastest-growing peak.
     """
     _expect(f, Space.LINF_R)
-    norm, cands = _sup_scan(f)
+    norm, sites = _peak_sites(f)
     if norm == 0.0:
         raise NoDoubleMaxError("the zero function has no maximum structure")
-    sites: dict[float, float] = {}
-    for pos, val in cands:
-        if abs(val) == norm and pos not in sites:
-            sites[pos] = val
     if len(sites) < 2:
         raise NoDoubleMaxError("|f| attains its sup at fewer than two points")
-    (x0, v0), (x1, v1) = sorted(sites.items())[:2]
+    (x0, v0), (x1, v1) = list(sites.items())[:2]
     split = x0 + (x1 - x0) / 2.0
     return step_fn(Space.LINF_R, f.a, f.b, split, sig(v0) or 1.0, -(sig(v1) or 1.0))
 
@@ -365,9 +374,9 @@ def witness_nbv(f: SpacePoint) -> SpacePoint:
     if lo[0] != hi[0]:
         candidates.append(lo[0] + (hi[0] - lo[0]) / 2.0)
     candidates.append(f.a + (f.b - f.a) / 2.0)
-    k = f.knots()
+    k = f.knots
     candidates.extend(float(k[i] + (k[i + 1] - k[i]) / 2.0) for i in range(k.shape[0] - 1))
-    bset = set(float(t) for t in f.breakpoints)
+    bset = set(f.breakpoints.tolist())
     for mid in candidates:
         if f.a < mid < f.b and mid not in bset:
             return step_fn(Space.NBV_AB, f.a, f.b, mid, 0.0, 1.0)

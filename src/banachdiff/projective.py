@@ -31,13 +31,14 @@ from .diffengine import (
     QuotientTrace,
     TGrid,
     VerdictStatus,
-    _series_limit,
+    _quotient_trace,
     gateaux_verdict,
     one_sided_derivatives,
 )
 from .errors import (
     BadDimsError,
     DimTooSmallError,
+    EvalFailureError,
     NonconstancyUnverifiedError,
     PreconditionFailedError,
 )
@@ -318,13 +319,26 @@ def lipschitz_factor_check(
 
 @dataclass(frozen=True)
 class ScalarMap:
-    """A named real-to-real map used as the outer factor of a composition."""
+    """A named real-to-real map used as the outer factor of a composition.
+
+    A call that overflows or yields a non-finite value raises
+    :class:`EvalFailureError`.
+    """
 
     name: str
     fn: Callable[[float], float]
 
     def __call__(self, u: float) -> float:
-        return float(self.fn(u))
+        try:
+            value = float(self.fn(u))
+        except OverflowError as exc:
+            raise EvalFailureError(f"outer map {self.name!r} overflows at {u!r}", outer=self.name) from exc
+        if not math.isfinite(value):
+            raise EvalFailureError(
+                f"outer map {self.name!r} returned {value} at {u!r}, not a finite number",
+                outer=self.name,
+            )
+        return value
 
 
 OUTER_MAPS: dict[str, ScalarMap] = {
@@ -348,18 +362,8 @@ def _scalar_one_sided(
     steps = grid.steps()
     fq = [(g(y0 + t) - gy) / t for t in steps]
     bq = [(g(y0 - t) - gy) / -t for t in steps]
-    d_plus, conv_p = _series_limit(fq, tol)
-    d_minus, conv_m = _series_limit(bq, tol)
-    trace = QuotientTrace(
-        steps=tuple(float(t) for t in steps),
-        forward_q=tuple(fq),
-        backward_q=tuple(bq),
-        d_plus=d_plus,
-        d_minus=d_minus,
-        converged_plus=conv_p,
-        converged_minus=conv_m,
-    )
-    return d_plus, d_minus, trace
+    trace = _quotient_trace(steps, fq, bq, tol)
+    return trace.d_plus, trace.d_minus, trace
 
 
 def _scale_rep(rep: LinearFunctionalRep, factor: float, tol: float) -> LinearFunctionalRep:

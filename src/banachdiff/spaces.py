@@ -18,25 +18,33 @@ objects they model:
     normalized bounded-variation functions on [a, b] (value 0 at a,
     right-continuous at interior breakpoints); norm = total variation.
 
-Sequence points carry a coordinate vector.  Function points carry a domain
-``[a, b]``, strictly increasing interior breakpoints and one
-``(slope, intercept)`` pair per segment, read as the global line
-``t -> slope*t + intercept`` on that segment.  The function is
-right-continuous: an interior breakpoint belongs to the segment on its
-right.  Jump sizes are derived data, not independent degrees of freedom.
+Sequence points carry a coordinate vector.  Function points carry their
+knots ``a < b_1 < ... < b_m < b`` and two arrays over them: ``values``, the
+attained value at each knot, and ``lefts``, the left limit there.  Between
+consecutive knots the function is the straight line from the value at the
+left knot to the left limit at the right knot.  It is right-continuous: an
+interior knot belongs to the segment on its right.  At ``a`` and ``b`` the
+left limit equals the value.  For C_AB ``lefts`` is the ``values`` array
+itself, so continuity holds by construction; LINF_R and NBV_AB keep a
+separate left limit wherever they jump.  Jump sizes, slopes and intercepts
+are derived data.  ``pw_point`` and the JSON documents speak in segments
+(one ``(slope, intercept)`` global line each); they convert at the
+boundary.
 
-Exactness note: all norm formulas below are closed-form piecewise-linear
-algebra (sums, differences, products, max scans - no divisions), so on
-inputs whose coordinates, breakpoints and slopes are coarse dyadic
-rationals every evaluation is exact in binary floating point.  The test
-fixtures exploit this to assert bitwise-exact difference quotients.
+Exactness note: norms are max scans and sums of differences over the knot
+values, and values between knots interpolate linearly.  On inputs whose
+coordinates and knot values are coarse dyadic rationals, with knot gaps
+that are powers of two, every evaluation and every linear combination is
+exact in binary floating point.  The test fixtures exploit this to assert
+bitwise-exact difference quotients.  Off that lattice the same code runs
+and results hold up to rounding.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,9 +88,10 @@ class Space(str, Enum):
 SEQUENCE_SPACES = frozenset({Space.L1_SEQ, Space.LINF_SEQ, Space.RT})
 FUNCTION_SPACES = frozenset({Space.C_AB, Space.LINF_R, Space.NBV_AB})
 
-# Continuity mismatches at or below this relative scale are treated as
-# floating-point debris from linear combination and repaired; anything
-# larger is a genuine malformed point.  Dyadic data never triggers repair.
+# Two evaluations of one knot value through the global lines of a segment
+# document that differ by at most this much, relative to the size of the
+# terms in slope*t + intercept, differ by rounding alone.  Continuity of a
+# C_AB document and stated jumps are checked up to that much.
 _SNAP_RELATIVE = 64.0 * np.finfo(float).eps
 
 
@@ -108,17 +117,19 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class SpacePoint:
     """One element of one of the supported space models.
 
-    Use :func:`seq_point` / :func:`pw_point` instead of the raw
-    constructor; they normalize array inputs and run validation.
+    Use :func:`seq_point`, :func:`pw_point` or :func:`pw_from_values`
+    instead of the raw constructor; they normalize array inputs and run
+    validation.  Function points store ``knots`` (domain endpoints and
+    interior breakpoints, increasing), ``values`` (the attained value at
+    each knot) and ``lefts`` (the left limit at each knot, the same array
+    as ``values`` for C_AB).
     """
 
     space: Space
     coords: np.ndarray | None = None
-    a: float | None = None
-    b: float | None = None
-    breakpoints: np.ndarray | None = field(default=None)
-    slopes: np.ndarray | None = field(default=None)
-    intercepts: np.ndarray | None = field(default=None)
+    knots: np.ndarray | None = None
+    values: np.ndarray | None = None
+    lefts: np.ndarray | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -128,28 +139,22 @@ class SpacePoint:
             raise MalformedPointError("dim is only defined for sequence points")
         return int(self.coords.shape[0])
 
-    def knots(self) -> np.ndarray:
-        """Domain endpoints plus interior breakpoints, increasing."""
-        return np.concatenate(([self.a], self.breakpoints, [self.b]))
+    @property
+    def a(self) -> float:
+        return float(self.knots[0])
 
-    def segment_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values of each segment's line at its left and right knot.
+    @property
+    def b(self) -> float:
+        return float(self.knots[-1])
 
-        The closure values: for segment i on [k_i, k_{i+1}] this is
-        (slope_i*k_i + intercept_i, slope_i*k_{i+1} + intercept_i); at an
-        interior breakpoint the left entry of the right segment is the
-        attained (right-continuous) value and the right entry of the left
-        segment is the one-sided limit.
-        """
-        k = self.knots()
-        left = self.slopes * k[:-1] + self.intercepts
-        right = self.slopes * k[1:] + self.intercepts
-        return left, right
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Interior knots, increasing."""
+        return self.knots[1:-1]
 
     def jumps(self) -> np.ndarray:
         """Discontinuity sizes at the interior breakpoints (derived)."""
-        left, right = self.segment_values()
-        return left[1:] - right[:-1]
+        return self.values[1:-1] - self.lefts[1:-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpacePoint):
@@ -159,11 +164,9 @@ class SpacePoint:
         if self.coords is not None:
             return other.coords is not None and np.array_equal(self.coords, other.coords)
         return (
-            self.a == other.a
-            and self.b == other.b
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.slopes, other.slopes)
-            and np.array_equal(self.intercepts, other.intercepts)
+            np.array_equal(self.knots, other.knots)
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.lefts, other.lefts)
         )
 
     def __repr__(self) -> str:  # keep reprs short in test failures
@@ -204,134 +207,80 @@ def seq_point(space: Space | str, coords) -> SpacePoint:
     return SpacePoint(space=space, coords=arr)
 
 
-def pw_point(
-    space: Space | str,
-    a: float,
-    b: float,
-    breakpoints,
-    slopes,
-    intercepts,
-    *,
-    _repair: bool = False,
-) -> SpacePoint:
-    """Build a piecewise-linear function point (C_AB, LINF_R or NBV_AB).
+def _roundoff(knots: np.ndarray, slopes, intercepts) -> float:
+    """Rounding bound for knot values read off the lines ``slope*t + intercept``."""
+    sl = np.asarray(slopes, dtype=float)
+    terms = (sl * knots[:-1], sl * knots[1:], np.asarray(intercepts, dtype=float))
+    return _SNAP_RELATIVE * max(1.0, *(float(np.abs(v).max()) for v in terms))
 
-    ``slopes``/``intercepts`` have one entry per segment and there is one
-    more segment than there are breakpoints.  Validation enforces the
-    per-space invariants: continuity for C_AB, value 0 at ``a`` for NBV_AB.
+
+def _knot_point(space: Space | str, knots, values, lefts) -> SpacePoint:
+    """Validated function point from knots, knot values and left limits.
+
+    Where ``lefts`` equals ``values`` the point keeps one array for both;
+    C_AB requires that.  NBV_AB needs value exactly 0 at ``a``.
     """
     space = Space(space)
     if space not in FUNCTION_SPACES:
         raise MalformedPointError(f"{space.value} points carry coordinates, not segments")
-    a = float(a)
-    b = float(b)
-    bp = _readonly(breakpoints)
-    sl = np.asarray(slopes, dtype=float).copy()
-    ic = np.asarray(intercepts, dtype=float).copy()
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise MalformedPointError("domain must satisfy a < b with finite endpoints")
-    if sl.ndim != 1 or ic.ndim != 1 or sl.shape != ic.shape:
-        raise MalformedPointError("slopes and intercepts must be equal-length vectors")
-    if sl.shape[0] != bp.shape[0] + 1:
-        raise MalformedPointError("need exactly one more segment than breakpoints")
-    if bp.shape[0] and not (np.all(np.diff(bp) > 0) and bp[0] > a and bp[-1] < b):
-        raise MalformedPointError("breakpoints must be strictly increasing inside (a, b)")
-    if not (np.all(np.isfinite(sl)) and np.all(np.isfinite(ic)) and np.all(np.isfinite(bp))):
-        raise MalformedPointError("segment data must be finite")
-
-    if _repair:
-        _snap_invariants(space, a, bp, sl, ic)
-
-    sl.setflags(write=False)
-    ic.setflags(write=False)
-    point = SpacePoint(space=space, a=a, b=b, breakpoints=bp, slopes=sl, intercepts=ic)
-    _validate_pw(point)
-    return point
+    k, v, e = _readonly(knots), _readonly(values), _readonly(lefts)
+    if k.shape[0] < 2 or v.shape != k.shape or e.shape != k.shape:
+        raise MalformedPointError("need equal-length knot/value vectors, at least 2 long")
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v)) and np.all(np.isfinite(e))):
+        raise MalformedPointError("knots and values must be finite")
+    if not np.all(np.diff(k) > 0):
+        raise MalformedPointError("knots must be strictly increasing")
+    if np.array_equal(v, e):
+        e = v
+    elif space is Space.C_AB:
+        raise MalformedPointError(
+            "C_AB requires adjacent segments to match at breakpoints",
+            jumps=(v - e)[1:-1].tolist(),
+        )
+    if space is Space.NBV_AB and v[0] != 0.0:
+        raise MalformedPointError(
+            "NBV_AB requires value exactly 0 at the left endpoint", value_at_a=float(v[0])
+        )
+    return SpacePoint(space=space, knots=k, values=v, lefts=e)
 
 
-def _snap_invariants(space: Space, a: float, bp: np.ndarray, sl: np.ndarray, ic: np.ndarray) -> None:
-    """Repair sub-ulp invariant violations introduced by float combination.
+def pw_point(space: Space | str, a: float, b: float, breakpoints, slopes, intercepts) -> SpacePoint:
+    """Build a piecewise-linear function point (C_AB, LINF_R or NBV_AB).
 
-    Linear combination of two exactly-continuous functions can break the
-    exact-equality continuity check by a rounding error in the last place.
-    When a mismatch is at roundoff scale this re-anchors the right
-    segment's intercept (nudging by ulps if needed) so adjacent segments
-    again agree bitwise.  Exact inputs are never touched.
+    ``slopes``/``intercepts`` have one entry per segment and there is one
+    more segment than there are breakpoints; segment i is the global line
+    ``t -> slopes[i]*t + intercepts[i]``.  Validation enforces the
+    per-space invariants: continuity for C_AB, value 0 at ``a`` for NBV_AB.
+    Where two C_AB lines meet up to rounding in their evaluation, the
+    value of the right-hand one is kept.
     """
-    if space is Space.NBV_AB:
-        # force value at a to exactly 0: x - x == 0.0 for every float x
-        v0 = sl[0] * a + ic[0]
-        if v0 != 0.0 and abs(v0) <= _SNAP_RELATIVE * max(1.0, abs(sl[0] * a)):
-            ic[0] = -(sl[0] * a)
-    if space is not Space.C_AB:
-        return
-    for j, t in enumerate(bp):
-        left = sl[j] * t + ic[j]
-        right = sl[j + 1] * t + ic[j + 1]
-        if right == left:
-            continue
-        scale_ = max(1.0, abs(left), abs(right))
-        if abs(right - left) > _SNAP_RELATIVE * scale_:
-            continue  # a real discontinuity; validation will reject it
-        anchor = sl[j + 1] * t
-        ic[j + 1] = left - anchor
-        # the re-anchored value can still be one ulp off; walk it in
-        for _ in range(4):
-            got = anchor + ic[j + 1]
-            if got == left:
-                break
-            ic[j + 1] = math.nextafter(ic[j + 1], ic[j + 1] + (left - got))
-
-
-def _validate_pw(p: SpacePoint) -> None:
-    if p.space is Space.C_AB:
-        j = p.jumps()
-        if j.shape[0] and np.any(j != 0.0):
-            raise MalformedPointError(
-                "C_AB requires adjacent segments to match exactly at breakpoints",
-                jumps=j.tolist(),
-            )
-    elif p.space is Space.NBV_AB:
-        v0 = p.slopes[0] * p.a + p.intercepts[0]
-        if v0 != 0.0:
-            raise MalformedPointError(
-                "NBV_AB requires value exactly 0 at the left endpoint", value_at_a=v0
-            )
+    bp, sl, ic = (np.asarray(v, dtype=float) for v in (breakpoints, slopes, intercepts))
+    if bp.ndim != 1 or sl.shape != (bp.shape[0] + 1,) or ic.shape != sl.shape:
+        raise MalformedPointError("need one more segment (slope, intercept) than breakpoints")
+    k = np.concatenate(([float(a)], bp, [float(b)]))
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(sl)) and np.all(np.isfinite(ic))):
+        raise MalformedPointError("segment data must be finite")
+    starts = sl * k[:-1] + ic
+    ends = sl * k[1:] + ic
+    values = np.append(starts, ends[-1])
+    lefts = np.concatenate((starts[:1], ends))
+    if Space(space) is Space.C_AB and np.all(np.abs(values - lefts) <= _roundoff(k, sl, ic)):
+        lefts = values
+    return _knot_point(space, k, values, lefts)
 
 
 def pw_from_values(space: Space | str, knots, values) -> SpacePoint:
     """Continuous piecewise-linear interpolant through (knot, value) pairs.
 
-    Intercepts are propagated left to right so the continuity invariant
-    holds bitwise even when the slope divisions round.  Knots must be
-    strictly increasing; the first and last knot become the domain.
+    Knots must be strictly increasing; the first and last knot become the
+    domain.  The values are stored as given.
     """
-    k = np.asarray(knots, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if k.ndim != 1 or k.shape != v.shape or k.shape[0] < 2:
-        raise MalformedPointError("need equal-length knot/value vectors, at least 2 long")
-    if not np.all(np.diff(k) > 0):
-        raise MalformedPointError("knots must be strictly increasing")
-    slopes = np.diff(v) / np.diff(k)
-    intercepts = np.empty_like(slopes)
-    intercepts[0] = v[0] - slopes[0] * k[0]
-    prev_end = slopes[0] * k[1] + intercepts[0]
-    for i in range(1, slopes.shape[0]):
-        anchor = slopes[i] * k[i]
-        c = prev_end - anchor
-        for _ in range(4):
-            got = anchor + c
-            if got == prev_end:
-                break
-            c = math.nextafter(c, c + (prev_end - got))
-        intercepts[i] = c
-        prev_end = slopes[i] * k[i + 1] + intercepts[i]
-    return pw_point(space, k[0], k[-1], k[1:-1], slopes, intercepts)
+    return _knot_point(space, knots, values, values)
 
 
 def constant_fn(space: Space | str, a: float, b: float, value: float) -> SpacePoint:
     """The constant function ``value`` on [a, b] (0 required for NBV_AB)."""
-    return pw_point(space, a, b, [], [0.0], [value])
+    return pw_from_values(space, [a, b], [value, value])
 
 
 def step_fn(
@@ -343,7 +292,7 @@ def step_fn(
     right: float,
 ) -> SpacePoint:
     """Piecewise-constant step: ``left`` on [a, at), ``right`` on [at, b]."""
-    return pw_point(space, a, b, [at], [0.0, 0.0], [left, right])
+    return _knot_point(space, [a, at, b], [left, right, right], [left, left, right])
 
 
 def zeros_like(x: SpacePoint) -> SpacePoint:
@@ -363,6 +312,20 @@ def subtract(x: SpacePoint, y: SpacePoint) -> SpacePoint:
 # -- evaluation ------------------------------------------------------------
 
 
+def _segment_at(x: SpacePoint, t):
+    """Index of the segment holding ``t`` (the one on its right at a knot)
+    and the fraction ``w`` of the way across it; ``t = b`` is the end,
+    ``w = 1``, of the last segment."""
+    k = x.knots
+    i = np.minimum(np.searchsorted(k, t, side="right") - 1, k.shape[0] - 2)
+    return i, (t - k[i]) / (k[i + 1] - k[i])
+
+
+def _lerp(v, e, w):
+    """``(1-w)*v + w*e``: exactly ``v`` at w = 0 and exactly ``e`` at w = 1."""
+    return (1.0 - w) * v + w * e
+
+
 def value_at(x: SpacePoint, t: float) -> float:
     """Pointwise value of a function-space element.
 
@@ -376,52 +339,72 @@ def value_at(x: SpacePoint, t: float) -> float:
             t = x.a if t < x.a else x.b
         else:
             raise EvalFailureError(f"{t} lies outside the domain [{x.a}, {x.b}]")
-    bp = x.breakpoints
-    i = int(np.searchsorted(bp, t, side="right"))
-    return float(x.slopes[i] * t + x.intercepts[i])
+    i, w = _segment_at(x, t)
+    return float(_lerp(x.values[i], x.lefts[i + 1], w))
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise EvalFailureError(f"norm evaluates to {value}, not a finite number")
+    return value
 
 
 def eval_norm(x: SpacePoint) -> NormValue:
     """Norm of ``x`` in its own space, with an attaining witness when the
     norm is a sup.
 
-    For the function sup norms the scan covers the closure values of every
-    segment, which is where a piecewise-linear function attains extrema;
-    for LINF_R this equals the essential sup because each one-sided limit
-    is approached on a set of positive measure.
+    The function sup norms scan the values and left limits at the knots,
+    which is where a piecewise-linear function attains extrema; for LINF_R
+    this equals the essential sup because each one-sided limit is
+    approached on a set of positive measure.  The witness is the first
+    knot where the sup is reached.  A norm that overflows raises
+    :class:`EvalFailureError`.
     """
     if x.coords is not None:
         abs_c = np.abs(x.coords)
         if x.space is Space.L1_SEQ:
-            return NormValue(float(abs_c.sum()), None)
+            return NormValue(_finite(float(abs_c.sum())), None)
         p = int(abs_c.argmax())
         return NormValue(float(abs_c[p]), p + 1)
 
     if x.space is Space.NBV_AB:
-        k = x.knots()
-        seg_var = np.abs(x.slopes * (k[1:] - k[:-1]))
+        seg_var = np.abs(x.lefts[1:] - x.values[:-1])
         jump_var = np.abs(x.jumps())
-        return NormValue(float(seg_var.sum() + jump_var.sum()), None)
+        return NormValue(_finite(float(seg_var.sum() + jump_var.sum())), None)
 
-    left, right = x.segment_values()
-    k = x.knots()
-    n = left.shape[0]
-    vals = np.empty(2 * n)
-    pos = np.empty(2 * n)
-    vals[0::2], vals[1::2] = left, right
-    pos[0::2], pos[1::2] = k[:-1], k[1:]
-    abs_vals = np.abs(vals)
+    abs_vals = np.maximum(np.abs(x.values), np.abs(x.lefts))
     i = int(abs_vals.argmax())
-    return NormValue(float(abs_vals[i]), float(pos[i]))
+    return NormValue(float(abs_vals[i]), float(x.knots[i]))
+
+
+def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and left limits of ``x`` at ``t``, an increasing superset of
+    its knots with the same endpoints.
+
+    A point of ``t`` that is not a knot of ``x`` lies inside a segment,
+    where the left limit is the value; at a knot both are read back
+    exactly, because the interpolation is exact at w = 0 and w = 1.
+    """
+    if t.shape == x.knots.shape:
+        return x.values, x.lefts
+    i, w = _segment_at(x, t)
+    vals = _lerp(x.values[i], x.lefts[i + 1], w)
+    if x.lefts is x.values:
+        return vals, vals
+    return vals, np.where(w == 0.0, x.lefts[i], vals)
 
 
 def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> SpacePoint:
-    """Exact representation of ``alpha*x + beta*y``.
+    """Representation of ``alpha*x + beta*y``.
 
     Requires matching space tags, and matching lengths/domains.  Function
-    representations are merged on the union of their breakpoints; the
-    class invariants (C_AB continuity, NBV value at a) survive because the
-    combination acts segmentwise, with sub-ulp rounding drift repaired.
+    points are combined on the union of their knots: each operand is
+    sampled there (its stored values at its own knots, linear interpolation
+    in between) and the samples are combined.  The combination of two
+    continuous points, among them every C_AB pair, shares one array for
+    values and left limits, so it is continuous by construction; an NBV_AB
+    result has value ``alpha*0 + beta*0 == 0`` at ``a``.  On the dyadic
+    lattice with power-of-two knot gaps the combination is exact.
     """
     if x.space is not y.space:
         raise SpaceMismatchError(
@@ -434,18 +417,21 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
             raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
         return seq_point(x.space, alpha * x.coords + beta * y.coords)
 
-    if x.a != y.a or x.b != y.b:
+    if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
         raise SpaceMismatchError(
             f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
         )
-    merged = np.union1d(x.breakpoints, y.breakpoints)
-    ix = np.searchsorted(x.breakpoints, merged, side="right")
-    iy = np.searchsorted(y.breakpoints, merged, side="right")
-    ix = np.concatenate(([0], ix))
-    iy = np.concatenate(([0], iy))
-    slopes = alpha * x.slopes[ix] + beta * y.slopes[iy]
-    intercepts = alpha * x.intercepts[ix] + beta * y.intercepts[iy]
-    return pw_point(x.space, x.a, x.b, merged, slopes, intercepts, _repair=True)
+    knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
+    xv, xl = _at_knots(x, knots)
+    yv, yl = _at_knots(y, knots)
+    values = alpha * xv + beta * yv
+    lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
+    if not (np.isfinite(values).all() and np.isfinite(lefts).all()):
+        raise MalformedPointError("linear combination overflows")
+    knots.setflags(write=False)
+    values.setflags(write=False)
+    lefts.setflags(write=False)
+    return SpacePoint(space=x.space, knots=knots, values=values, lefts=lefts)
 
 
 # -- canonical JSON --------------------------------------------------------
@@ -454,14 +440,17 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
 def point_to_dict(x: SpacePoint) -> dict:
     if x.coords is not None:
         return {"space": x.space.value, "coords": x.coords.tolist()}
+    k = x.knots
+    slopes = (x.lefts[1:] - x.values[:-1]) / np.diff(k)
+    intercepts = x.values[:-1] - slopes * k[:-1]
     return {
         "space": x.space.value,
         "a": x.a,
         "b": x.b,
         "breakpoints": x.breakpoints.tolist(),
         "segments": [
-            {"slope": float(s), "intercept": float(c)}
-            for s, c in zip(x.slopes, x.intercepts)
+            {"slope": s, "intercept": c}
+            for s, c in zip(slopes.tolist(), intercepts.tolist())
         ],
         "jumps": x.jumps().tolist(),
     }
@@ -489,7 +478,7 @@ def point_from_dict(doc: dict) -> SpacePoint:
         given = np.asarray(doc["jumps"], dtype=float)
         derived = point.jumps()
         if given.shape != derived.shape or not np.allclose(
-            given, derived, rtol=0.0, atol=_SNAP_RELATIVE * max(1.0, float(np.abs(derived).max(initial=0.0)))
+            given, derived, rtol=0.0, atol=_roundoff(point.knots, slopes, intercepts)
         ):
             raise MalformedPointError(
                 "stated jumps disagree with the segment representation",

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._rng import philox_gen
 from .errors import PreconditionFailedError
+from .oracles import _gap_outside, _peak_sites
 from .spaces import (
     SEQUENCE_SPACES,
     Space,
@@ -26,7 +27,6 @@ from .spaces import (
     eval_norm,
     linear_combine,
     pw_from_values,
-    pw_point,
     seq_point,
     sig,
 )
@@ -69,16 +69,6 @@ class MembershipReport:
             "gap": self.gap,
             "certificate": self.certificate,
         }
-
-
-def _sup_candidates(x: SpacePoint) -> list[tuple[float, float]]:
-    left, right = x.segment_values()
-    k = x.knots()
-    out = []
-    for i in range(left.shape[0]):
-        out.append((float(k[i]), float(left[i])))
-        out.append((float(k[i + 1]), float(right[i])))
-    return out
 
 
 def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
@@ -132,11 +122,10 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
 
 
 def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
-    cands = _sup_candidates(x)
-    norm = max(abs(v) for _, v in cands)
+    norm, peaks = _peak_sites(x)
     if norm == 0.0:
         return MembershipReport(x.space, False, None, None, "the zero function peaks everywhere")
-    sites = sorted({pos for pos, v in cands if abs(v) == norm})
+    sites = list(peaks)
     if len(sites) > 1:
         return MembershipReport(
             x.space, False, None, None,
@@ -149,23 +138,7 @@ def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
             f"the peak at {t0} sits on the window edge, where the constant "
             "extension attains the same value on a half-line",
         )
-    # sup of |x| over the complement of the open eps-ball around t0
-    competitors = [0.0]
-    k = x.knots()
-    lo, hi = t0 - eps, t0 + eps
-    for i in range(x.slopes.shape[0]):
-        s, c = float(x.slopes[i]), float(x.intercepts[i])
-        for a_, b_ in ((float(k[i]), min(float(k[i + 1]), lo)), (max(float(k[i]), hi), float(k[i + 1]))):
-            if a_ <= b_:
-                competitors.append(abs(s * a_ + c))
-                competitors.append(abs(s * b_ + c))
-    if eps == 0.0:
-        competitors = [abs(v) for pos, v in cands if pos != t0] or [0.0]
-    if x.space is Space.LINF_R:
-        left, right = x.segment_values()
-        competitors.append(abs(float(left[0])))
-        competitors.append(abs(float(right[-1])))
-    gap = norm - max(competitors)
+    gap = _gap_outside(x, t0, eps, norm)
     if gap > 0.0:
         return MembershipReport(
             x.space, True, t0, gap,
@@ -229,12 +202,11 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be positive")
     if classify(f, 0.0).in_B:
         return f
-    cands = _sup_candidates(f)
-    norm = max(abs(v) for _, v in cands)
-    t1, v1 = next((pos, v) for pos, v in cands if abs(v) == norm)
+    _, peaks = _peak_sites(f)
+    t1, v1 = next(iter(peaks.items()))  # the first peak
     sigma = sig(v1) or 1.0
 
-    knots = f.knots()
+    knots = f.knots
     gaps = [float(knots[i + 1] - knots[i]) for i in range(knots.shape[0] - 1)]
     adjacent = [g for i, g in enumerate(gaps) if knots[i] <= t1 <= knots[i + 1]]
     w = 2.0 ** math.floor(math.log2(min(min(adjacent), (f.b - f.a) / 4.0) / 2.0))

@@ -189,6 +189,42 @@ def test_computational_error_exits_3(capsys, monkeypatch):
     assert doc["error"]["code"] == "EVAL_FAILURE"
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-RFC 8259 token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--space", "l1", "--point", "[1e308, 1e308]"],
+        ["compose", "--outer", "exp", "--base", "wseries_partial", "--t", "3",
+         "--space", "linf", "--point", "[1000.0, -1.0, 2.0, 0.25, 0.125]",
+         "--dir", "[1, 1, 1, 0, 0]"],
+    ],
+    ids=["norm-overflow", "compose-exp-overflow"],
+)
+def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
+    rc = cli.main(argv)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 3
+    assert doc["error"]["code"] == "EVAL_FAILURE"
+
+
+def test_error_context_stays_strict_json(capsys, tmp_path):
+    # a stated jump of Infinity is echoed in the error context by name
+    fpath = tmp_path / "badjump.json"
+    fpath.write_text(
+        '{"space": "LINF_R", "a": 0.0, "b": 1.0, "breakpoints": [0.5], '
+        '"segments": [{"slope": 0.0, "intercept": 0.0}, {"slope": 0.0, "intercept": 1.0}], '
+        '"jumps": [Infinity]}'
+    )
+    rc = cli.main(["norm", "--file", str(fpath)])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 2
+    assert doc["error"]["code"] == "MALFORMED_POINT"
+    assert doc["error"]["context"]["given"] == ["Infinity"]
+
+
 def test_suite_failure_exits_1(capsys, monkeypatch):
     class Stub:
         passed = False

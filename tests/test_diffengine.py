@@ -5,9 +5,11 @@ lives on a dyadic lattice: the norms are then piecewise-linear with
 exactly representable slopes and the quotients carry no rounding at all.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachdiff.diffengine import (
@@ -26,6 +28,7 @@ from banachdiff.diffengine import (
     one_sided_derivatives,
 )
 from banachdiff.errors import (
+    EvalFailureError,
     NonconvergentPerturbationError,
     PreconditionFailedError,
 )
@@ -69,6 +72,14 @@ def test_directional_quotient_rejects_zero_step():
     x = seq_point(Space.L1_SEQ, [1.0])
     with pytest.raises(PreconditionFailedError):
         directional_quotient(f, x, x, 0.0)
+
+
+def test_non_finite_values_are_eval_failures():
+    x = seq_point(Space.L1_SEQ, [1.0])
+    with pytest.raises(EvalFailureError):
+        Functional("overflow", lambda p: math.inf)(x)
+    with pytest.raises(EvalFailureError):
+        Functional("undefined", lambda p: math.nan)(x)
 
 
 def test_series_limit_prefers_the_tightest_plateau():
@@ -295,3 +306,26 @@ def test_lipschitz_estimate_polices_inputs():
         local_lipschitz_estimate(f, x, 0.0, 8, seed=1)
     with pytest.raises(PreconditionFailedError):
         local_lipschitz_estimate(f, x, 0.5, 0, seed=1)
+
+
+# -- off the dyadic lattice ----------------------------------------------------
+
+
+def _uniform_cab(rng):
+    """C_AB interpolant through uniform random knots and values."""
+    m = int(rng.integers(1, 8))
+    knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, m)), [1.0]))
+    return pw_from_values(Space.C_AB, knots, rng.uniform(-1.0, 1.0, m + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_off_lattice_continuous_points_build_combine_and_differentiate(seed):
+    # uniform knots and values: continuity can no longer hold bitwise in a
+    # segment representation, but knot values keep it by construction
+    rng = np.random.default_rng(seed)
+    x, h = _uniform_cab(rng), _uniform_cab(rng)
+    s = linear_combine(float(rng.uniform(-2.0, 2.0)), x, float(rng.uniform(-2.0, 2.0)), h)
+    assert s.lefts is s.values
+    verdict = gateaux_verdict(norm_functional(Space.C_AB), x, [h])
+    assert verdict.status in tuple(VerdictStatus)

@@ -27,6 +27,7 @@ from banachdiff.spaces import (
     Space,
     constant_fn,
     eval_norm,
+    point_to_dict,
     pw_from_values,
     pw_point,
     seq_point,
@@ -135,7 +136,8 @@ def test_double_peak_witness_splits_between_the_peaks():
     )
     w = witness_Linf(f)
     assert w.breakpoints.tolist() == [0.5]  # midpoint of 0.25 and 0.75
-    assert (w.intercepts[0], w.intercepts[1]) == (1.0, 1.0)  # +sig, -(-sig)
+    segments = point_to_dict(w)["segments"]
+    assert (segments[0]["intercept"], segments[1]["intercept"]) == (1.0, 1.0)  # +sig, -(-sig)
     with pytest.raises(NoDoubleMaxError):
         witness_Linf(pw_from_values(Space.LINF_R, [0.0, 0.5, 1.0], [0.0, 2.0, 0.0]))
     with pytest.raises(NoDoubleMaxError):

@@ -1,5 +1,6 @@
 """Point construction, norms, and arithmetic for the space models."""
 
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,69 @@ def test_linear_combine_aligns_mismatched_knots():
     for t in (0.0, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0):
         assert value_at(s, t) == value_at(f, t) + value_at(g, t)
     assert set(s.breakpoints.tolist()) == {0.25, 0.5, 0.75}
+
+
+def _lattice_pw(rng, space):
+    """Lattice point on midpoint knots; LINF_R and NBV_AB get genuine jumps."""
+    knots = np.asarray([0.0] + midpoint_knots(rng, int(rng.integers(1, 5))) + [1.0])
+    vals = lattice(rng, -2.0, 2.0, knots.shape[0])
+    if space is Space.C_AB:
+        return pw_from_values(space, knots, vals)
+    if space is Space.NBV_AB:
+        vals[0] = 0.0
+    slopes = lattice(rng, -2.0, 2.0, knots.shape[0] - 1)
+    intercepts = vals[:-1] - slopes * knots[:-1]
+    return pw_point(space, 0.0, 1.0, knots[1:-1], slopes, intercepts)
+
+
+def _left_limit(f, t):
+    hit = np.flatnonzero(f.knots == t)
+    return float(f.lefts[hit[0]]) if hit.size else value_at(f, t)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([Space.C_AB, Space.LINF_R, Space.NBV_AB]),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+def test_lattice_combination_is_exact_at_every_merged_knot(seed, space, ka, kb, flip):
+    rng = np.random.default_rng(seed)
+    f, g = _lattice_pw(rng, space), _lattice_pw(rng, space)
+    alpha, beta = 2.0**ka, (-1.0 if flip else 1.0) * 2.0**kb
+    s = linear_combine(alpha, f, beta, g)
+    assert set(s.knots.tolist()) == set(f.knots.tolist()) | set(g.knots.tolist())
+    for i, t in enumerate(s.knots.tolist()):
+        assert value_at(s, t) == s.values[i] == alpha * value_at(f, t) + beta * value_at(g, t)
+        assert s.lefts[i] == alpha * _left_limit(f, t) + beta * _left_limit(g, t)
+    if space is not Space.NBV_AB:
+        assert eval_norm(s).value == max(abs(v) for v in s.values.tolist() + s.lefts.tolist())
+
+
+@pytest.mark.parametrize("space", [Space.C_AB, Space.LINF_R, Space.NBV_AB])
+def test_off_lattice_points_round_trip_within_roundoff(space):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(1, 8))
+        knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, m)), [1.0]))
+        if space is Space.C_AB:
+            f = pw_from_values(space, knots, rng.uniform(-1.0, 1.0, m + 2))
+        else:
+            slopes = rng.uniform(-2.0, 2.0, m + 1)
+            intercepts = rng.uniform(-1.0, 1.0, m + 1)
+            if space is Space.NBV_AB:
+                intercepts[0] = 0.0  # value 0 at a = 0
+            f = pw_point(space, 0.0, 1.0, knots[1:-1], slopes, intercepts)
+        doc = point_to_dict(f)
+        back = point_from_dict(json.loads(json.dumps(doc)))
+        # each knot value is re-read through slope*t + intercept
+        tol = 16.0 * np.finfo(float).eps * max(
+            1.0, max(abs(seg["slope"]) + abs(seg["intercept"]) for seg in doc["segments"])
+        )
+        assert np.array_equal(back.knots, f.knots)
+        assert np.abs(back.values - f.values).max() <= tol
+        assert np.abs(back.lefts - f.lefts).max() <= tol
 
 
 def test_linear_combine_rejects_space_mixes():
