@@ -5,15 +5,16 @@ Every invocation writes a single JSON document (stdout by default, or
 that was used, and the library version — no timestamps or other
 nondeterminism, so identical requests produce byte-identical reports.
 Exit codes: 0 on success, 2 on validation errors (bad points, bad
-flags), 3 on computational errors, and for ``suite`` 1 when a criterion
-fails.
+flags, ``measure --n`` above ``gaussmeasure.MAX_N``), 3 on computational
+errors (among them a linear combination of valid points that overflows),
+and for ``suite`` 1 when a criterion fails.
 
 A JSON config file (``--config``) may supply defaults for the step
 grid, tolerance, truncation dimensions, and seed; explicit flags win.
 The ``BS_SEED`` environment variable supplies the seed when neither a
 flag nor the config does.  ``--threads`` is accepted for interface
-stability and bounds any internal parallelism; results never depend on
-it, and it is deliberately left out of the echoed inputs.
+stability and ignored: nothing runs in parallel.  It is deliberately left
+out of the echoed inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     VALIDATION_ERRORS,
 )
 from .gaussmeasure import (
+    MAX_N,
     GaussianSpec,
     b2_tie_probability_oracle,
     default_spec,
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the JSON report here instead of stdout")
     shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="parallelism bound (results never depend on it)")
+                        help="accepted and ignored; nothing runs in parallel")
     parser = argparse.ArgumentParser(
         prog="banachdiff",
         description="Differentiability toolkit: norms, derivative verdicts, "
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_densify)
 
     p = add_parser("measure", "Monte Carlo mass of the near-tie set")
-    p.add_argument("--n", type=int, required=True, help="number of coordinates")
+    p.add_argument("--n", type=int, required=True, help=f"number of coordinates, at most {MAX_N}")
     p.add_argument("--delta", type=float, required=True, help="tie thickness")
     p.add_argument("--count", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, help="RNG seed (default: BS_SEED or built-in)")

@@ -4,13 +4,18 @@ One-sided difference quotients over geometric step grids, with verdicts
 for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
-below the structural scale of the point.  Each one-sided limit is read off
-the earliest, tightest plateau of three consecutive grid quotients whose
-internal gaps stay under the tolerance, with no extrapolation.
+below the structural scale of the point.  Every quotient trace is built
+by :func:`_quotient_trace`.  Each one-sided limit is read off the earliest,
+tightest plateau of three consecutive grid quotients whose internal gaps
+stay under the tolerance, with no extrapolation, and only from a window
+whose last step t satisfies t·‖h‖ ≤ ‖x‖: at larger steps the quotient
+describes the far field of f, not its limit at x.
 
 Verdict vocabulary deliberately includes INCONCLUSIVE: when probes fail
-to converge, or converge to something no representable linear functional
-reproduces, the engine says so instead of guessing.
+to converge, converge only at steps too large for the scale of x, or
+converge to something no representable linear functional reproduces,
+the engine says so instead of guessing.  Each NOT_GATEAUX or
+INCONCLUSIVE verdict names in its ``detail`` the stage that decided it.
 """
 
 from __future__ import annotations
@@ -61,11 +66,24 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _checked(what: str, fn: Callable[..., float], arg, **context) -> float:
+    """``float(fn(arg))``, where an overflow or a non-finite value raises
+    :class:`EvalFailureError` that names ``what`` was evaluated."""
+    try:
+        value = float(fn(arg))
+    except OverflowError as exc:
+        raise EvalFailureError(f"{what} overflows", **context) from exc
+    if not math.isfinite(value):
+        raise EvalFailureError(f"{what} returned {value}, not a finite number", **context)
+    return value
+
+
 @dataclass(frozen=True)
 class Functional:
     """A named real-valued map on points of one space.
 
-    A call that yields a non-finite value raises :class:`EvalFailureError`.
+    A call that overflows or yields a non-finite value raises
+    :class:`EvalFailureError`.
     """
 
     name: str
@@ -77,13 +95,7 @@ class Functional:
             raise PreconditionFailedError(
                 f"functional {self.name!r} expects {self.space_tag.value}, got {x.space.value}"
             )
-        value = float(self.evaluator(x))
-        if not math.isfinite(value):
-            raise EvalFailureError(
-                f"functional {self.name!r} returned {value}, not a finite number",
-                functional=self.name,
-            )
-        return value
+        return _checked(f"functional {self.name!r}", self.evaluator, x, functional=self.name)
 
 
 def norm_functional(space: Space) -> Functional:
@@ -123,8 +135,10 @@ class QuotientTrace:
 
     ``d_plus``/``d_minus`` are set only when that side's quotients hold a
     plateau: three consecutive quotients whose internal gaps stay under the
-    tolerance used to build the trace (see :func:`_series_limit`).  The
-    matching ``converged`` flag records which happened.
+    tolerance used to build the trace, in a window whose last step is at
+    most ``reach`` (see :func:`_quotient_trace`).  ``converged_plus`` and
+    ``converged_minus`` say which sides did; :meth:`split` is the one
+    judgement of a kink.
     """
 
     steps: tuple[float, ...]
@@ -132,8 +146,24 @@ class QuotientTrace:
     backward_q: tuple[float, ...]
     d_plus: float | None
     d_minus: float | None
-    converged_plus: bool
-    converged_minus: bool
+    reach: float = math.inf
+
+    @property
+    def converged_plus(self) -> bool:
+        return self.d_plus is not None
+
+    @property
+    def converged_minus(self) -> bool:
+        return self.d_minus is not None
+
+    @property
+    def reached(self) -> bool:
+        """Whether any plateau window ends at a step within ``reach``."""
+        return self.steps[-1] <= self.reach
+
+    def split(self, tol: float) -> bool:
+        """Both one-sided limits exist and differ by more than ``tol``."""
+        return self.converged_plus and self.converged_minus and abs(self.d_plus - self.d_minus) > tol
 
     def to_dict(self) -> dict:
         return {
@@ -203,47 +233,74 @@ def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) 
     return (f(linear_combine(1.0, x, float(t), h)) - f(x)) / t
 
 
-def _series_limit(qs: Sequence[float], tol: float) -> tuple[float | None, bool]:
+def _series_limit(qs: Sequence[float], tol: float, start: int = 0) -> float | None:
     """Limit estimate for a difference-quotient sequence over shrinking steps.
 
     The limit is read off the tightest *corroborated* plateau: each window of
-    three consecutive quotients is scored by its worst internal gap, the
-    earliest minimal window wins, and convergence means that score is below
-    tol.  A single agreeing pair is not enough on purpose.  At the smallest
-    steps the cancellation noise is quantized coarsely (one ulp of f divided
-    by t), so two successive quotients can coincide bit-for-bit by accident;
-    such a lone pair inherits the score of its drifting neighbor and loses
-    to any genuine plateau, whose members all agree.  On exactly constant
-    data every gap is zero and this returns the common value unchanged; on
-    curved data the gaps shrink monotonically and the smallest-step window
-    still wins, so the returned value matches the plain last quotient.
-    Grids have at least three steps (see :class:`TGrid`).
+    three consecutive quotients, from index ``start`` on, is scored by its
+    worst internal gap, the earliest minimal window wins, and convergence
+    means that score is below tol.  A single agreeing pair is not enough on
+    purpose.  At the smallest steps the cancellation noise is quantized
+    coarsely (one ulp of f divided by t), so two successive quotients can
+    coincide bit-for-bit by accident; such a lone pair inherits the score of
+    its drifting neighbor and loses to any genuine plateau, whose members all
+    agree.  On exactly constant data every gap is zero and this returns the
+    common value unchanged; on curved data the gaps shrink monotonically and
+    the smallest-step window still wins, so the returned value matches the
+    plain last quotient.  None means no window converged.
     """
     best_i = 0
     best_score = math.inf
-    for i in range(len(qs) - 2):
+    for i in range(start, len(qs) - 2):
         score = max(abs(qs[i + 1] - qs[i]), abs(qs[i + 2] - qs[i + 1]))
         if score < best_score:
             best_score = score
             best_i = i
     if best_score < tol:
-        return qs[best_i + 2], True
-    return None, False
+        return qs[best_i + 2]
+    return None
 
 
-def _quotient_trace(steps, fq: Sequence[float], bq: Sequence[float], tol: float) -> QuotientTrace:
-    """The trace of forward quotients ``fq`` and backward quotients ``bq``
-    over ``steps``, with each side's limit read by :func:`_series_limit`."""
-    d_plus, conv_p = _series_limit(fq, tol)
-    d_minus, conv_m = _series_limit(bq, tol)
+def _reach(x: SpacePoint, h: SpacePoint) -> float:
+    """The largest step t with t·‖h‖ ≤ ‖x‖; unbounded when x or h is 0.
+
+    Below it a quotient of f at x along h reads f near x; above it, where
+    the step outgrows x, the quotient tends to the slope of f far from x,
+    which is no evidence about the limit.  Norms vanish only at 0, and the
+    norms in scope are positively homogeneous there, so every step counts.
+    """
+    try:
+        nx, nh = eval_norm(x).value, eval_norm(h).value
+    except EvalFailureError:  # a norm overflows: no finite scale to compare with
+        return math.inf
+    return nx / nh if nx > 0.0 and nh > 0.0 else math.inf
+
+
+def _quotient_trace(
+    at: Callable[[int, float], float],
+    f0: float,
+    steps: np.ndarray,
+    tol: float,
+    reach: float,
+) -> QuotientTrace:
+    """The trace of forward and backward quotients ``(at(k, ±t) - f0) / ±t``
+    over the grid ``steps``, where ``at(k, s)`` is the function at signed
+    step ``s`` along the direction of step ``k``.
+
+    Each side's limit is read by :func:`_series_limit` from the first window
+    whose last step is at most ``reach`` on.
+    """
+    fq = [(at(k, t) - f0) / t for k, t in enumerate(steps)]
+    bq = [(at(k, -t) - f0) / -t for k, t in enumerate(steps)]
+    near = next((k for k, t in enumerate(steps) if t <= reach), len(steps))
+    start = max(0, near - 2)
     return QuotientTrace(
         steps=tuple(float(t) for t in steps),
         forward_q=tuple(fq),
         backward_q=tuple(bq),
-        d_plus=d_plus,
-        d_minus=d_minus,
-        converged_plus=conv_p,
-        converged_minus=conv_m,
+        d_plus=_series_limit(fq, tol, start),
+        d_minus=_series_limit(bq, tol, start),
+        reach=reach,
     )
 
 
@@ -257,11 +314,9 @@ def one_sided_derivatives(
     """Difference quotients of f at x along +h and -h over the grid."""
     if not tol > 0.0:
         raise PreconditionFailedError("tol must be positive")
-    fx = f(x)
-    steps = grid.steps()
-    fq = [(f(linear_combine(1.0, x, float(t), h)) - fx) / t for t in steps]
-    bq = [(f(linear_combine(1.0, x, float(-t), h)) - fx) / -t for t in steps]
-    return _quotient_trace(steps, fq, bq, tol)
+    return _quotient_trace(
+        lambda _k, s: f(linear_combine(1.0, x, float(s), h)), f(x), grid.steps(), tol, _reach(x, h)
+    )
 
 
 def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
@@ -278,14 +333,21 @@ def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
 
 def _fit_rep(
     x: SpacePoint,
-    fit_dirs: list[SpacePoint],
-    responses: list[float],
+    fit_resp: list[float],
+    probe_resp: list[float],
     tol: float,
 ) -> LinearFunctionalRep | None:
-    """Assemble a sparse representation from canonical-direction responses."""
+    """Assemble a sparse representation from canonical-direction responses.
+
+    NBV_AB has no canonical directions; there only the zero functional is
+    identifiable, from the probe responses.
+    """
+    responses = probe_resp if x.space is Space.NBV_AB else fit_resp
     scale = max(1.0, max((abs(r) for r in responses), default=0.0))
     if all(abs(r) <= tol * scale for r in responses):
         return zero_rep()
+    if x.space is Space.NBV_AB:
+        return None
     if x.space in SEQUENCE_SPACES:
         coeffs = np.asarray(responses)
         nz = np.flatnonzero(np.abs(coeffs) > tol * scale)
@@ -313,116 +375,97 @@ def gateaux_verdict(
 ) -> DiffVerdict:
     """Probe-based directional differentiability verdict at x.
 
-    Every supplied probe direction is examined first: a direction whose
-    one-sided limits both converge but disagree beyond tol is a failure
-    witness (NOT_GATEAUX).  A direction that fails to converge yields
+    Three stages read two-sided limits, in order: every supplied probe
+    direction, then additivity/doubling combinations of the first probes,
+    then canonical fit directions for the space (coordinate vectors;
+    constant and ramp for function domains).  Along each direction, one-sided
+    limits that both converge but disagree beyond tol make the direction a
+    failure witness (NOT_GATEAUX); a side that does not converge, or
+    converges only at steps too large for the scale of x, ends the verdict
     INCONCLUSIVE — nonconvergence is not evidence of nondifferentiability.
-    If all probes pass, canonical fit directions for the space (coordinate
-    vectors; constant and ramp for function domains) identify a sparse
-    derivative, which is then verified against every probe response and
-    against additivity/doubling checks on the first probe pair.
+    The combinations must reproduce the probes' limits linearly, and the
+    sparse derivative fitted to the canonical responses must reproduce every
+    probe's limit.  The ``detail`` of a verdict that stops short of GATEAUX
+    names the stage and the direction that decided it.
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
     traces: list[QuotientTrace] = []
-    responses: dict[int, float] = {}
     dirs = list(probe_dirs)
 
-    for i, h in enumerate(dirs):
+    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
+        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
+
+    def limit(h: SpacePoint, stage: str) -> float | DiffVerdict:
+        """The two-sided limit along h, or the verdict it ends with."""
         tr = one_sided_derivatives(f, x, h, grid, tol)
         traces.append(tr)
-        if tr.converged_plus and tr.converged_minus:
-            if abs(tr.d_plus - tr.d_minus) > tol:
-                return DiffVerdict(
-                    status=VerdictStatus.NOT_GATEAUX,
-                    failure_witness=h,
-                    traces=tuple(traces),
-                    detail=(
-                        "one-sided limits disagree: "
-                        f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}"
-                    ),
-                )
-            responses[i] = tr.d_plus
-        else:
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail=f"quotients along probe {i} did not converge on the grid",
+        if tr.split(tol):
+            return verdict(
+                VerdictStatus.NOT_GATEAUX,
+                f"one-sided limits disagree along {stage}: "
+                f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}",
+                failure_witness=h,
             )
+        if not tr.reached:
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                f"no step along {stage} reaches the scale of x: the smallest step "
+                f"{tr.steps[-1]} exceeds |x|/|h| = {tr.reach}",
+            )
+        if tr.d_plus is None or tr.d_minus is None:
+            return verdict(
+                VerdictStatus.INCONCLUSIVE, f"quotients along {stage} did not converge on the grid"
+            )
+        return tr.d_plus
+
+    responses: list[float] = []
+    for i, h in enumerate(dirs):
+        d = limit(h, f"probe {i}")
+        if isinstance(d, DiffVerdict):
+            return d
+        responses.append(d)
 
     # linearity spot-checks: additivity on the first pair, doubling on the first
-    lin_pairs: list[tuple[SpacePoint, float]] = []
+    lin_pairs: list[tuple[SpacePoint, float, str]] = []
     if len(dirs) >= 2 and dirs[0].space is dirs[1].space:
-        lin_pairs.append((linear_combine(1.0, dirs[0], 1.0, dirs[1]), responses[0] + responses[1]))
-    lin_pairs.append((linear_combine(2.0, dirs[0], 0.0, dirs[0]), 2.0 * responses[0]))
-    for h, expected in lin_pairs:
-        tr = one_sided_derivatives(f, x, h, grid, tol)
-        traces.append(tr)
-        if tr.converged_plus and tr.converged_minus and abs(tr.d_plus - tr.d_minus) > tol:
-            return DiffVerdict(
-                status=VerdictStatus.NOT_GATEAUX,
-                failure_witness=h,
-                traces=tuple(traces),
-                detail="one-sided limits disagree along a probe combination",
-            )
-        ok = (
-            tr.converged_plus
-            and tr.converged_minus
-            and abs(tr.d_plus - expected) <= tol * max(1.0, abs(expected))
+        lin_pairs.append(
+            (linear_combine(1.0, dirs[0], 1.0, dirs[1]), responses[0] + responses[1], "probe 0 + probe 1")
         )
-        if not ok:
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail="directional limits exist on the probes but are not linear across them",
+    lin_pairs.append((linear_combine(2.0, dirs[0], 0.0, dirs[0]), 2.0 * responses[0], "2 * probe 0"))
+    for h, expected, stage in lin_pairs:
+        d = limit(h, stage)
+        if isinstance(d, DiffVerdict):
+            return d
+        if abs(d - expected) > tol * max(1.0, abs(expected)):
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                f"directional limits exist on the probes but are not linear across them: "
+                f"{float(d)} along {stage}, expected {float(expected)}",
             )
 
-    fit_dirs = _fit_directions(x)
     fit_resp: list[float] = []
-    for h in fit_dirs:
-        tr = one_sided_derivatives(f, x, h, grid, tol)
-        traces.append(tr)
-        if tr.converged_plus and tr.converged_minus and abs(tr.d_plus - tr.d_minus) > tol:
-            return DiffVerdict(
-                status=VerdictStatus.NOT_GATEAUX,
-                failure_witness=h,
-                traces=tuple(traces),
-                detail="one-sided limits disagree along a canonical fit direction",
-            )
-        if not (tr.converged_plus and tr.converged_minus):
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail="a canonical fit direction failed the two-sided limit check",
-            )
-        fit_resp.append(tr.d_plus)
+    for k, h in enumerate(_fit_directions(x)):
+        d = limit(h, f"canonical fit direction {k}")
+        if isinstance(d, DiffVerdict):
+            return d
+        fit_resp.append(d)
 
-    if fit_dirs:
-        rep = _fit_rep(x, fit_dirs, fit_resp, tol)
-    else:
-        # no canonical protocol (NBV): only the zero functional is identifiable
-        scale = max(1.0, max((abs(r) for r in responses.values()), default=0.0))
-        rep = zero_rep() if all(abs(r) <= tol * scale for r in responses.values()) else None
+    rep = _fit_rep(x, fit_resp, responses, tol)
     if rep is None:
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail="directional limits exist but no sparse representation reproduces them",
+        return verdict(
+            VerdictStatus.INCONCLUSIVE,
+            "directional limits exist but no sparse representation reproduces them",
         )
-
     for i, h in enumerate(dirs):
         want = responses[i]
         got = apply_rep(rep, h)
         if abs(got - want) > tol * max(1.0, abs(want)):
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail=(
-                f"fitted representation disagrees with probe {i}: "
-                f"{float(got)} vs {float(want)}"
-            ),
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                f"fitted representation disagrees with probe {i}: {float(got)} vs {float(want)}",
             )
-    return DiffVerdict(status=VerdictStatus.GATEAUX, derivative=rep, traces=tuple(traces))
+    return verdict(VerdictStatus.GATEAUX, derivative=rep)
 
 
 def hadamard_verdict(
@@ -445,18 +488,19 @@ def hadamard_verdict(
         raise PreconditionFailedError("need at least one perturbation family")
     base = one_sided_derivatives(f, x, h, grid, tol)
     traces = [base]
-    if base.converged_plus and base.converged_minus and abs(base.d_plus - base.d_minus) > tol:
-        return DiffVerdict(
-            status=VerdictStatus.NOT_GATEAUX,
+
+    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
+        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
+
+    if base.split(tol):
+        return verdict(
+            VerdictStatus.NOT_GATEAUX,
+            "one-sided limits along the unperturbed direction disagree",
             failure_witness=h,
-            traces=tuple(traces),
-            detail="one-sided limits along the unperturbed direction disagree",
         )
     if not base.converged_plus:
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail="quotients along the unperturbed direction did not converge",
+        return verdict(
+            VerdictStatus.INCONCLUSIVE, "quotients along the unperturbed direction did not converge"
         )
     limit = base.d_plus
 
@@ -480,20 +524,17 @@ def hadamard_verdict(
                 final_distance=dists[-1],
             )
         padded = fam + [h] * max(0, len(steps) - len(fam))
-        fq, bq = [], []
-        for t, k in zip(steps, padded):
-            fq.append((f(linear_combine(1.0, x, float(t), k)) - fx) / t)
-            bq.append((f(linear_combine(1.0, x, float(-t), k)) - fx) / -t)
-        tr = _quotient_trace(steps, fq, bq, tol)
+        tr = _quotient_trace(
+            lambda k, s: f(linear_combine(1.0, x, float(s), padded[k])), fx, steps, tol, base.reach
+        )
         traces.append(tr)
         if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                f"perturbation family {fam_idx} does not reproduce the directional limit",
                 value=limit,
-                detail=f"perturbation family {fam_idx} does not reproduce the directional limit",
             )
-    return DiffVerdict(status=VerdictStatus.HADAMARD, value=limit, traces=tuple(traces))
+    return verdict(VerdictStatus.HADAMARD, value=limit)
 
 
 def frechet_verdict(

@@ -11,6 +11,8 @@ cross-checked for n=2 against deterministic quadrature.
 Sampling is counter-based (Philox) in fixed blocks of rows, so results
 are bit-identical across platforms and independent of how many blocks
 run in parallel; the block stream depends only on (seed, block, n).
+A block holds ``n`` coordinates per row, so sampling accepts at most
+``MAX_N`` coordinates, which bounds the memory of one block.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
 from .spaces import Space, SpacePoint, seq_point
 
 __all__ = [
+    "MAX_N",
     "GaussianSpec",
     "MeasureEstimate",
     "default_spec",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 65536
+# One block keeps about three float64 arrays of _BLOCK_ROWS * n values live
+# (uniforms, normals, absolute values): about 0.4 GB at n = 256.
+MAX_N = 256
 _LOG = logging.getLogger(__name__)
 
 
@@ -111,6 +117,9 @@ def default_spec() -> GaussianSpec:
 
 
 def standard_normal_spec(n: int) -> GaussianSpec:
+    """Unit variances on the n <= MAX_N coordinates a sample can have."""
+    if not 1 <= n <= MAX_N:
+        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N}", n=n)
     return GaussianSpec(r=2.0, variances=(1.0,) * n, law=None)
 
 
@@ -173,8 +182,8 @@ def _sample_block(spec: GaussianSpec, n: int, seed: int, block: int) -> np.ndarr
 
 def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[SpacePoint]:
     """count independent draws of (X_1..X_n) as max-norm sequence points."""
-    if n < 1 or count < 1:
-        raise PreconditionFailedError("need n >= 1 and count >= 1")
+    if not (1 <= n <= MAX_N and count >= 1):
+        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
     out: list[SpacePoint] = []
     for block in range(-(-count // _BLOCK_ROWS)):
         rows = _sample_block(spec, n, seed, block)
@@ -193,8 +202,8 @@ def estimate_nondiff_measure(
     test degenerates to exact ties, which have probability zero and are
     logged if they ever occur.  A single coordinate dominates vacuously.
     """
-    if n < 1 or count < 1:
-        raise PreconditionFailedError("need n >= 1 and count >= 1")
+    if not (1 <= n <= MAX_N and count >= 1):
+        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
     if delta < 0.0:
         raise PreconditionFailedError("delta must be nonnegative")
     hits = 0

@@ -105,9 +105,6 @@ class LinearFunctionalRep:
         if self.gap is not None and not self.gap > 0.0:
             raise ValueError("gap, when given, must be positive")
 
-    def apply(self, h: SpacePoint) -> float:
-        return apply_rep(self, h)
-
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
         if self.kind is RepKind.COEFF_SEQ:

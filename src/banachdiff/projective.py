@@ -16,6 +16,7 @@ is part of the contract so that independently coded paths agree bitwise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -28,9 +29,9 @@ from .diffengine import (
     DEFAULT_TOL,
     DiffVerdict,
     Functional,
-    QuotientTrace,
     TGrid,
     VerdictStatus,
+    _checked,
     _quotient_trace,
     gateaux_verdict,
     one_sided_derivatives,
@@ -38,7 +39,6 @@ from .diffengine import (
 from .errors import (
     BadDimsError,
     DimTooSmallError,
-    EvalFailureError,
     NonconstancyUnverifiedError,
     PreconditionFailedError,
 )
@@ -237,17 +237,9 @@ def cyl_gateaux(
     xt = sys_.project(cf.base_dim, x)
     ht = sys_.project(cf.base_dim, h)
     below = gateaux_verdict(cf.base, xt, [ht], grid, tol)
-    witness = None
-    if below.failure_witness is not None:
-        witness = _lift_direction(below.failure_witness, x)
-    return DiffVerdict(
-        status=below.status,
-        derivative=below.derivative,
-        failure_witness=witness,
-        traces=below.traces,
-        value=below.value,
-        detail=below.detail,
-    )
+    if below.failure_witness is None:
+        return below
+    return dataclasses.replace(below, failure_witness=_lift_direction(below.failure_witness, x))
 
 
 def lipschitz_factor_check(
@@ -329,16 +321,7 @@ class ScalarMap:
     fn: Callable[[float], float]
 
     def __call__(self, u: float) -> float:
-        try:
-            value = float(self.fn(u))
-        except OverflowError as exc:
-            raise EvalFailureError(f"outer map {self.name!r} overflows at {u!r}", outer=self.name) from exc
-        if not math.isfinite(value):
-            raise EvalFailureError(
-                f"outer map {self.name!r} returned {value} at {u!r}, not a finite number",
-                outer=self.name,
-            )
-        return value
+        return _checked(f"outer map {self.name!r} at {float(u)!r}", self.fn, u, outer=self.name)
 
 
 OUTER_MAPS: dict[str, ScalarMap] = {
@@ -353,17 +336,6 @@ OUTER_MAPS: dict[str, ScalarMap] = {
         ScalarMap("exp", math.exp),
     )
 }
-
-
-def _scalar_one_sided(
-    g: ScalarMap, y0: float, grid: TGrid, tol: float
-) -> tuple[float | None, float | None, QuotientTrace]:
-    gy = g(y0)
-    steps = grid.steps()
-    fq = [(g(y0 + t) - gy) / t for t in steps]
-    bq = [(g(y0 - t) - gy) / -t for t in steps]
-    trace = _quotient_trace(steps, fq, bq, tol)
-    return trace.d_plus, trace.d_minus, trace
 
 
 def _scale_rep(rep: LinearFunctionalRep, factor: float, tol: float) -> LinearFunctionalRep:
@@ -403,19 +375,33 @@ def compose_propagate(
     """
     inner_verdict = cyl_gateaux(inner, sys_, x, h, grid, tol)
     y0 = cyl_eval(inner, sys_, x)
-    gp, gm, gtrace = _scalar_one_sided(outer, y0, grid, tol)
+    # the outer map steps along the unit direction of R, so the scale is |y0|
+    gtrace = _quotient_trace(
+        lambda _k, s: outer(y0 + s), outer(y0), grid.steps(), tol, abs(y0) or math.inf
+    )
     f_comp = Functional(
         f"{outer.name}_of_{inner.name}",
         lambda pt: outer(cyl_eval(inner, sys_, pt)),
     )
     traces = list(inner_verdict.traces) + [gtrace]
 
-    if inner_verdict.status is VerdictStatus.INCONCLUSIVE:
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail=f"inner factor inconclusive: {inner_verdict.detail}",
+    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
+        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
+
+    def direct(w: SpacePoint):
+        """Quotients of the composition itself at x along w, kept in the traces."""
+        check = one_sided_derivatives(f_comp, x, w, grid, tol)
+        traces.append(check)
+        return check
+
+    def settles_at(check, value: float) -> bool:
+        return all(
+            d is not None and abs(d - value) <= tol * max(1.0, abs(value))
+            for d in (check.d_plus, check.d_minus)
         )
+
+    if inner_verdict.status is VerdictStatus.INCONCLUSIVE:
+        return verdict(VerdictStatus.INCONCLUSIVE, f"inner factor inconclusive: {inner_verdict.detail}")
 
     if inner_verdict.status is VerdictStatus.NOT_GATEAUX:
         # The chain rule decides nothing when the inner factor fails, but
@@ -423,100 +409,55 @@ def compose_propagate(
         # the inherited witness; only a converged two-sided disagreement
         # of those quotients justifies NOT_GATEAUX.
         w = inner_verdict.failure_witness
-        check = one_sided_derivatives(f_comp, x, w, grid, tol)
-        traces.append(check)
-        if check.converged_plus and check.converged_minus and abs(check.d_plus - check.d_minus) > tol:
-            return DiffVerdict(
-                status=VerdictStatus.NOT_GATEAUX,
+        if direct(w).split(tol):
+            return verdict(
+                VerdictStatus.NOT_GATEAUX,
+                "inner failure propagates through the outer map",
                 failure_witness=w,
-                traces=tuple(traces),
-                detail="inner failure propagates through the outer map",
             )
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail="inner factor fails but its witness does not carry to the "
+        return verdict(
+            VerdictStatus.INCONCLUSIVE,
+            "inner factor fails but its witness does not carry to the "
             "composition (the outer map may flatten or fold the failure)",
         )
 
-    if gp is None or gm is None:
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail="outer map quotients did not converge at the inner value",
-        )
-    outer_kinked = abs(gp - gm) > tol
+    if gtrace.d_plus is None or gtrace.d_minus is None:
+        return verdict(VerdictStatus.INCONCLUSIVE, "outer map quotients did not converge at the inner value")
 
     # inner GATEAUX
     rep_in = inner_verdict.derivative
     v = apply_rep(rep_in, sys_.project(inner.base_dim, h))
-    if outer_kinked:
+    if gtrace.split(tol):
         if abs(v) <= tol and rep_in.kind is RepKind.ZERO:
-            check = one_sided_derivatives(f_comp, x, h, grid, tol)
-            traces.append(check)
-            ok = (
-                check.converged_plus
-                and check.converged_minus
-                and abs(check.d_plus) <= tol
-                and abs(check.d_minus) <= tol
-            )
-            if ok:
-                return DiffVerdict(
-                    status=VerdictStatus.GATEAUX,
-                    derivative=zero_rep(),
-                    traces=tuple(traces),
-                    value=0.0,
-                )
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail="outer kink under a zero inner derivative did not verify flat",
+            if settles_at(direct(h), 0.0):
+                return verdict(VerdictStatus.GATEAUX, derivative=zero_rep(), value=0.0)
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                "outer kink under a zero inner derivative did not verify flat",
             )
         witness = h if abs(v) > tol else _pick_sloped_direction(rep_in, x, tol)
         if witness is None:
-            return DiffVerdict(
-                status=VerdictStatus.INCONCLUSIVE,
-                traces=tuple(traces),
-                detail="outer map kinks at the inner value but no sloped direction was found",
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                "outer map kinks at the inner value but no sloped direction was found",
             )
-        check = one_sided_derivatives(f_comp, x, witness, grid, tol)
-        traces.append(check)
-        if check.converged_plus and check.converged_minus and abs(check.d_plus - check.d_minus) > tol:
-            return DiffVerdict(
-                status=VerdictStatus.NOT_GATEAUX,
+        if direct(witness).split(tol):
+            return verdict(
+                VerdictStatus.NOT_GATEAUX,
+                "outer map kinks exactly at the inner value",
                 failure_witness=witness,
-                traces=tuple(traces),
-                detail="outer map kinks exactly at the inner value",
             )
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
-            detail="outer kink did not verify against the composition",
-        )
+        return verdict(VerdictStatus.INCONCLUSIVE, "outer kink did not verify against the composition")
 
-    g_prime = gp
+    g_prime = gtrace.d_plus
     value = g_prime * v
-    check = one_sided_derivatives(f_comp, x, h, grid, tol)
-    traces.append(check)
-    ok = (
-        check.converged_plus
-        and check.converged_minus
-        and abs(check.d_plus - value) <= tol * max(1.0, abs(value))
-        and abs(check.d_minus - value) <= tol * max(1.0, abs(value))
-    )
-    if not ok:
-        return DiffVerdict(
-            status=VerdictStatus.INCONCLUSIVE,
-            traces=tuple(traces),
+    if not settles_at(direct(h), value):
+        return verdict(
+            VerdictStatus.INCONCLUSIVE,
+            "chain-rule value disagrees with direct quotients of the composition",
             value=value,
-            detail="chain-rule value disagrees with direct quotients of the composition",
         )
-    return DiffVerdict(
-        status=VerdictStatus.GATEAUX,
-        derivative=_scale_rep(rep_in, g_prime, tol),
-        traces=tuple(traces),
-        value=value,
-    )
+    return verdict(VerdictStatus.GATEAUX, derivative=_scale_rep(rep_in, g_prime, tol), value=value)
 
 
 def _pick_sloped_direction(

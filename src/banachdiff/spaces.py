@@ -404,7 +404,9 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
     continuous points, among them every C_AB pair, shares one array for
     values and left limits, so it is continuous by construction; an NBV_AB
     result has value ``alpha*0 + beta*0 == 0`` at ``a``.  On the dyadic
-    lattice with power-of-two knot gaps the combination is exact.
+    lattice with power-of-two knot gaps the combination is exact.  Operands
+    are valid points already, so the result is only checked for overflow,
+    which raises :class:`EvalFailureError`.
     """
     if x.space is not y.space:
         raise SpaceMismatchError(
@@ -415,23 +417,23 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
     if x.coords is not None:
         if x.dim != y.dim:
             raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
-        return seq_point(x.space, alpha * x.coords + beta * y.coords)
-
-    if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
-        raise SpaceMismatchError(
-            f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
-        )
-    knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
-    xv, xl = _at_knots(x, knots)
-    yv, yl = _at_knots(y, knots)
-    values = alpha * xv + beta * yv
-    lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
-    if not (np.isfinite(values).all() and np.isfinite(lefts).all()):
-        raise MalformedPointError("linear combination overflows")
-    knots.setflags(write=False)
-    values.setflags(write=False)
-    lefts.setflags(write=False)
-    return SpacePoint(space=x.space, knots=knots, values=values, lefts=lefts)
+        arrays = {"coords": alpha * x.coords + beta * y.coords}
+    else:
+        if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
+            raise SpaceMismatchError(
+                f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
+            )
+        knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
+        xv, xl = _at_knots(x, knots)
+        yv, yl = _at_knots(y, knots)
+        values = alpha * xv + beta * yv
+        lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
+        arrays = {"knots": knots, "values": values, "lefts": lefts}
+    for arr in arrays.values():
+        if not np.isfinite(arr).all():
+            raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta)
+        arr.setflags(write=False)
+    return SpacePoint(space=x.space, **arrays)
 
 
 # -- canonical JSON --------------------------------------------------------

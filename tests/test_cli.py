@@ -6,6 +6,8 @@ import pytest
 
 from banachdiff import cli
 from banachdiff.errors import EvalFailureError
+from banachdiff.gaussmeasure import MAX_N
+from banachdiff.spaces import Space, constant_fn, point_to_json
 
 # Monte Carlo tie-band fraction for two unit-variance coordinates at
 # delta = 0.01, 20000 draws, seed 7 — frozen from a direct run of the
@@ -200,14 +202,47 @@ def _reject_constant(token):
         ["compose", "--outer", "exp", "--base", "wseries_partial", "--t", "3",
          "--space", "linf", "--point", "[1000.0, -1.0, 2.0, 0.25, 0.125]",
          "--dir", "[1, 1, 1, 0, 0]"],
+        # x + t*h of two valid points overflows: a computation, not bad input
+        ["diff", "--space", "linf", "--point", "[1e308, 1]", "--dir", "[1e308, 0]", "--t0", "1"],
     ],
-    ids=["norm-overflow", "compose-exp-overflow"],
+    ids=["norm-overflow", "compose-exp-overflow", "diff-combination-overflow"],
 )
 def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     rc = cli.main(argv)
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert rc == 3
     assert doc["error"]["code"] == "EVAL_FAILURE"
+
+
+def test_function_combination_overflow_exits_3(capsys, tmp_path):
+    # the doubling check of a valid C_AB point at 1e308 overflows
+    fpath = tmp_path / "huge.json"
+    fpath.write_text(point_to_json(constant_fn(Space.C_AB, 0.0, 1.0, 1e308)))
+    rc = cli.main(["diff", "--file", str(fpath), "--dir-file", str(fpath)])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 3
+    assert doc["error"]["code"] == "EVAL_FAILURE"
+
+
+def test_measure_rejects_n_above_the_bound(capsys):
+    for law in ("inv_log", "std"):
+        argv = ["measure", "--n", str(MAX_N + 1), "--delta", "0.1", "--count", "10", "--law", law]
+        rc, doc = run_cli(capsys, argv)
+        assert rc == 2
+        assert doc["error"]["code"] == "PRECONDITION_FAILED"
+
+
+def test_far_field_grid_is_inconclusive_not_a_kink(capsys):
+    argv = ["diff", "--space", "linf", "--point", "[3, 1]", "--dir", "[1, 0]"]
+    rc, doc = run_cli(capsys, argv + ["--t0", "1e300"])
+    assert rc == 0
+    assert doc["result"]["status"] == "INCONCLUSIVE"
+    assert "reaches the scale of x" in doc["result"]["detail"]
+    # a grid whose steps come down to |x| reads the true limit
+    rc, doc = run_cli(capsys, argv + ["--t0", "16"])
+    assert rc == 0
+    assert doc["result"]["status"] == "GATEAUX"
+    assert doc["result"]["derivative"] == {"kind": "SIGNED_INDEX", "p": 1, "sigma": 1.0}
 
 
 def test_error_context_stays_strict_json(capsys, tmp_path):

@@ -80,17 +80,18 @@ def test_non_finite_values_are_eval_failures():
         Functional("overflow", lambda p: math.inf)(x)
     with pytest.raises(EvalFailureError):
         Functional("undefined", lambda p: math.nan)(x)
+    with pytest.raises(EvalFailureError):
+        Functional("overflowing", lambda p: math.exp(1000.0))(x)
 
 
 def test_series_limit_prefers_the_tightest_plateau():
     # exactly constant: converged, last value, regardless of tol
-    assert _series_limit([2.0, 2.0, 2.0], 1e-12) == (2.0, True)
+    assert _series_limit([2.0, 2.0, 2.0], 1e-12) == 2.0
     # noisy tail: the early plateau wins over the drifting small steps
     qs = [1.0, 1.0, 1.0, 1.0 + 3e-9, 1.0 - 4e-9]
-    val, ok = _series_limit(qs, 1e-9)
-    assert ok and val == 1.0
+    assert _series_limit(qs, 1e-9) == 1.0
     # nothing settles: not converged
-    assert _series_limit([1.0, 2.0, 4.0, 8.0], 1e-9) == (None, False)
+    assert _series_limit([1.0, 2.0, 4.0, 8.0], 1e-9) is None
 
 
 def test_series_limit_ignores_accidental_bitwise_ties():
@@ -99,10 +100,9 @@ def test_series_limit_ignores_accidental_bitwise_ties():
     # The corroborated early plateau must win even though its own gaps are
     # small-but-nonzero rather than exactly zero.
     qs = [1.0, 1.0 + 1e-14, 1.0 + 2e-14, 1.0 + 5e-9, 1.0 + 5e-9]
-    val, ok = _series_limit(qs, 1e-9)
-    assert ok and val == 1.0 + 2e-14
+    assert _series_limit(qs, 1e-9) == 1.0 + 2e-14
     # a lone agreeing pair with disagreeing neighbours is not convergence
-    assert _series_limit([1.0, 3.0, 3.0 + 1e-12, 6.0], 1e-9) == (None, False)
+    assert _series_limit([1.0, 3.0, 3.0 + 1e-12, 6.0], 1e-9) is None
 
 
 # -- one-sided derivatives ---------------------------------------------------
@@ -211,6 +211,31 @@ def test_noise_floor_does_not_masquerade_as_a_kink():
     v = gateaux_verdict(w, x, [h], DEFAULT_GRID, DEFAULT_TOL)
     assert v.status is VerdictStatus.GATEAUX
     assert apply_rep(v.derivative, h) == pytest.approx(1.0 - 1.0 / 9.0, abs=1e-8)
+
+
+def test_fit_stage_finds_the_kink_the_probe_misses():
+    # the probe runs along the signed coordinate, where the sum norm is
+    # linear; only the canonical direction e2 crosses the zero coordinate
+    f = norm_functional(Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [1.0, 0.0])
+    v = gateaux_verdict(f, x, [seq_point(Space.L1_SEQ, [1.0, 0.0])], EXACT)
+    assert v.status is VerdictStatus.NOT_GATEAUX
+    assert v.failure_witness == seq_point(Space.L1_SEQ, [0.0, 1.0])
+    assert "canonical fit direction 1" in v.detail
+
+
+def test_far_field_steps_are_not_a_plateau():
+    # below 1.1e-7, the smallest default step, |x| = 1e-11 is still nonzero:
+    # every quotient is read where the step dwarfs x, and the backward
+    # quotients settle on -0.99999999872, the far-field slope, not the limit 1
+    f = norm_functional(Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [1e-11, 0.0])
+    h = seq_point(Space.L1_SEQ, [1.0, 0.0])
+    tr = one_sided_derivatives(f, x, h)
+    assert not tr.reached and tr.d_plus is None and tr.d_minus is None
+    v = gateaux_verdict(f, x, [h])
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert "reaches the scale of x" in v.detail
 
 
 def test_hadamard_accepts_collapsing_families():

@@ -7,6 +7,7 @@ import pytest
 
 from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
 from banachdiff.gaussmeasure import (
+    MAX_N,
     GaussianSpec,
     b2_tie_probability_oracle,
     default_spec,
@@ -122,5 +123,12 @@ def test_measure_estimator_polices_inputs():
         estimate_nondiff_measure(spec, 2, -0.1, 10, seed=1)
     with pytest.raises(PreconditionFailedError):
         estimate_nondiff_measure(spec, 2, 0.1, 0, seed=1)
+    # above the bound the check raises before a block is allocated
+    with pytest.raises(PreconditionFailedError):
+        estimate_nondiff_measure(spec, MAX_N + 1, 0.1, 10, seed=1)
+    with pytest.raises(PreconditionFailedError):
+        gaussian_sample(spec, MAX_N + 1, 10, seed=1)
+    with pytest.raises(PreconditionFailedError):
+        standard_normal_spec(MAX_N + 1)
     with pytest.raises(PreconditionFailedError):
         b2_tie_probability_oracle(spec, -1.0)
