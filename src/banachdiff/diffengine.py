@@ -138,7 +138,8 @@ class QuotientTrace:
     tolerance used to build the trace, in a window whose last step is at
     most ``reach`` (see :func:`_quotient_trace`).  ``converged_plus`` and
     ``converged_minus`` say which sides did; :meth:`split` is the one
-    judgement of a kink.
+    judgement of a kink, and :meth:`unsettled` the one account of a trace
+    that leaves a verdict open.
     """
 
     steps: tuple[float, ...]
@@ -160,6 +161,17 @@ class QuotientTrace:
     def reached(self) -> bool:
         """Whether any plateau window ends at a step within ``reach``."""
         return self.steps[-1] <= self.reach
+
+    def unsettled(self, along: str) -> str:
+        """The ``detail`` for a verdict this trace leaves open: no step along
+        the direction named ``along`` comes down to ``reach``, or the steps
+        that do hold no plateau."""
+        if not self.reached:
+            return (
+                f"no step along {along} reaches the scale of x: the smallest step "
+                f"{self.steps[-1]} exceeds |x|/|h| = {self.reach}"
+            )
+        return f"quotients along {along} did not converge on the grid"
 
     def split(self, tol: float) -> bool:
         """Both one-sided limits exist and differ by more than ``tol``."""
@@ -407,16 +419,8 @@ def gateaux_verdict(
                 f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}",
                 failure_witness=h,
             )
-        if not tr.reached:
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
-                f"no step along {stage} reaches the scale of x: the smallest step "
-                f"{tr.steps[-1]} exceeds |x|/|h| = {tr.reach}",
-            )
         if tr.d_plus is None or tr.d_minus is None:
-            return verdict(
-                VerdictStatus.INCONCLUSIVE, f"quotients along {stage} did not converge on the grid"
-            )
+            return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage))
         return tr.d_plus
 
     responses: list[float] = []
@@ -499,9 +503,7 @@ def hadamard_verdict(
             failure_witness=h,
         )
     if not base.converged_plus:
-        return verdict(
-            VerdictStatus.INCONCLUSIVE, "quotients along the unperturbed direction did not converge"
-        )
+        return verdict(VerdictStatus.INCONCLUSIVE, base.unsettled("the unperturbed direction"))
     limit = base.d_plus
 
     fx = f(x)

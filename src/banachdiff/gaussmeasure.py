@@ -56,25 +56,20 @@ _LOG = logging.getLogger(__name__)
 class GaussianSpec:
     """Independent-coordinate Gaussian product law.
 
-    Coordinate k (1-based) is Normal(mean_at(k), variance_at(k)).  Means
-    default to 0 beyond the listed prefix.  Variances come either from
-    an explicit list or from the named law "inv_log", s_kk = 1/ln(k+2),
-    whose summability terms e^(-r/s_kk) = (k+2)^(-r) converge for r > 1.
-    ``r`` is the radius used by vakhania_check.
+    Coordinate k (1-based) is Normal(0, variance_at(k)).  Variances come
+    either from an explicit list or from the named law "inv_log",
+    s_kk = 1/ln(k+2), whose summability terms e^(-r/s_kk) = (k+2)^(-r)
+    converge for r > 1.  ``r`` is the radius used by vakhania_check.
     """
 
     r: float = 2.0
-    means: tuple[float, ...] = ()
     variances: tuple[float, ...] = ()
     law: str | None = "inv_log"
 
     def __post_init__(self):
         if not self.r > 0.0:
             raise PreconditionFailedError("r must be positive")
-        object.__setattr__(self, "means", tuple(float(a) for a in self.means))
         object.__setattr__(self, "variances", tuple(float(s) for s in self.variances))
-        if any(not math.isfinite(a) for a in self.means):
-            raise PreconditionFailedError("means must be finite")
         for s in self.variances:
             if not s > 0.0:
                 raise NonpositiveVarianceError("explicit variances must be positive", value=s)
@@ -82,9 +77,6 @@ class GaussianSpec:
             raise PreconditionFailedError(f"unknown variance law {self.law!r}")
         if self.law is None and not self.variances:
             raise PreconditionFailedError("need an explicit variance list or a law")
-
-    def mean_at(self, k: int) -> float:
-        return self.means[k - 1] if k <= len(self.means) else 0.0
 
     def variance_at(self, k: int) -> float:
         if k < 1:
@@ -97,19 +89,8 @@ class GaussianSpec:
             f"spec lists {len(self.variances)} variances and no law; coordinate {k} undefined"
         )
 
-    def mean_array(self, n: int) -> np.ndarray:
-        return np.array([self.mean_at(k) for k in range(1, n + 1)])
-
     def sd_array(self, n: int) -> np.ndarray:
         return np.sqrt([self.variance_at(k) for k in range(1, n + 1)])
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "means": list(self.means),
-            "variances": list(self.variances),
-            "law": self.law,
-        }
 
 
 def default_spec() -> GaussianSpec:
@@ -177,7 +158,7 @@ def _sample_block(spec: GaussianSpec, n: int, seed: int, block: int) -> np.ndarr
     """One full block of Gaussian rows; depends only on (seed, block, n)."""
     rng = philox_gen(seed, block)
     u = (rng.integers(0, 1 << 53, size=(_BLOCK_ROWS, n), dtype=np.uint64) + 0.5) * 2.0**-53
-    return spec.mean_array(n) + spec.sd_array(n) * ndtri(u)
+    return spec.sd_array(n) * ndtri(u)
 
 
 def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[SpacePoint]:
@@ -245,19 +226,17 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
         raise PreconditionFailedError("delta must be nonnegative")
     if delta == 0.0:
         return 0.0
-    a1, s1 = spec.mean_at(1), math.sqrt(spec.variance_at(1))
-    a2, s2 = spec.mean_at(2), math.sqrt(spec.variance_at(2))
+    s1, s2 = math.sqrt(spec.variance_at(1)), math.sqrt(spec.variance_at(2))
     inv_root = 1.0 / math.sqrt(2.0 * math.pi)
 
     def folded_pdf(u: float) -> float:
-        z1 = (u - a1) / s1
-        z2 = (u + a1) / s1
-        return inv_root / s1 * (math.exp(-0.5 * z1 * z1) + math.exp(-0.5 * z2 * z2))
+        z = u / s1
+        return inv_root / s1 * (2.0 * math.exp(-0.5 * z * z))
 
     def folded_cdf(v: float) -> float:
         if v <= 0.0:
             return 0.0
-        return float(ndtr((v - a2) / s2) - ndtr((-v - a2) / s2))
+        return float(ndtr(v / s2) - ndtr(-v / s2))
 
     def integrand(u: float) -> float:
         return folded_pdf(u) * (folded_cdf(u + delta) - folded_cdf(u - delta))

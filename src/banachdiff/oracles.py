@@ -7,13 +7,15 @@ where differentiability fails, a direction along which the one-sided
 difference quotients of the norm are exactly +1 (from the right) and -1
 (from the left).
 
-These closed forms are what the numerical engine in ``diffengine`` is
-tested against; the two sides are implemented with no shared logic.
+Membership, the dominant index or peak location, and the peak gap all
+come from ``topology.classify``, the one membership test; this module adds
+the signs, representations and witness directions.  These closed forms are
+what the numerical engine in ``diffengine`` is tested against; the two
+sides are implemented with no shared logic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,19 +27,8 @@ from .errors import (
     NotInComplementError,
     PreconditionFailedError,
 )
-from .spaces import (
-    FUNCTION_SPACES,
-    SEQUENCE_SPACES,
-    NormValue,
-    Space,
-    SpacePoint,
-    _lerp,
-    eval_norm,
-    seq_point,
-    sig,
-    step_fn,
-    value_at,
-)
+from .spaces import Space, SpacePoint, seq_point, sig, step_fn, value_at
+from .topology import _peak_sites, _sup_scan, classify
 
 __all__ = [
     "RepKind",
@@ -159,10 +150,11 @@ def oracle_l1(x: SpacePoint) -> LinearFunctionalRep | None:
     """Derivative of the L1_SEQ norm, or None where it fails.
 
     The sum norm is differentiable exactly at points with every coordinate
-    nonzero; there the derivative is the sign pattern h -> sum sig(x_k)h_k.
+    nonzero, which ``classify`` decides; there the derivative is the sign
+    pattern h -> sum sig(x_k)h_k.
     """
     _expect(x, Space.L1_SEQ)
-    if np.any(x.coords == 0.0):
+    if not classify(x).in_B:
         return None
     return coeff_rep(np.sign(x.coords))
 
@@ -170,85 +162,20 @@ def oracle_l1(x: SpacePoint) -> LinearFunctionalRep | None:
 def oracle_linf(x: SpacePoint, eps: float) -> LinearFunctionalRep | None:
     """Derivative of the max norm at eps-dominant points, else None.
 
-    A point qualifies when one coordinate p satisfies |x_k| < |x_p| - eps
-    (strictly) for every other k.  The returned SIGNED_INDEX carries
-    ``gap`` = eps, the certified dominance level: for perturbations of
-    sup norm below eps/2 the norm is exactly sig(x_p)*(x_p + h_p), so
-    the first-order remainder is identically zero.
-
-    A one-coordinate point is dominant whenever |x_1| > eps (the
-    inter-coordinate condition is vacuous, but the certificate still
-    needs the coordinate to clear eps so the sign survives perturbation).
+    ``classify(x, eps)`` decides dominance: one coordinate p clears eps
+    and every other coordinate by more than eps.  The returned
+    SIGNED_INDEX carries ``gap`` = eps, the certified dominance level: for
+    perturbations of sup norm below eps/2 the norm is exactly
+    sig(x_p)*(x_p + h_p), so the first-order remainder is identically zero.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
     if not eps > 0.0:
         raise PreconditionFailedError("eps must be positive")
-    abs_c = np.abs(x.coords)
-    p = int(abs_c.argmax())
-    if not float(abs_c[p]) > eps:
+    report = classify(x, eps)
+    if not report.in_B:
         return None
-    if x.dim > 1:
-        second = float(np.delete(abs_c, p).max())
-        if not second < float(abs_c[p]) - eps:
-            return None
-    return signed_index_rep(p + 1, sig(x.coords[p]), eps)
-
-
-def _sup_scan(x: SpacePoint) -> tuple[float, list[tuple[float, float]]]:
-    """Sup of |x| plus the (position, value) candidates in t-order.
-
-    The candidates are the value at ``a``, then at each later knot its
-    left limit followed, except at ``b``, by its attained value.
-    """
-    pos = np.repeat(x.knots, 2)[1:-1]
-    vals = np.column_stack((x.lefts, x.values)).ravel()[1:-1]
-    cands = list(zip(pos.tolist(), vals.tolist()))
-    return max(abs(v) for _, v in cands), cands
-
-
-def _peak_sites(x: SpacePoint) -> tuple[float, dict[float, float]]:
-    """Sup of |x| and, in t-order, each position where a candidate reaches
-    it, mapped to the first such candidate value there."""
-    norm, cands = _sup_scan(x)
-    sites: dict[float, float] = {}
-    for pos, val in cands:
-        if abs(val) == norm and pos not in sites:
-            sites[pos] = val
-    return norm, sites
-
-
-def _unique_argmax(x: SpacePoint) -> tuple[float, float, float] | None:
-    """(t0, f(t0), norm) when |x| peaks at exactly one domain point."""
-    norm, sites = _peak_sites(x)
-    if len(sites) != 1 or norm == 0.0:
-        return None
-    t0, v = next(iter(sites.items()))
-    return t0, v, norm
-
-
-def _gap_outside(x: SpacePoint, t0: float, rho: float, norm: float) -> float:
-    """norm minus the sup of |x| outside the open rho-ball around t0.
-
-    ``rho = 0`` leaves out only t0 itself: the competitors are then the
-    values and left limits at every other knot.  LINF_R also counts its
-    constant tails, which lie outside every ball.
-    """
-    k, v, e = x.knots, x.values, x.lefts
-    if rho == 0.0:
-        off = k != t0
-        competitors = [v[off], e[off]]
-    else:
-        # clip each segment [kl, kr] to the complement of (t0 - rho, t0 + rho)
-        kl, kr, start, end = k[:-1], k[1:], v[:-1], e[1:]
-        lo, hi = t0 - rho, t0 + rho
-        left_part = kl <= lo
-        right_part = kr >= hi
-        at_lo = _lerp(start, end, (np.clip(lo, kl, kr) - kl) / (kr - kl))
-        at_hi = _lerp(start, end, (np.clip(hi, kl, kr) - kl) / (kr - kl))
-        competitors = [start[left_part], at_lo[left_part], at_hi[right_part], end[right_part]]
-    if x.space is Space.LINF_R:
-        competitors.append(v[[0, -1]])
-    return norm - max(float(np.abs(c).max(initial=0.0)) for c in competitors)
+    p = report.p_or_t0
+    return signed_index_rep(p, sig(x.coords[p - 1]), eps)
 
 
 def oracle_csup(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
@@ -260,16 +187,7 @@ def oracle_csup(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
     around t0; it is positive for every rho > 0 at a unique peak.
     """
     _expect(f, Space.C_AB)
-    if rho <= 0.0:
-        raise PreconditionFailedError("rho must be positive")
-    hit = _unique_argmax(f)
-    if hit is None:
-        return None
-    t0, v, norm = hit
-    gap = _gap_outside(f, t0, rho, norm)
-    if not gap > 0.0:
-        return None
-    return point_mass_rep(t0, sig(v), gap)
+    return _peak_oracle(f, rho)
 
 
 def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
@@ -280,20 +198,21 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
     an unbounded set.
     """
     _expect(f, Space.LINF_R)
+    return _peak_oracle(f, rho)
+
+
+def _peak_oracle(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
+    """The signed point evaluation at the peak t0 and with the gap that
+    ``classify(f, rho)`` certifies, or None where it rejects f."""
     if rho <= 0.0:
         raise PreconditionFailedError("rho must be positive")
     if np.any(f.jumps() != 0.0):
-        raise PreconditionFailedError("oracle_Linf needs a continuous representation")
-    hit = _unique_argmax(f)
-    if hit is None:
+        raise PreconditionFailedError("a sup-norm oracle needs a continuous representation")
+    report = classify(f, rho)
+    if not report.in_B:
         return None
-    t0, v, norm = hit
-    if t0 == f.a or t0 == f.b:
-        return None
-    gap = _gap_outside(f, t0, rho, norm)
-    if not gap > 0.0:
-        return None
-    return point_mass_rep(t0, sig(v), gap)
+    t0 = report.p_or_t0
+    return point_mass_rep(t0, sig(value_at(f, t0)), report.gap)
 
 
 # -- failure witnesses -----------------------------------------------------
@@ -302,31 +221,32 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
 def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
     """Direction along which the LINF_SEQ norm has quotients +1 / -1.
 
-    Requires at least two coordinates within ``tie_tol`` of the max
-    absolute value.  The direction pushes the first maximal coordinate
-    outward (+sig) and the second tied coordinate inward (-sig), so for an
-    exact tie the difference quotient of the norm is exactly +1 for every
-    t > 0 and -1 for every small t < 0.  Zero coordinates count as +1 sign.
+    Requires ``classify(x, tie_tol)`` to reject x: no coordinate clears
+    both tie_tol and every other coordinate by more than tie_tol.  The
+    direction pushes the first maximal coordinate outward (+sig) and the
+    next coordinate within ``tie_tol`` of the max, if there is one, inward
+    (-sig).  For an exact tie, and at the one-coordinate point [0], the
+    difference quotient of the norm is exactly +1 for every t > 0 and -1
+    for every small t < 0.  Zero coordinates count as +1 sign.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
     if tie_tol < 0.0:
         raise PreconditionFailedError("tie_tol must be nonnegative")
     abs_c = np.abs(x.coords)
-    top = float(abs_c.max())
-    tied = [i for i in range(x.dim) if abs_c[i] >= top - tie_tol]
-    if len(tied) < 2:
+    first = int(abs_c.argmax())
+    top = float(abs_c[first])
+    if classify(x, tie_tol).in_B:
         raise NotInComplementError(
             "point has a dominant coordinate; no tie within tie_tol",
             top=top,
             tie_tol=tie_tol,
         )
-    first = int(abs_c.argmax())
-    second = next(i for i in tied if i != first)
     h = np.zeros(x.dim)
-    s_first = sig(x.coords[first]) or 1.0
-    s_second = sig(x.coords[second]) or 1.0
-    h[first] = s_first
-    h[second] = -s_second
+    h[first] = sig(x.coords[first]) or 1.0
+    for i in np.flatnonzero(abs_c >= top - tie_tol):
+        if i != first:  # the next tied coordinate, if any
+            h[i] = -(sig(x.coords[i]) or 1.0)
+            break
     return seq_point(x.space, h)
 
 

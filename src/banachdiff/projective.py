@@ -422,7 +422,9 @@ def compose_propagate(
         )
 
     if gtrace.d_plus is None or gtrace.d_minus is None:
-        return verdict(VerdictStatus.INCONCLUSIVE, "outer map quotients did not converge at the inner value")
+        return verdict(
+            VerdictStatus.INCONCLUSIVE, gtrace.unsettled("the outer map's unit step at the inner value")
+        )
 
     # inner GATEAUX
     rep_in = inner_verdict.derivative

@@ -343,10 +343,19 @@ def value_at(x: SpacePoint, t: float) -> float:
     return float(_lerp(x.values[i], x.lefts[i + 1], w))
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise EvalFailureError(f"norm evaluates to {value}, not a finite number")
-    return value
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_norm(x: SpacePoint) -> float:
+    """The L1_SEQ sum or the NBV_AB total variation of ``x``, computed with
+    numpy overflow ignored; a sum that is not finite raises
+    :class:`EvalFailureError`."""
+    if x.coords is not None:
+        total = float(np.abs(x.coords).sum())
+    else:
+        seg_var = np.abs(x.lefts[1:] - x.values[:-1])
+        total = float(seg_var.sum() + np.abs(x.jumps()).sum())
+    if not math.isfinite(total):
+        raise EvalFailureError(f"norm evaluates to {total}, not a finite number")
+    return total
 
 
 def eval_norm(x: SpacePoint) -> NormValue:
@@ -360,18 +369,12 @@ def eval_norm(x: SpacePoint) -> NormValue:
     knot where the sup is reached.  A norm that overflows raises
     :class:`EvalFailureError`.
     """
+    if x.space in (Space.L1_SEQ, Space.NBV_AB):
+        return NormValue(_sum_norm(x), None)
     if x.coords is not None:
         abs_c = np.abs(x.coords)
-        if x.space is Space.L1_SEQ:
-            return NormValue(_finite(float(abs_c.sum())), None)
         p = int(abs_c.argmax())
         return NormValue(float(abs_c[p]), p + 1)
-
-    if x.space is Space.NBV_AB:
-        seg_var = np.abs(x.lefts[1:] - x.values[:-1])
-        jump_var = np.abs(x.jumps())
-        return NormValue(_finite(float(seg_var.sum() + jump_var.sum())), None)
-
     abs_vals = np.maximum(np.abs(x.values), np.abs(x.lefts))
     i = int(abs_vals.argmax())
     return NormValue(float(abs_vals[i]), float(x.knots[i]))
@@ -394,6 +397,7 @@ def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.where(w == 0.0, x.lefts[i], vals)
 
 
+@np.errstate(over="raise", invalid="raise")
 def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> SpacePoint:
     """Representation of ``alpha*x + beta*y``.
 
@@ -405,8 +409,10 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
     values and left limits, so it is continuous by construction; an NBV_AB
     result has value ``alpha*0 + beta*0 == 0`` at ``a``.  On the dyadic
     lattice with power-of-two knot gaps the combination is exact.  Operands
-    are valid points already, so the result is only checked for overflow,
-    which raises :class:`EvalFailureError`.
+    are valid points already, so only the arithmetic can fail: a
+    non-finite coefficient, or a combination that overflows, raises
+    :class:`EvalFailureError`.  numpy computes it with overflow set to
+    raise, not to warn, which also spares a finiteness scan of the result.
     """
     if x.space is not y.space:
         raise SpaceMismatchError(
@@ -414,24 +420,27 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
         )
     alpha = float(alpha)
     beta = float(beta)
-    if x.coords is not None:
-        if x.dim != y.dim:
-            raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
-        arrays = {"coords": alpha * x.coords + beta * y.coords}
-    else:
-        if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
-            raise SpaceMismatchError(
-                f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
-            )
-        knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
-        xv, xl = _at_knots(x, knots)
-        yv, yl = _at_knots(y, knots)
-        values = alpha * xv + beta * yv
-        lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
-        arrays = {"knots": knots, "values": values, "lefts": lefts}
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise EvalFailureError("linear combination with a non-finite coefficient", alpha=alpha, beta=beta)
+    try:
+        if x.coords is not None:
+            if x.dim != y.dim:
+                raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
+            arrays = {"coords": alpha * x.coords + beta * y.coords}
+        else:
+            if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
+                raise SpaceMismatchError(
+                    f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
+                )
+            knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
+            xv, xl = _at_knots(x, knots)
+            yv, yl = _at_knots(y, knots)
+            values = alpha * xv + beta * yv
+            lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
+            arrays = {"knots": knots, "values": values, "lefts": lefts}
+    except FloatingPointError as exc:
+        raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta) from exc
     for arr in arrays.values():
-        if not np.isfinite(arr).all():
-            raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta)
         arr.setflags(write=False)
     return SpacePoint(space=x.space, **arrays)
 

@@ -3,7 +3,10 @@
 ``classify`` decides whether a point sits in the differentiability set of
 its space's norm and, when it does, emits the certificate (dominant index
 or unique peak location plus a positive margin) that the closed-form
-derivative builds upon.  The ``densify_*`` builders move an arbitrary
+derivative builds upon.  It is the only membership test: the oracles and
+the tie witness in ``oracles`` read its verdict instead of repeating it.
+The sup scans over knot values that it and the function-space witnesses
+share live here too.  The ``densify_*`` builders move an arbitrary
 point into that set by less than a requested distance, and
 ``ball_check_linf`` samples a whole ball to confirm that max-norm
 dominance survives perturbation — a theorem check whose failure would
@@ -19,12 +22,11 @@ import numpy as np
 
 from ._rng import philox_gen
 from .errors import PreconditionFailedError
-from .oracles import _gap_outside, _peak_sites
 from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
-    eval_norm,
+    _lerp,
     linear_combine,
     pw_from_values,
     seq_point,
@@ -74,7 +76,10 @@ class MembershipReport:
 def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     """Membership of x in the differentiability set of its norm.
 
-    eps strengthens the test: L1_SEQ requires every |x_n| > eps;
+    This is the one place membership is decided: ``oracle_l1``,
+    ``oracle_linf``, ``oracle_csup``, ``oracle_Linf`` and ``witness_linf``
+    take their in/out answer, the index or peak location and the peak gap
+    from it.  eps strengthens the test: L1_SEQ requires every |x_n| > eps;
     LINF_SEQ requires the dominant coordinate to clear the runner-up by
     more than eps; for C_AB/LINF_R, eps is the exclusion radius around
     the unique peak over whose complement the reported gap is measured
@@ -119,6 +124,54 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
         "the total-variation norm admits a fresh-jump direction with "
         "one-sided slopes +1/-1 at every point",
     )
+
+
+def _sup_scan(x: SpacePoint) -> tuple[float, list[tuple[float, float]]]:
+    """Sup of |x| plus the (position, value) candidates in t-order.
+
+    The candidates are the value at ``a``, then at each later knot its
+    left limit followed, except at ``b``, by its attained value.
+    """
+    pos = np.repeat(x.knots, 2)[1:-1]
+    vals = np.column_stack((x.lefts, x.values)).ravel()[1:-1]
+    cands = list(zip(pos.tolist(), vals.tolist()))
+    return max(abs(v) for _, v in cands), cands
+
+
+def _peak_sites(x: SpacePoint) -> tuple[float, dict[float, float]]:
+    """Sup of |x| and, in t-order, each position where a candidate reaches
+    it, mapped to the first such candidate value there."""
+    norm, cands = _sup_scan(x)
+    sites: dict[float, float] = {}
+    for pos, val in cands:
+        if abs(val) == norm and pos not in sites:
+            sites[pos] = val
+    return norm, sites
+
+
+def _gap_outside(x: SpacePoint, t0: float, rho: float, norm: float) -> float:
+    """norm minus the sup of |x| outside the open rho-ball around t0.
+
+    ``rho = 0`` leaves out only t0 itself: the competitors are then the
+    values and left limits at every other knot.  LINF_R also counts its
+    constant tails, which lie outside every ball.
+    """
+    k, v, e = x.knots, x.values, x.lefts
+    if rho == 0.0:
+        off = k != t0
+        competitors = [v[off], e[off]]
+    else:
+        # clip each segment [kl, kr] to the complement of (t0 - rho, t0 + rho)
+        kl, kr, start, end = k[:-1], k[1:], v[:-1], e[1:]
+        lo, hi = t0 - rho, t0 + rho
+        left_part = kl <= lo
+        right_part = kr >= hi
+        at_lo = _lerp(start, end, (np.clip(lo, kl, kr) - kl) / (kr - kl))
+        at_hi = _lerp(start, end, (np.clip(hi, kl, kr) - kl) / (kr - kl))
+        competitors = [start[left_part], at_lo[left_part], at_hi[right_part], end[right_part]]
+    if x.space is Space.LINF_R:
+        competitors.append(v[[0, -1]])
+    return norm - max(float(np.abs(c).max(initial=0.0)) for c in competitors)
 
 
 def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:

@@ -1,9 +1,14 @@
 """Command-line interface: JSON reports, exit codes, flags, and config."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import banachdiff
 from banachdiff import cli
 from banachdiff.errors import EvalFailureError
 from banachdiff.gaussmeasure import MAX_N
@@ -87,6 +92,13 @@ def test_witness_splits_on_a_tie(capsys):
     rc, doc = run_cli(capsys, ["witness", "--space", "linf", "--point", "[2.0, -2.0, 1.0]"])
     assert rc == 0
     assert doc["result"]["direction"]["coords"] == [1.0, 1.0, 0.0]
+
+
+def test_witness_at_the_one_coordinate_zero_point(capsys):
+    # [0] is outside the differentiability set: |t| has slopes +1 / -1
+    rc, doc = run_cli(capsys, ["witness", "--space", "linf", "--point", "[0.0]"])
+    assert rc == 0
+    assert doc["result"]["direction"]["coords"] == [1.0]
 
 
 def test_densify_repairs_within_budget(capsys):
@@ -212,6 +224,25 @@ def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert rc == 3
     assert doc["error"]["code"] == "EVAL_FAILURE"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "--space", "linf", "--point", "[1e308, 1]", "--dir", "[1e308, 0]", "--t0", "1"],
+        ["norm", "--space", "l1", "--point", "[1e308, 1e308]"],
+    ],
+    ids=["combination", "norm"],
+)
+def test_overflow_exits_3_without_numpy_warnings(argv):
+    # a fresh interpreter, so that stderr shows what a user would see
+    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 3
+    assert json.loads(run.stdout)["error"]["code"] == "EVAL_FAILURE"
+    assert run.stderr == ""
 
 
 def test_function_combination_overflow_exits_3(capsys, tmp_path):

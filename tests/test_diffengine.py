@@ -233,9 +233,9 @@ def test_far_field_steps_are_not_a_plateau():
     h = seq_point(Space.L1_SEQ, [1.0, 0.0])
     tr = one_sided_derivatives(f, x, h)
     assert not tr.reached and tr.d_plus is None and tr.d_minus is None
-    v = gateaux_verdict(f, x, [h])
-    assert v.status is VerdictStatus.INCONCLUSIVE
-    assert "reaches the scale of x" in v.detail
+    for v in (gateaux_verdict(f, x, [h]), hadamard_verdict(f, x, h, [[h]])):
+        assert v.status is VerdictStatus.INCONCLUSIVE
+        assert "reaches the scale of x" in v.detail
 
 
 def test_hadamard_accepts_collapsing_families():

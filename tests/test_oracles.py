@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from banachdiff.diffengine import TGrid, norm_functional, one_sided_derivatives
 from banachdiff.errors import (
     NoDoubleMaxError,
     NotInComplementError,
@@ -23,6 +26,7 @@ from banachdiff.oracles import (
     witness_nbv,
     zero_rep,
 )
+from banachdiff.topology import classify
 from banachdiff.spaces import (
     Space,
     constant_fn,
@@ -123,11 +127,34 @@ def test_tie_witness_pushes_one_peak_out_one_in():
         witness_linf(seq_point(Space.LINF_SEQ, [2.0, 1.0]))
     # tie_tol widens what counts as tied
     assert witness_linf(seq_point(Space.LINF_SEQ, [2.0, 1.875]), tie_tol=0.25) is not None
+    # a lone coordinate within tie_tol of 0 is pushed outward alone
+    assert witness_linf(seq_point(Space.RT, [-0.5]), tie_tol=0.5).coords.tolist() == [-1.0]
+    with pytest.raises(NotInComplementError):
+        witness_linf(seq_point(Space.LINF_SEQ, [0.5]))
 
 
 def test_tie_witness_at_the_origin_defaults_to_plus_one():
     w = witness_linf(seq_point(Space.LINF_SEQ, [0.0, 0.0]))
     assert w.coords.tolist() == [1.0, -1.0]
+    assert witness_linf(seq_point(Space.LINF_SEQ, [0.0])).coords.tolist() == [1.0]
+
+
+# few distinct magnitudes, so that ties and zero points are common
+@given(
+    st.sampled_from([Space.LINF_SEQ, Space.RT]),
+    st.lists(st.integers(-3, 3).map(lambda k: k * 0.25), min_size=1, max_size=8),
+)
+@example(Space.LINF_SEQ, [0.0])
+def test_tie_witness_exists_exactly_off_the_differentiability_set(space, coords):
+    x = seq_point(space, coords)
+    if classify(x).in_B:
+        with pytest.raises(NotInComplementError):
+            witness_linf(x)
+        return
+    w = witness_linf(x)
+    tr = one_sided_derivatives(norm_functional(space), x, w, TGrid(t0=2.0**-4, rho=0.5, count=9))
+    assert set(tr.forward_q) == {1.0} and set(tr.backward_q) == {-1.0}
+    assert (tr.d_plus, tr.d_minus) == (1.0, -1.0)
 
 
 def test_double_peak_witness_splits_between_the_peaks():

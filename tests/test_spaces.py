@@ -127,6 +127,15 @@ def test_compact_domain_rejects_outside_evaluation():
         value_at(f, 1.5)
 
 
+def test_combination_that_cannot_be_finite_is_an_eval_failure():
+    for x in (seq_point(Space.LINF_SEQ, [1e308, 1.0]), constant_fn(Space.C_AB, 0.0, 1.0, 1e308)):
+        with pytest.raises(EvalFailureError):
+            linear_combine(1.0, x, 1.0, x)
+        for coeff in (math.inf, math.nan):
+            with pytest.raises(EvalFailureError):
+                linear_combine(coeff, x, 0.0, x)
+
+
 def test_value_at_is_right_continuous_at_jumps():
     f = step_fn(Space.LINF_R, 0.0, 1.0, 0.5, -1.0, 2.0)
     assert value_at(f, 0.5) == 2.0
