@@ -398,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("witness", "direction with split one-sided derivatives")
     _add_point_flags(p)
     p.add_argument("--tie-tol", dest="tie_tol", type=float, default=0.0,
-                   help="tolerance for recognizing tied maximal coordinates")
+                   help="tolerance for recognizing tied maximal coordinates; for a "
+                   "near tie the direction is an exact +1/-1 witness at the tie point "
+                   "x - (m/2)*dir, m the gap of the two coordinates it moves, which "
+                   "lies within tie_tol/2 of x, not at x itself")
     p.set_defaults(handler=_cmd_witness)
 
     p = add_parser("densify", "repair a point into the differentiability set")

@@ -5,11 +5,14 @@ for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
 below the structural scale of the point.  Every quotient trace is built
-by :func:`_quotient_trace`.  Each one-sided limit is read off the earliest,
-tightest plateau of three consecutive grid quotients whose internal gaps
-stay under the tolerance, with no extrapolation, and only from a window
-whose last step t satisfies t·‖h‖ ≤ ‖x‖: at larger steps the quotient
-describes the far field of f, not its limit at x.
+by :func:`_quotient_trace`, from values that :meth:`Functional.along`
+computes for a whole grid in one array evaluation when the functional has
+a batch evaluator, and one point at a time otherwise.  Each one-sided
+limit is read off the earliest, tightest plateau of three consecutive
+grid quotients whose internal gaps stay under the tolerance, with no
+extrapolation, and only from a window whose last step t satisfies
+t·‖h‖ ≤ ‖x‖: at larger steps the quotient describes the far field of f,
+not its limit at x.
 
 Verdict vocabulary deliberately includes INCONCLUSIVE: when probes fail
 to converge, converge only at steps too large for the scale of x, or
@@ -41,6 +44,7 @@ from .spaces import (
     constant_fn,
     eval_norm,
     linear_combine,
+    norms_along,
     pw_from_values,
     seq_point,
     subtract,
@@ -78,28 +82,72 @@ def _checked(what: str, fn: Callable[..., float], arg, **context) -> float:
     return value
 
 
+# Numbers a batch evaluation holds per combined array: bounds its memory
+# for any grid length, while a default grid along a point of up to several
+# hundred coordinates or knots still takes one batch.
+_BATCH_VALUES = 1 << 17
+
+
+def _width(p: SpacePoint) -> int:
+    return (p.coords if p.coords is not None else p.knots).shape[0]
+
+
 @dataclass(frozen=True)
 class Functional:
     """A named real-valued map on points of one space.
 
     A call that overflows or yields a non-finite value raises
-    :class:`EvalFailureError`.
+    :class:`EvalFailureError`.  ``batch``, when given, evaluates the map
+    along a line in one go: ``batch(x, h, steps)`` returns an array whose
+    entry i is bitwise ``evaluator(linear_combine(1.0, x, steps[i], h))``,
+    checks what :func:`linear_combine` checks, and may return a non-finite
+    entry, or raise :class:`EvalFailureError`, where that evaluation
+    fails.  :meth:`along` is the one way to evaluate a functional along a
+    line, with or without a batch.
     """
 
     name: str
     evaluator: Callable[[SpacePoint], float]
     space_tag: Space | None = None
+    batch: Callable[[SpacePoint, SpacePoint, np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, x: SpacePoint) -> float:
+    def _expect(self, x: SpacePoint) -> None:
         if self.space_tag is not None and x.space is not self.space_tag:
             raise PreconditionFailedError(
                 f"functional {self.name!r} expects {self.space_tag.value}, got {x.space.value}"
             )
+
+    def __call__(self, x: SpacePoint) -> float:
+        self._expect(x)
         return _checked(f"functional {self.name!r}", self.evaluator, x, functional=self.name)
+
+    def along(self, x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
+        """``f(x + s*h)`` for every signed step ``s`` in ``steps``.
+
+        With a ``batch`` the steps are evaluated in blocks of at most
+        ``_BATCH_VALUES`` numbers per array; without one, or when the batch
+        meets an evaluation that fails, each step is one call of ``f`` on
+        ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
+        error of the first step that fails.  Either way the values are the
+        same bit for bit.
+        """
+        steps = np.asarray(steps, dtype=float)
+        if self.batch is not None:
+            self._expect(x)
+            rows = max(1, _BATCH_VALUES // (_width(x) + _width(h)))
+            try:
+                values = np.concatenate(
+                    [self.batch(x, h, steps[i : i + rows]) for i in range(0, steps.shape[0], rows)]
+                )
+            except EvalFailureError:
+                values = None
+            if values is not None and np.isfinite(values).all():
+                return values
+        return np.array([self(linear_combine(1.0, x, float(s), h)) for s in steps])
 
 
 def norm_functional(space: Space) -> Functional:
-    return Functional(f"{space.value.lower()}_norm", lambda p: eval_norm(p).value, space)
+    return Functional(f"{space.value.lower()}_norm", lambda p: eval_norm(p).value, space, norms_along)
 
 
 @dataclass(frozen=True)
@@ -273,47 +321,69 @@ def _series_limit(qs: Sequence[float], tol: float, start: int = 0) -> float | No
     return None
 
 
-def _reach(x: SpacePoint, h: SpacePoint) -> float:
-    """The largest step t with t·‖h‖ ≤ ‖x‖; unbounded when x or h is 0.
+def _size(p: SpacePoint) -> float:
+    """``‖p‖``, or inf when the norm overflows."""
+    try:
+        return eval_norm(p).value
+    except EvalFailureError:
+        return math.inf
+
+
+def _reach(nx: float, nh: float) -> float:
+    """The largest step t with t·‖h‖ ≤ ‖x‖, from nx = ‖x‖ and nh = ‖h‖;
+    unbounded when x or h is 0, or when a norm overflows.
 
     Below it a quotient of f at x along h reads f near x; above it, where
     the step outgrows x, the quotient tends to the slope of f far from x,
     which is no evidence about the limit.  Norms vanish only at 0, and the
     norms in scope are positively homogeneous there, so every step counts.
+    An overflowing norm leaves no finite scale to compare with.
     """
-    try:
-        nx, nh = eval_norm(x).value, eval_norm(h).value
-    except EvalFailureError:  # a norm overflows: no finite scale to compare with
-        return math.inf
-    return nx / nh if nx > 0.0 and nh > 0.0 else math.inf
+    return nx / nh if 0.0 < nx < math.inf and 0.0 < nh < math.inf else math.inf
 
 
 def _quotient_trace(
-    at: Callable[[int, float], float],
+    ahead: Sequence[float],
+    behind: Sequence[float],
     f0: float,
     steps: np.ndarray,
     tol: float,
     reach: float,
 ) -> QuotientTrace:
-    """The trace of forward and backward quotients ``(at(k, ±t) - f0) / ±t``
-    over the grid ``steps``, where ``at(k, s)`` is the function at signed
-    step ``s`` along the direction of step ``k``.
+    """The trace of forward quotients ``(ahead[k] - f0) / t_k`` and backward
+    quotients ``(behind[k] - f0) / -t_k`` over the grid ``steps``, where
+    ``ahead[k]`` and ``behind[k]`` are the function at the signed steps
+    ``+t_k`` and ``-t_k`` and ``f0`` is its value at 0.
 
-    Each side's limit is read by :func:`_series_limit` from the first window
-    whose last step is at most ``reach`` on.
+    The values come from :meth:`Functional.along` for a functional along a
+    fixed direction, and from a loop of single evaluations for a
+    perturbation family or the outer map of a composition; both give the
+    same quotients bit for bit.  Each side's limit is read by
+    :func:`_series_limit` from the first window whose last step is at most
+    ``reach`` on.
     """
-    fq = [(at(k, t) - f0) / t for k, t in enumerate(steps)]
-    bq = [(at(k, -t) - f0) / -t for k, t in enumerate(steps)]
+    fq = ((np.asarray(ahead, dtype=float) - f0) / steps).tolist()
+    bq = ((np.asarray(behind, dtype=float) - f0) / -steps).tolist()
     near = next((k for k, t in enumerate(steps) if t <= reach), len(steps))
     start = max(0, near - 2)
     return QuotientTrace(
-        steps=tuple(float(t) for t in steps),
+        steps=tuple(steps.tolist()),
         forward_q=tuple(fq),
         backward_q=tuple(bq),
         d_plus=_series_limit(fq, tol, start),
         d_minus=_series_limit(bq, tol, start),
         reach=reach,
     )
+
+
+def _direction_trace(
+    f: Functional, x: SpacePoint, h: SpacePoint, steps: np.ndarray, tol: float, fx: float, nx: float
+) -> QuotientTrace:
+    """The quotient trace of f at x along h, given fx = f(x) and nx = ‖x‖
+    (inf when it overflows): all ±steps in one :meth:`Functional.along`."""
+    values = f.along(x, h, np.concatenate((steps, -steps)))
+    n = steps.shape[0]
+    return _quotient_trace(values[:n], values[n:], fx, steps, tol, _reach(nx, _size(h)))
 
 
 def one_sided_derivatives(
@@ -323,12 +393,16 @@ def one_sided_derivatives(
     grid: TGrid = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
 ) -> QuotientTrace:
-    """Difference quotients of f at x along +h and -h over the grid."""
+    """Difference quotients of f at x along +h and -h over the grid.
+
+    f is evaluated at x once and at every ``x ± t_k·h`` through
+    :meth:`Functional.along`: in one array evaluation when f has a batch
+    evaluator (the norms and the cylinder bases), one point at a time
+    otherwise.  The trace is the same either way, bit for bit.
+    """
     if not tol > 0.0:
         raise PreconditionFailedError("tol must be positive")
-    return _quotient_trace(
-        lambda _k, s: f(linear_combine(1.0, x, float(s), h)), f(x), grid.steps(), tol, _reach(x, h)
-    )
+    return _direction_trace(f, x, h, grid.steps(), tol, f(x), _size(x))
 
 
 def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
@@ -398,10 +472,14 @@ def gateaux_verdict(
     The combinations must reproduce the probes' limits linearly, and the
     sparse derivative fitted to the canonical responses must reproduce every
     probe's limit.  The ``detail`` of a verdict that stops short of GATEAUX
-    names the stage and the direction that decided it.
+    names the stage and the direction that decided it.  f(x) and ``‖x‖``
+    are evaluated once per verdict, not once per direction.
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
+    if not tol > 0.0:
+        raise PreconditionFailedError("tol must be positive")
+    fx, nx, steps = f(x), _size(x), grid.steps()
     traces: list[QuotientTrace] = []
     dirs = list(probe_dirs)
 
@@ -410,7 +488,7 @@ def gateaux_verdict(
 
     def limit(h: SpacePoint, stage: str) -> float | DiffVerdict:
         """The two-sided limit along h, or the verdict it ends with."""
-        tr = one_sided_derivatives(f, x, h, grid, tol)
+        tr = _direction_trace(f, x, h, steps, tol, fx, nx)
         traces.append(tr)
         if tr.split(tol):
             return verdict(
@@ -490,7 +568,10 @@ def hadamard_verdict(
     """
     if not perturbations:
         raise PreconditionFailedError("need at least one perturbation family")
-    base = one_sided_derivatives(f, x, h, grid, tol)
+    if not tol > 0.0:
+        raise PreconditionFailedError("tol must be positive")
+    fx, steps = f(x), grid.steps()
+    base = _direction_trace(f, x, h, steps, tol, fx, _size(x))
     traces = [base]
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
@@ -506,8 +587,6 @@ def hadamard_verdict(
         return verdict(VerdictStatus.INCONCLUSIVE, base.unsettled("the unperturbed direction"))
     limit = base.d_plus
 
-    fx = f(x)
-    steps = grid.steps()
     for fam_idx, family in enumerate(perturbations):
         fam = list(family)
         if not fam:
@@ -525,10 +604,11 @@ def hadamard_verdict(
                 family=fam_idx,
                 final_distance=dists[-1],
             )
+        # one direction per step: no array form, so one evaluation at a time
         padded = fam + [h] * max(0, len(steps) - len(fam))
-        tr = _quotient_trace(
-            lambda k, s: f(linear_combine(1.0, x, float(s), padded[k])), fx, steps, tol, base.reach
-        )
+        ahead = [f(linear_combine(1.0, x, float(t), k)) for t, k in zip(steps, padded)]
+        behind = [f(linear_combine(1.0, x, -float(t), k)) for t, k in zip(steps, padded)]
+        tr = _quotient_trace(ahead, behind, fx, steps, tol, base.reach)
         traces.append(tr)
         if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
             return verdict(

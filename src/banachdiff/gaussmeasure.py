@@ -13,6 +13,9 @@ are bit-identical across platforms and independent of how many blocks
 run in parallel; the block stream depends only on (seed, block, n).
 A block holds ``n`` coordinates per row, so sampling accepts at most
 ``MAX_N`` coordinates, which bounds the memory of one block.
+
+scipy is imported by the two functions that use it, on their first call,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
 
 from ._rng import philox_gen
 from .errors import (
@@ -156,6 +157,8 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
 
 def _sample_block(spec: GaussianSpec, n: int, seed: int, block: int) -> np.ndarray:
     """One full block of Gaussian rows; depends only on (seed, block, n)."""
+    from scipy.special import ndtri
+
     rng = philox_gen(seed, block)
     u = (rng.integers(0, 1 << 53, size=(_BLOCK_ROWS, n), dtype=np.uint64) + 0.5) * 2.0**-53
     return spec.sd_array(n) * ndtri(u)
@@ -176,12 +179,13 @@ def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[S
 def estimate_nondiff_measure(
     spec: GaussianSpec, n: int, delta: float, count: int, seed: int
 ) -> MeasureEstimate:
-    """Fraction of samples whose top two |coordinates| are within delta.
+    """Fraction of samples that fail delta-dominance.
 
-    A sample fails delta-dominance exactly when its largest absolute
-    coordinate beats the runner-up by less than delta; at delta = 0 the
-    test degenerates to exact ties, which have probability zero and are
-    logged if they ever occur.  A single coordinate dominates vacuously.
+    A sample fails it exactly when ``topology.classify(x, delta)`` rejects
+    it: its largest absolute coordinate beats the runner-up by at most
+    delta, the runner-up of a single coordinate being 0.  At delta = 0
+    that leaves exact ties, which have probability zero and are logged if
+    they ever occur.
     """
     if not (1 <= n <= MAX_N and count >= 1):
         raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
@@ -189,19 +193,17 @@ def estimate_nondiff_measure(
         raise PreconditionFailedError("delta must be nonnegative")
     hits = 0
     ties = 0
-    if n > 1:
-        for block in range(-(-count // _BLOCK_ROWS)):
-            rows = _sample_block(spec, n, seed, block)
-            take = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
-            a = np.abs(rows[:take])
+    for block in range(-(-count // _BLOCK_ROWS)):
+        rows = _sample_block(spec, n, seed, block)
+        take = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
+        a = np.abs(rows[:take])
+        if n == 1:
+            margin = a[:, 0]
+        else:
             pair = np.partition(a, n - 2, axis=1)[:, n - 2:]
             margin = pair.max(axis=1) - pair.min(axis=1)
-            if delta == 0.0:
-                t = int(np.count_nonzero(margin == 0.0))
-                ties += t
-                hits += t
-            else:
-                hits += int(np.count_nonzero(margin < delta))
+        hits += int(np.count_nonzero(margin <= delta))
+        ties += int(np.count_nonzero(margin == 0.0))
     if ties:
         _LOG.warning("exact floating-point ties observed: %d of %d samples", ties, count)
     return MeasureEstimate(
@@ -226,6 +228,9 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
         raise PreconditionFailedError("delta must be nonnegative")
     if delta == 0.0:
         return 0.0
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
     s1, s2 = math.sqrt(spec.variance_at(1)), math.sqrt(spec.variance_at(2))
     inv_root = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -219,15 +219,25 @@ def _peak_oracle(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
 
 
 def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
-    """Direction along which the LINF_SEQ norm has quotients +1 / -1.
+    """Direction along which the LINF_SEQ norm has quotients +1 / -1, at x
+    for an exact tie and at a tie point near x for a near tie.
 
     Requires ``classify(x, tie_tol)`` to reject x: no coordinate clears
     both tie_tol and every other coordinate by more than tie_tol.  The
-    direction pushes the first maximal coordinate outward (+sig) and the
-    next coordinate within ``tie_tol`` of the max, if there is one, inward
-    (-sig).  For an exact tie, and at the one-coordinate point [0], the
-    difference quotient of the norm is exactly +1 for every t > 0 and -1
-    for every small t < 0.  Zero coordinates count as +1 sign.
+    direction h pushes the first maximal coordinate p outward (+sig) and
+    the next coordinate q within ``tie_tol`` of the max, if there is one,
+    inward (-sig).  Zero coordinates count as +1 sign.
+
+    At an exact tie h is a witness at x itself: the difference quotient of
+    the norm is exactly +1 for every t > 0 and -1 for every small t < 0.
+    At a near tie it is a witness at the tie point ``y = x - (m/2)*h``,
+    where ``m = |x_p| - |x_q| <= tie_tol``: there x_p and x_q tie, y lies
+    within tie_tol/2 of x, and the quotients at y are exactly +1 / -1 as
+    long as no other coordinate exceeds their common magnitude.  At x the
+    quotients along h need not split: for [2.0, 1.875] with tie_tol 0.25
+    the direction is [1, -1], along which both one-sided limits are 1.  A
+    one-coordinate point [x_1] with ``|x_1| <= tie_tol`` gets
+    ``[sig(x_1) or 1]``, a witness at the origin, within tie_tol of x.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
     if tie_tol < 0.0:

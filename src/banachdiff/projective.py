@@ -49,6 +49,8 @@ from .spaces import (
     SpacePoint,
     eval_norm,
     linear_combine,
+    norms_along,
+    rows_along,
     seq_point,
     sig,
     subtract,
@@ -148,18 +150,35 @@ class CylindricalFunction:
             raise PreconditionFailedError("base_dim must be >= 1")
 
 
+def _require_sequence(x: SpacePoint) -> None:
+    if x.space not in SEQUENCE_SPACES:
+        raise PreconditionFailedError("the weighted series is defined on sequence points")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _wseries_sums(coords: np.ndarray) -> np.ndarray:
+    """sum_k |c_k| / k^2 over the last axis, accumulated first coordinate
+    to last; a sum that overflows comes out infinite."""
+    k = np.arange(1.0, coords.shape[-1] + 1.0)
+    return np.add.accumulate(np.abs(coords) / (k * k), axis=-1)[..., -1]
+
+
 def wseries_eval(x: SpacePoint) -> float:
     """sum_{k <= dim} |x_k| / k^2, accumulated first coordinate to last.
 
-    The left-to-right order is contractual: the cylindrical wrapper and
-    this direct evaluation must agree bitwise, not merely approximately.
+    The left-to-right order is contractual: the cylindrical wrapper, the
+    batch evaluation along a line and this direct evaluation must agree
+    bitwise, not merely approximately.
     """
-    if x.space not in SEQUENCE_SPACES:
-        raise PreconditionFailedError("the weighted series is defined on sequence points")
-    acc = 0.0
-    for k, c in enumerate(x.coords, start=1):
-        acc += abs(c) / (k * k)
-    return acc
+    _require_sequence(x)
+    return _wseries_sums(x.coords)
+
+
+def _wseries_along(x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
+    """:func:`wseries_eval` at ``x + s*h`` for every signed step s, bitwise."""
+    rows = rows_along(x, h, steps)
+    _require_sequence(x)
+    return _wseries_sums(rows["coords"])
 
 
 def wseries_gateaux(x: SpacePoint, h: SpacePoint) -> float | None:
@@ -180,12 +199,12 @@ def wseries_gateaux(x: SpacePoint, h: SpacePoint) -> float | None:
 
 
 def wseries_functional() -> Functional:
-    return Functional("weighted_series", wseries_eval)
+    return Functional("weighted_series", wseries_eval, batch=_wseries_along)
 
 
 CYL_BASES: dict[str, Callable[[], Functional]] = {
-    "wseries_partial": lambda: Functional("wseries_partial", wseries_eval, Space.RT),
-    "supnorm": lambda: Functional("supnorm", lambda p: eval_norm(p).value, Space.RT),
+    "wseries_partial": lambda: Functional("wseries_partial", wseries_eval, Space.RT, _wseries_along),
+    "supnorm": lambda: Functional("supnorm", lambda p: eval_norm(p).value, Space.RT, norms_along),
 }
 
 
@@ -376,8 +395,9 @@ def compose_propagate(
     inner_verdict = cyl_gateaux(inner, sys_, x, h, grid, tol)
     y0 = cyl_eval(inner, sys_, x)
     # the outer map steps along the unit direction of R, so the scale is |y0|
+    g0, steps = outer(y0), grid.steps()
     gtrace = _quotient_trace(
-        lambda _k, s: outer(y0 + s), outer(y0), grid.steps(), tol, abs(y0) or math.inf
+        [outer(y0 + t) for t in steps], [outer(y0 - t) for t in steps], g0, steps, tol, abs(y0) or math.inf
     )
     f_comp = Functional(
         f"{outer.name}_of_{inner.name}",

@@ -69,6 +69,8 @@ __all__ = [
     "value_at",
     "eval_norm",
     "linear_combine",
+    "rows_along",
+    "norms_along",
     "point_to_dict",
     "point_from_dict",
     "point_to_json",
@@ -202,7 +204,7 @@ def seq_point(space: Space | str, coords) -> SpacePoint:
     arr = _readonly(coords)
     if arr.shape[0] < 1:
         raise MalformedPointError("a sequence point needs at least one coordinate")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise MalformedPointError("coordinates must be finite")
     return SpacePoint(space=space, coords=arr)
 
@@ -226,9 +228,9 @@ def _knot_point(space: Space | str, knots, values, lefts) -> SpacePoint:
     k, v, e = _readonly(knots), _readonly(values), _readonly(lefts)
     if k.shape[0] < 2 or v.shape != k.shape or e.shape != k.shape:
         raise MalformedPointError("need equal-length knot/value vectors, at least 2 long")
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v)) and np.all(np.isfinite(e))):
+    if not (np.isfinite(k).all() and np.isfinite(v).all() and np.isfinite(e).all()):
         raise MalformedPointError("knots and values must be finite")
-    if not np.all(np.diff(k) > 0):
+    if not (k[1:] > k[:-1]).all():
         raise MalformedPointError("knots must be strictly increasing")
     if np.array_equal(v, e):
         e = v
@@ -343,19 +345,33 @@ def value_at(x: SpacePoint, t: float) -> float:
     return float(_lerp(x.values[i], x.lefts[i + 1], w))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sum_norm(x: SpacePoint) -> float:
-    """The L1_SEQ sum or the NBV_AB total variation of ``x``, computed with
-    numpy overflow ignored; a sum that is not finite raises
-    :class:`EvalFailureError`."""
-    if x.coords is not None:
-        total = float(np.abs(x.coords).sum())
-    else:
-        seg_var = np.abs(x.lefts[1:] - x.values[:-1])
-        total = float(seg_var.sum() + np.abs(x.jumps()).sum())
-    if not math.isfinite(total):
-        raise EvalFailureError(f"norm evaluates to {total}, not a finite number")
-    return total
+def _abs_profile(coords, values, lefts) -> np.ndarray:
+    """|coordinate| for sequence arrays; max(|value|, |left limit|) per knot
+    for function arrays, which is where a piecewise-linear function attains
+    its extrema."""
+    if coords is not None:
+        return np.abs(coords)
+    return np.maximum(np.abs(values), np.abs(lefts))
+
+
+def _norms(space: Space, coords, values, lefts) -> np.ndarray:
+    """The norm of every point whose arrays are the last-axis rows of
+    ``coords`` (sequences) or of ``values`` and ``lefts`` (functions).
+
+    A one-dimensional input gives one norm.  A sum that overflows comes out
+    infinite, with numpy overflow ignored; the callers decide what that
+    means.  A row sum reduces the same contiguous run of numbers in the
+    same order as the sum of a single point, so each row is bitwise the
+    norm of that row as a point of its own.
+    """
+    if space is Space.L1_SEQ:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(coords).sum(axis=-1)
+    if space is Space.NBV_AB:
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg_var = np.abs(lefts[..., 1:] - values[..., :-1]).sum(axis=-1)
+            return seg_var + np.abs(values[..., 1:-1] - lefts[..., 1:-1]).sum(axis=-1)
+    return _abs_profile(coords, values, lefts).max(axis=-1)
 
 
 def eval_norm(x: SpacePoint) -> NormValue:
@@ -370,14 +386,13 @@ def eval_norm(x: SpacePoint) -> NormValue:
     :class:`EvalFailureError`.
     """
     if x.space in (Space.L1_SEQ, Space.NBV_AB):
-        return NormValue(_sum_norm(x), None)
-    if x.coords is not None:
-        abs_c = np.abs(x.coords)
-        p = int(abs_c.argmax())
-        return NormValue(float(abs_c[p]), p + 1)
-    abs_vals = np.maximum(np.abs(x.values), np.abs(x.lefts))
-    i = int(abs_vals.argmax())
-    return NormValue(float(abs_vals[i]), float(x.knots[i]))
+        total = float(_norms(x.space, x.coords, x.values, x.lefts))
+        if not math.isfinite(total):
+            raise EvalFailureError(f"norm evaluates to {total}, not a finite number")
+        return NormValue(total, None)
+    profile = _abs_profile(x.coords, x.values, x.lefts)
+    i = int(profile.argmax())
+    return NormValue(float(profile[i]), i + 1 if x.coords is not None else float(x.knots[i]))
 
 
 def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,6 +413,42 @@ def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="raise", invalid="raise")
+def _combined(alpha: float, x: SpacePoint, beta, y: SpacePoint) -> dict[str, np.ndarray]:
+    """The arrays of ``alpha*x + beta*y``, keyed as :class:`SpacePoint`
+    fields.  ``beta`` is a float, or a column of floats that makes every
+    combined array a stack of rows, one per entry, each computed by the
+    very operations of the float case.
+
+    Checks, in this order: matching space tags, finite coefficients,
+    matching lengths/domains.  numpy computes with overflow set to raise,
+    not to warn, which spares a finiteness scan of the result: a
+    combination that overflows raises :class:`EvalFailureError`.
+    """
+    if x.space is not y.space:
+        raise SpaceMismatchError(
+            f"cannot combine {x.space.value} with {y.space.value}"
+        )
+    if not (math.isfinite(alpha) and np.isfinite(beta).all()):
+        raise EvalFailureError("linear combination with a non-finite coefficient", alpha=alpha, beta=beta)
+    try:
+        if x.coords is not None:
+            if x.dim != y.dim:
+                raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
+            return {"coords": alpha * x.coords + beta * y.coords}
+        if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
+            raise SpaceMismatchError(
+                f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
+            )
+        knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
+        xv, xl = _at_knots(x, knots)
+        yv, yl = _at_knots(y, knots)
+        values = alpha * xv + beta * yv
+        lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
+        return {"knots": knots, "values": values, "lefts": lefts}
+    except FloatingPointError as exc:
+        raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta) from exc
+
+
 def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> SpacePoint:
     """Representation of ``alpha*x + beta*y``.
 
@@ -411,38 +462,36 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
     lattice with power-of-two knot gaps the combination is exact.  Operands
     are valid points already, so only the arithmetic can fail: a
     non-finite coefficient, or a combination that overflows, raises
-    :class:`EvalFailureError`.  numpy computes it with overflow set to
-    raise, not to warn, which also spares a finiteness scan of the result.
+    :class:`EvalFailureError`.
     """
-    if x.space is not y.space:
-        raise SpaceMismatchError(
-            f"cannot combine {x.space.value} with {y.space.value}"
-        )
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise EvalFailureError("linear combination with a non-finite coefficient", alpha=alpha, beta=beta)
-    try:
-        if x.coords is not None:
-            if x.dim != y.dim:
-                raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
-            arrays = {"coords": alpha * x.coords + beta * y.coords}
-        else:
-            if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
-                raise SpaceMismatchError(
-                    f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
-                )
-            knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
-            xv, xl = _at_knots(x, knots)
-            yv, yl = _at_knots(y, knots)
-            values = alpha * xv + beta * yv
-            lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
-            arrays = {"knots": knots, "values": values, "lefts": lefts}
-    except FloatingPointError as exc:
-        raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta) from exc
+    arrays = _combined(float(alpha), x, float(beta), y)
     for arr in arrays.values():
         arr.setflags(write=False)
     return SpacePoint(space=x.space, **arrays)
+
+
+def rows_along(x: SpacePoint, h: SpacePoint, steps) -> dict[str, np.ndarray]:
+    """The points ``x + s*h`` for every signed step ``s`` in ``steps``, as
+    the arrays of :func:`linear_combine` stacked row by row.
+
+    Row i of ``coords`` (sequences) or of ``values`` and ``lefts`` (over
+    the one ``knots`` array of every row) is bitwise the array of
+    ``linear_combine(1.0, x, steps[i], h)``: the knots are merged once and
+    every other operation is the one the single combination performs.  It
+    raises what that combination raises, for the whole batch at once.
+    """
+    return _combined(1.0, x, np.asarray(steps, dtype=float)[:, None], h)
+
+
+def norms_along(x: SpacePoint, h: SpacePoint, steps) -> np.ndarray:
+    """``‖x + s*h‖`` for every signed step ``s`` in ``steps``, each bitwise
+    ``eval_norm(linear_combine(1.0, x, s, h)).value``.
+
+    The row-wise sums and max scans of :func:`rows_along`; a norm that
+    overflows comes out infinite instead of raising.
+    """
+    rows = rows_along(x, h, steps)
+    return _norms(x.space, rows.get("coords"), rows.get("values"), rows.get("lefts"))
 
 
 # -- canonical JSON --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: JSON reports, exit codes, flags, and config."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -243,6 +244,17 @@ def test_overflow_exits_3_without_numpy_warnings(argv):
     assert run.returncode == 3
     assert json.loads(run.stdout)["error"]["code"] == "EVAL_FAILURE"
     assert run.stderr == ""
+
+
+# sha256 of the report of the README `diff` example, frozen from the engine
+# that evaluated one point per grid step
+README_DIFF_SHA256 = "455944d52dc5952f04e9115c44456867d09e99c0d9d13a5edece5f71100eb2a0"
+
+
+def test_readme_diff_report_is_unchanged_byte_for_byte(capsys):
+    rc = cli.main(["diff", "--space", "linf", "--point", "[3, 1, 0.5]", "--dir", "[1, 0, 0]"])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == README_DIFF_SHA256
 
 
 def test_function_combination_overflow_exits_3(capsys, tmp_path):

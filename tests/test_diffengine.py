@@ -5,6 +5,8 @@ lives on a dyadic lattice: the norms are then piecewise-linear with
 exactly representable slopes and the quotients carry no rounding at all.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -31,17 +33,22 @@ from banachdiff.errors import (
     EvalFailureError,
     NonconvergentPerturbationError,
     PreconditionFailedError,
+    SpaceMismatchError,
 )
 from banachdiff.oracles import apply_rep, oracle_csup, oracle_linf, witness_linf
+from banachdiff.projective import CYL_BASES
 from banachdiff.spaces import (
+    FUNCTION_SPACES,
     Space,
+    constant_fn,
     eval_norm,
     linear_combine,
     pw_from_values,
     seq_point,
+    step_fn,
 )
 
-from conftest import GRID, lattice
+from conftest import GRID, lattice, midpoint_knots
 
 EXACT = TGrid(t0=2.0 ** -4, rho=0.5, count=9)
 
@@ -354,3 +361,121 @@ def test_off_lattice_continuous_points_build_combine_and_differentiate(seed):
     assert s.lefts is s.values
     verdict = gateaux_verdict(norm_functional(Space.C_AB), x, [h])
     assert verdict.status in tuple(VerdictStatus)
+
+
+# -- batch evaluation along a line -------------------------------------------
+
+
+def _scalar(f: Functional) -> Functional:
+    """The same functional without its batch evaluator: one point per step."""
+    return dataclasses.replace(f, batch=None)
+
+
+def _bits(tr):
+    def hx(q):
+        return None if q is None else float(q).hex()
+
+    return [hx(q) for q in tr.forward_q], [hx(q) for q in tr.backward_q], hx(tr.d_plus), hx(tr.d_minus)
+
+
+def _random_point(rng, space, on_lattice, dim):
+    """A point with ties, zeros and (LINF_R, NBV_AB) a jump, on or off the lattice."""
+    if space not in FUNCTION_SPACES:
+        c = lattice(rng, -2.0, 2.0, dim) if on_lattice else rng.uniform(-2.0, 2.0, dim)
+        c[rng.integers(0, dim)] = np.abs(c).max() * rng.choice([-1.0, 1.0])  # a tie, if dim > 1
+        c[rng.integers(0, dim)] *= rng.integers(0, 2)
+        return seq_point(space, c)
+    if on_lattice:
+        knots = [0.0, *midpoint_knots(rng, int(rng.integers(0, 6))), 1.0]
+        vals = lattice(rng, -2.0, 2.0, len(knots))
+    else:
+        knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, int(rng.integers(0, 6)))), [1.0]))
+        vals = rng.uniform(-2.0, 2.0, knots.shape[0])
+    if space is Space.NBV_AB:
+        vals[0] = 0.0
+    f = pw_from_values(space, knots, vals)
+    if space is Space.C_AB:
+        return f
+    at = float(lattice(rng, 0.25, 0.75, 1)[0]) if on_lattice else float(rng.uniform(0.1, 0.9))
+    jump = float(lattice(rng, -1.0, 1.0, 1)[0]) if on_lattice else float(rng.uniform(-1.0, 1.0))
+    return linear_combine(1.0, f, jump, step_fn(space, 0.0, 1.0, at, 0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Space)),
+    st.booleans(),
+    st.sampled_from([DEFAULT_GRID, EXACT, TGrid(t0=0.1, rho=0.3, count=25)]),
+)
+def test_batch_traces_equal_the_scalar_path_bitwise(seed, space, on_lattice, grid):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    x, h = (_random_point(rng, space, on_lattice, dim) for _ in range(2))
+    f = norm_functional(space)
+    assert f.batch is not None
+    batched = one_sided_derivatives(f, x, h, grid)
+    assert _bits(batched) == _bits(one_sided_derivatives(_scalar(f), x, h, grid))
+    verdict = gateaux_verdict(f, x, [h], grid)
+    scalar_verdict = gateaux_verdict(_scalar(f), x, [h], grid)
+    assert json.dumps(verdict.to_dict(), default=float) == json.dumps(scalar_verdict.to_dict(), default=float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.booleans(), st.sampled_from(sorted(CYL_BASES)))
+def test_cylinder_base_batches_equal_the_scalar_path_bitwise(seed, dim, on_lattice, base):
+    rng = np.random.default_rng(seed)
+    x, h = (_random_point(rng, Space.RT, on_lattice, dim) for _ in range(2))
+    f = CYL_BASES[base]()
+    assert f.batch is not None
+    assert _bits(one_sided_derivatives(f, x, h)) == _bits(one_sided_derivatives(_scalar(f), x, h))
+
+
+def _error_of(f, x, h, grid, error):
+    with pytest.raises(error) as info:
+        one_sided_derivatives(f, x, h, grid)
+    return str(info.value), info.value.context
+
+
+@pytest.mark.parametrize(
+    "x, h, grid, error",
+    [
+        (seq_point(Space.LINF_SEQ, [3.0, 1.0]), seq_point(Space.L1_SEQ, [1.0, 0.0]), DEFAULT_GRID, SpaceMismatchError),
+        (
+            seq_point(Space.LINF_SEQ, [3.0, 1.0]),
+            seq_point(Space.LINF_SEQ, [1.0, 0.0, 0.0]),
+            DEFAULT_GRID,
+            SpaceMismatchError,
+        ),
+        (
+            constant_fn(Space.C_AB, 0.0, 1.0, 1.0),
+            constant_fn(Space.C_AB, 0.0, 2.0, 1.0),
+            DEFAULT_GRID,
+            SpaceMismatchError,
+        ),
+        # x + t*h overflows at the first step
+        (
+            seq_point(Space.LINF_SEQ, [1e308, 1.0]),
+            seq_point(Space.LINF_SEQ, [1e308, 0.0]),
+            TGrid(1.0, 0.5, 5),
+            EvalFailureError,
+        ),
+        # x + t*h is finite but its norm overflows
+        (
+            seq_point(Space.L1_SEQ, [8.9e307] * 2),
+            seq_point(Space.L1_SEQ, [1e306] * 2),
+            TGrid(16.0, 0.5, 5),
+            EvalFailureError,
+        ),
+        (
+            seq_point(Space.LINF_SEQ, [3.0, 1.0]),
+            seq_point(Space.LINF_SEQ, [1.0, 0.0]),
+            TGrid(math.inf, 0.5, 5),
+            EvalFailureError,
+        ),
+    ],
+    ids=["other-space", "other-length", "other-domain", "combination-overflow", "norm-overflow", "infinite-step"],
+)
+def test_batch_raises_what_the_scalar_path_raises(x, h, grid, error):
+    f = norm_functional(x.space)
+    assert _error_of(f, x, h, grid, error) == _error_of(_scalar(f), x, h, grid, error)

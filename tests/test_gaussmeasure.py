@@ -1,10 +1,15 @@
 """Gaussian product laws: sampling, tie-set mass, and summability."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banachdiff
 from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
 from banachdiff.gaussmeasure import (
     MAX_N,
@@ -17,6 +22,7 @@ from banachdiff.gaussmeasure import (
     vakhania_check,
 )
 from banachdiff.spaces import Space
+from banachdiff.topology import classify
 
 # Recomputed-and-frozen reference values.  The partial sums are plain
 # left-to-right float accumulations of (k+2)^(-2); the closed form is
@@ -110,9 +116,32 @@ def test_tie_band_mass_shrinks_with_delta():
         assert fb <= fa + 3.0 * (sa + sb)
 
 
-def test_single_coordinate_never_ties():
+def test_single_coordinate_fails_dominance_within_delta_of_zero():
+    # the runner-up of a single coordinate is 0, as in classify
     est = estimate_nondiff_measure(default_spec(), 1, 0.5, 1000, seed=5)
-    assert est.fraction == 0.0
+    rows = gaussian_sample(default_spec(), 1, 1000, seed=5)
+    near_zero = sum(abs(float(p.coords[0])) <= 0.5 for p in rows)
+    assert est.fraction == near_zero / 1000 > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.5])
+def test_estimate_counts_exactly_the_rows_classify_rejects(n, delta):
+    spec = standard_normal_spec(2) if n <= 2 else default_spec()
+    est = estimate_nondiff_measure(spec, n, delta, 2000, seed=3)
+    rejected = sum(not classify(p, delta).in_B for p in gaussian_sample(spec, n, 2000, seed=3))
+    assert est.fraction == rejected / 2000
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    code = (
+        "import sys, banachdiff, banachdiff.cli\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_measure_estimator_polices_inputs():

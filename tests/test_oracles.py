@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from banachdiff.diffengine import TGrid, norm_functional, one_sided_derivatives
+from banachdiff.diffengine import (
+    TGrid,
+    VerdictStatus,
+    gateaux_verdict,
+    norm_functional,
+    one_sided_derivatives,
+)
 from banachdiff.errors import (
     NoDoubleMaxError,
     NotInComplementError,
@@ -155,6 +161,19 @@ def test_tie_witness_exists_exactly_off_the_differentiability_set(space, coords)
     tr = one_sided_derivatives(norm_functional(space), x, w, TGrid(t0=2.0**-4, rho=0.5, count=9))
     assert set(tr.forward_q) == {1.0} and set(tr.backward_q) == {-1.0}
     assert (tr.d_plus, tr.d_minus) == (1.0, -1.0)
+
+
+def test_near_tie_witness_splits_at_the_tie_point_not_at_x():
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [2.0, 1.875])
+    w = witness_linf(x, 0.25)
+    assert w.coords.tolist() == [1.0, -1.0]
+    # the tie point x - (m/2)*w, m = 2.0 - 1.875, lies within tie_tol/2 of x
+    y = seq_point(Space.LINF_SEQ, [1.9375, 1.9375])
+    tr = one_sided_derivatives(f, y, w, TGrid(t0=2.0**-4, rho=0.5, count=9))
+    assert set(tr.forward_q) == {1.0} and set(tr.backward_q) == {-1.0}
+    # at x itself the quotients along w agree: no witness there
+    assert gateaux_verdict(f, x, [w]).status is VerdictStatus.GATEAUX
 
 
 def test_double_peak_witness_splits_between_the_peaks():

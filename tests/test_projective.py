@@ -86,12 +86,18 @@ def test_project_produces_max_norm_points(rng):
 # -- the weighted series -----------------------------------------------------
 
 
-def test_weighted_series_accumulates_left_to_right():
+def test_weighted_series_accumulates_left_to_right(rng):
     x = seq_point(Space.LINF_SEQ, [1.0] * 10)
     got = wseries_eval(x)
     assert got == partial_sum(10)  # same accumulation order, same bits
     f = wseries_functional()
     assert f(x) == got
+    for dim in (1, 7, 70, 700):
+        coords = rng.uniform(-3.0, 3.0, dim)
+        acc = 0.0
+        for k, c in enumerate(coords.tolist(), start=1):
+            acc += abs(c) / (k * k)
+        assert wseries_eval(seq_point(Space.LINF_SEQ, coords)) == acc
 
 
 def test_weighted_series_closed_form_derivative():
