@@ -64,6 +64,7 @@ from .gaussmeasure import (
     vakhania_check,
     gaussian_sample,
     estimate_nondiff_measure,
+    estimate_nondiff_measures,
     b2_tie_probability_oracle,
 )
 from .projective import (

@@ -24,6 +24,7 @@ INCONCLUSIVE verdict names in its ``detail`` the stage that decided it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -160,6 +161,10 @@ class TGrid:
     no rounding noise at all, and convergence detection is bitwise.  A
     decimal t0 of comparable size loses ~2e-9 of accuracy to cancellation
     at the smallest steps — above the default tolerance.
+
+    A grid must be usable as given: t0 finite and the smallest step
+    ``t0 * rho**(count-1)`` a positive normal float, so that no step
+    underflows and every quotient divides by a full-precision step.
     """
 
     t0: float = 0.0625
@@ -167,8 +172,14 @@ class TGrid:
     count: int = 20
 
     def __post_init__(self):
-        if not (self.t0 > 0.0 and 0.0 < self.rho < 1.0 and self.count >= 3):
-            raise PreconditionFailedError("need t0 > 0, rho in (0,1), count >= 3")
+        if not (0.0 < self.t0 < math.inf and 0.0 < self.rho < 1.0 and self.count >= 3):
+            raise PreconditionFailedError("need finite t0 > 0, rho in (0,1), count >= 3")
+        smallest = self.t0 * self.rho ** (self.count - 1)
+        if not smallest >= sys.float_info.min:
+            raise PreconditionFailedError(
+                "the smallest step t0*rho**(count-1) is not a positive normal float",
+                smallest=smallest,
+            )
 
     def steps(self) -> np.ndarray:
         return self.t0 * self.rho ** np.arange(self.count)

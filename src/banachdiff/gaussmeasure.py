@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,13 @@ __all__ = [
     "vakhania_check",
     "gaussian_sample",
     "estimate_nondiff_measure",
+    "estimate_nondiff_measures",
     "b2_tie_probability_oracle",
 ]
 
 _BLOCK_ROWS = 65536
-# One block keeps about three float64 arrays of _BLOCK_ROWS * n values live
-# (uniforms, normals, absolute values): about 0.4 GB at n = 256.
+# One block holds its uint64 draw and one float64 buffer of _BLOCK_ROWS * n
+# values, converted in place: about 0.27 GB at n = 256.
 MAX_N = 256
 _LOG = logging.getLogger(__name__)
 
@@ -155,64 +157,119 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
     return flag, partial
 
 
-def _sample_block(spec: GaussianSpec, n: int, seed: int, block: int) -> np.ndarray:
-    """One full block of Gaussian rows; depends only on (seed, block, n)."""
+def _sample_block(
+    spec: GaussianSpec, n: int, seed: int, block: int, rows: int = _BLOCK_ROWS
+) -> np.ndarray:
+    """The first ``rows`` rows of one block of Gaussian rows.
+
+    A block depends only on (seed, block, n).  Its uniforms are
+    ``(k + 0.5) * 2**-53`` for 53-bit integers k drawn by Philox, which
+    never rejects a draw at this bound, so fewer rows are an exact prefix
+    of the full block.  The draw is converted into one float64 buffer and
+    then in place: uniforms, normals through ``ndtri``, and finally the
+    scaling by the coordinate standard deviations.  The buffer is laid out
+    column by column, so that ``_margins`` reads contiguous columns.
+    """
     from scipy.special import ndtri
 
-    rng = philox_gen(seed, block)
-    u = (rng.integers(0, 1 << 53, size=(_BLOCK_ROWS, n), dtype=np.uint64) + 0.5) * 2.0**-53
-    return spec.sd_array(n) * ndtri(u)
+    draw = philox_gen(seed, block).integers(0, 1 << 53, size=(rows, n), dtype=np.uint64)
+    a = draw.astype(np.float64, order="F")
+    del draw
+    a += 0.5
+    a *= 2.0**-53
+    ndtri(a, out=a)
+    a *= spec.sd_array(n)
+    return a
+
+
+def _margins(a: np.ndarray) -> np.ndarray:
+    """Largest minus second-largest entry of each row of ``a >= 0``.
+
+    The runner-up of a single column is 0.  One running top-two scan over
+    the columns with ``np.maximum`` and ``np.minimum`` only, so the margins
+    are exact: bit for bit the top two values ``np.partition`` finds,
+    subtracted.  The running maximum and then the margins are written over
+    the first column of ``a``, which is returned.
+    """
+    top = a[:, 0]
+    if a.shape[1] == 1:
+        return top
+    second = np.minimum(top, a[:, 1])
+    np.maximum(top, a[:, 1], out=top)
+    low = np.empty_like(second)
+    for j in range(2, a.shape[1]):
+        col = a[:, j]
+        np.minimum(top, col, out=low)
+        np.maximum(second, low, out=second)
+        np.maximum(top, col, out=top)
+    top -= second
+    return top
+
+
+def _check_shape(n: int, count: int) -> None:
+    if not (1 <= n <= MAX_N and count >= 1):
+        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
+
+
+def _blocks(count: int):
+    """(block, rows) for the blocks that hold ``count`` rows."""
+    for block in range(-(-count // _BLOCK_ROWS)):
+        yield block, min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
 
 
 def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[SpacePoint]:
     """count independent draws of (X_1..X_n) as max-norm sequence points."""
-    if not (1 <= n <= MAX_N and count >= 1):
-        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
+    _check_shape(n, count)
     out: list[SpacePoint] = []
-    for block in range(-(-count // _BLOCK_ROWS)):
-        rows = _sample_block(spec, n, seed, block)
-        take = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
-        out.extend(seq_point(Space.LINF_SEQ, row) for row in rows[:take])
+    for block, take in _blocks(count):
+        out.extend(seq_point(Space.LINF_SEQ, row) for row in _sample_block(spec, n, seed, block, take))
     return out
 
 
 def estimate_nondiff_measure(
     spec: GaussianSpec, n: int, delta: float, count: int, seed: int
 ) -> MeasureEstimate:
-    """Fraction of samples that fail delta-dominance.
+    """Fraction of the ``count`` samples that fail delta-dominance.
+
+    The one estimate of ``estimate_nondiff_measures(spec, n, (delta,),
+    count, seed)``, which says what is counted.
+    """
+    return estimate_nondiff_measures(spec, n, (delta,), count, seed)[0]
+
+
+def estimate_nondiff_measures(
+    spec: GaussianSpec, n: int, deltas: Sequence[float], count: int, seed: int
+) -> tuple[MeasureEstimate, ...]:
+    """Fraction of samples that fail delta-dominance, for each delta.
 
     A sample fails it exactly when ``topology.classify(x, delta)`` rejects
     it: its largest absolute coordinate beats the runner-up by at most
-    delta, the runner-up of a single coordinate being 0.  At delta = 0
-    that leaves exact ties, which have probability zero and are logged if
-    they ever occur.
+    delta, the runner-up of a single coordinate being 0.  Every delta is
+    counted on the same ``count`` samples, drawn once: each estimate is bit
+    for bit what a call with that delta alone gives.  At delta = 0 that
+    leaves exact ties, which have probability zero; every estimate carries
+    their number as ``tie_hits``, and they are logged if they ever occur.
     """
-    if not (1 <= n <= MAX_N and count >= 1):
-        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
-    if delta < 0.0:
+    _check_shape(n, count)
+    deltas = tuple(deltas)
+    if not deltas:
+        raise PreconditionFailedError("need at least one delta")
+    if any(d < 0.0 for d in deltas):
         raise PreconditionFailedError("delta must be nonnegative")
-    hits = 0
+    hits = [0] * len(deltas)
     ties = 0
-    for block in range(-(-count // _BLOCK_ROWS)):
-        rows = _sample_block(spec, n, seed, block)
-        take = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
-        a = np.abs(rows[:take])
-        if n == 1:
-            margin = a[:, 0]
-        else:
-            pair = np.partition(a, n - 2, axis=1)[:, n - 2:]
-            margin = pair.max(axis=1) - pair.min(axis=1)
-        hits += int(np.count_nonzero(margin <= delta))
+    for block, take in _blocks(count):
+        a = _sample_block(spec, n, seed, block, take)
+        margin = _margins(np.abs(a, out=a))
+        for i, d in enumerate(deltas):
+            hits[i] += int(np.count_nonzero(margin <= d))
         ties += int(np.count_nonzero(margin == 0.0))
+        del a, margin  # the block is freed before the next one is drawn
     if ties:
         _LOG.warning("exact floating-point ties observed: %d of %d samples", ties, count)
-    return MeasureEstimate(
-        fraction=hits / count,
-        sample_count=count,
-        delta=delta,
-        n=n,
-        seed=seed,
-        tie_hits=ties,
+    return tuple(
+        MeasureEstimate(fraction=h / count, sample_count=count, delta=d, n=n, seed=seed, tie_hits=ties)
+        for h, d in zip(hits, deltas)
     )
 
 

@@ -225,15 +225,15 @@ def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
     Requires ``classify(x, tie_tol)`` to reject x: no coordinate clears
     both tie_tol and every other coordinate by more than tie_tol.  The
     direction h pushes the first maximal coordinate p outward (+sig) and
-    the next coordinate q within ``tie_tol`` of the max, if there is one,
-    inward (-sig).  Zero coordinates count as +1 sign.
+    the runner-up q, the first largest of the other coordinates, if there
+    is one, inward (-sig).  Zero coordinates count as +1 sign.
 
     At an exact tie h is a witness at x itself: the difference quotient of
     the norm is exactly +1 for every t > 0 and -1 for every small t < 0.
     At a near tie it is a witness at the tie point ``y = x - (m/2)*h``,
     where ``m = |x_p| - |x_q| <= tie_tol``: there x_p and x_q tie, y lies
-    within tie_tol/2 of x, and the quotients at y are exactly +1 / -1 as
-    long as no other coordinate exceeds their common magnitude.  At x the
+    within tie_tol/2 of x, and no other coordinate exceeds their common
+    magnitude, so the quotients at y are exactly +1 / -1.  At x the
     quotients along h need not split: for [2.0, 1.875] with tie_tol 0.25
     the direction is [1, -1], along which both one-sided limits are 1.  A
     one-coordinate point [x_1] with ``|x_1| <= tie_tol`` gets
@@ -253,10 +253,11 @@ def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
         )
     h = np.zeros(x.dim)
     h[first] = sig(x.coords[first]) or 1.0
-    for i in np.flatnonzero(abs_c >= top - tie_tol):
-        if i != first:  # the next tied coordinate, if any
-            h[i] = -(sig(x.coords[i]) or 1.0)
-            break
+    if x.dim > 1:
+        rest = abs_c.copy()
+        rest[first] = -1.0  # below every magnitude
+        second = int(rest.argmax())
+        h[second] = -(sig(x.coords[second]) or 1.0)
     return seq_point(x.space, h)
 
 

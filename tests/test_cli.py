@@ -246,6 +246,22 @@ def test_overflow_exits_3_without_numpy_warnings(argv):
     assert run.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "grid_flags",
+    [["--t0", "1e-300", "--rho", "1e-10", "--count-steps", "5"], ["--t0", "inf"]],
+    ids=["underflowing-steps", "infinite-t0"],
+)
+def test_unusable_step_grid_exits_2_without_numpy_warnings(grid_flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    argv = ["diff", "--space", "linf", "--point", "[3,1]", "--dir", "[1,0]", *grid_flags]
+    run = subprocess.run(
+        [sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 2
+    assert json.loads(run.stdout)["error"]["code"] == "PRECONDITION_FAILED"
+    assert run.stderr == ""
+
+
 # sha256 of the report of the README `diff` example, frozen from the engine
 # that evaluated one point per grid step
 README_DIFF_SHA256 = "455944d52dc5952f04e9115c44456867d09e99c0d9d13a5edece5f71100eb2a0"
@@ -255,6 +271,17 @@ def test_readme_diff_report_is_unchanged_byte_for_byte(capsys):
     rc = cli.main(["diff", "--space", "linf", "--point", "[3, 1, 0.5]", "--dir", "[1, 0, 0]"])
     assert rc == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == README_DIFF_SHA256
+
+
+# sha256 of the report of the README `measure` example, frozen from the
+# sampler that built each block from separate uniform, normal and scaled arrays
+README_MEASURE_SHA256 = "aa65a0bad03a23435a46211f5d0c016627df584929801dac9ebe1cbf9ecb0516"
+
+
+def test_readme_measure_report_is_unchanged_byte_for_byte(capsys):
+    argv = ["measure", "--n", "2", "--delta", "0.01", "--count", "20000", "--seed", "7", "--law", "std"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == README_MEASURE_SHA256
 
 
 def test_function_combination_overflow_exits_3(capsys, tmp_path):

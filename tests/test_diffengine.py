@@ -72,6 +72,20 @@ def test_grid_rejects_bad_parameters():
         TGrid(t0=0.5, rho=1.5, count=4).steps()
     with pytest.raises(PreconditionFailedError):
         TGrid(t0=0.5, rho=0.5, count=1).steps()
+    # every step must be a positive normal float
+    for t0, rho, count in (
+        (math.inf, 0.5, 5),
+        (math.nan, 0.5, 5),
+        (1e-300, 1e-10, 5),  # the steps underflow to 0
+        (1.0, 0.5, 1040),  # the smallest step 2**-1039 is subnormal
+    ):
+        with pytest.raises(PreconditionFailedError):
+            TGrid(t0=t0, rho=rho, count=count)
+
+
+def test_grid_accepts_a_smallest_step_at_the_least_normal_float():
+    g = TGrid(t0=1.0, rho=0.5, count=1023)
+    assert g.steps()[-1] == 2.0**-1022
 
 
 def test_directional_quotient_rejects_zero_step():
@@ -467,15 +481,32 @@ def _error_of(f, x, h, grid, error):
             TGrid(16.0, 0.5, 5),
             EvalFailureError,
         ),
+        # a finite step times a finite direction overflows
         (
             seq_point(Space.LINF_SEQ, [3.0, 1.0]),
-            seq_point(Space.LINF_SEQ, [1.0, 0.0]),
-            TGrid(math.inf, 0.5, 5),
+            seq_point(Space.LINF_SEQ, [1e300, 0.0]),
+            TGrid(1e10, 0.5, 5),
             EvalFailureError,
         ),
     ],
-    ids=["other-space", "other-length", "other-domain", "combination-overflow", "norm-overflow", "infinite-step"],
+    ids=[
+        "other-space", "other-length", "other-domain", "combination-overflow", "norm-overflow",
+        "infinite-scaled-direction",
+    ],
 )
 def test_batch_raises_what_the_scalar_path_raises(x, h, grid, error):
     f = norm_functional(x.space)
     assert _error_of(f, x, h, grid, error) == _error_of(_scalar(f), x, h, grid, error)
+
+
+def test_infinite_step_raises_alike_in_batch_and_scalar_paths():
+    # no TGrid has an infinite step, but Functional.along takes any steps
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [3.0, 1.0])
+    h = seq_point(Space.LINF_SEQ, [1.0, 0.0])
+    errors = []
+    for g in (f, _scalar(f)):
+        with pytest.raises(EvalFailureError) as info:
+            g.along(x, h, np.array([1.0, math.inf]))
+        errors.append((str(info.value), info.value.context))
+    assert errors[0] == errors[1]

@@ -1,22 +1,32 @@
 """Gaussian product laws: sampling, tie-set mass, and summability."""
 
+import hashlib
+import logging
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import banachdiff
 from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
+from banachdiff import gaussmeasure
 from banachdiff.gaussmeasure import (
+    _BLOCK_ROWS,
     MAX_N,
     GaussianSpec,
+    _margins,
+    _sample_block,
     b2_tie_probability_oracle,
     default_spec,
     estimate_nondiff_measure,
+    estimate_nondiff_measures,
     gaussian_sample,
     standard_normal_spec,
     vakhania_check,
@@ -161,3 +171,104 @@ def test_measure_estimator_polices_inputs():
         standard_normal_spec(MAX_N + 1)
     with pytest.raises(PreconditionFailedError):
         b2_tie_probability_oracle(spec, -1.0)
+    with pytest.raises(PreconditionFailedError):
+        estimate_nondiff_measures(spec, 2, (), 10, seed=1)
+    with pytest.raises(PreconditionFailedError):
+        estimate_nondiff_measures(spec, 2, (0.1, -0.1), 10, seed=1)
+
+
+# -- the Monte-Carlo block pipeline --------------------------------------------
+
+# sha256 of full blocks of the default law at seed 11, frozen from the sampler
+# that built each block from separate uniform, normal and scaled arrays
+BLOCK_SHA256 = {
+    (1, 0): "910657844139a68a8eecebf8a5c0d9f8a69628271f271eba6c78aece19f8cfda",
+    (2, 3): "987930e4c5f647c929375f434a32bdd165bed4b076e3edb32ccfbe4fd71909c1",
+    (10, 0): "067d8563d673bfeae4d1ae288f4865eb60e2bb9a9f9e6d3793efe2977d07177c",
+    (64, 3): "ceb46810fd3b97990e9fbf1f7c6e5f704c22ff0d761a523c491acdaecb537f84",
+}
+
+
+@pytest.mark.parametrize("n, block", sorted(BLOCK_SHA256))
+def test_sample_blocks_are_frozen_and_short_blocks_are_prefixes(n, block):
+    full = _sample_block(default_spec(), n, 11, block)
+    assert full.shape == (_BLOCK_ROWS, n) and full.dtype == np.float64
+    assert hashlib.sha256(full.tobytes()).hexdigest() == BLOCK_SHA256[n, block]
+    for rows in (1, 999, _BLOCK_ROWS - 1):
+        assert np.array_equal(_sample_block(default_spec(), n, 11, block, rows), full[:rows])
+
+
+def _partition_margins(a):
+    """Top minus runner-up per row, as np.partition finds them."""
+    n = a.shape[1]
+    if n == 1:
+        return a[:, 0]
+    pair = np.partition(a, n - 2, axis=1)[:, n - 2:]
+    return pair.max(axis=1) - pair.min(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 64, MAX_N]),
+    rows=st.integers(1, 300),
+    levels=st.integers(1, 6),
+    zero_rows=st.integers(0, 3),
+    order=st.sampled_from("CF"),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, rows=5, levels=1, zero_rows=1, order="F", seed=0)
+@example(n=MAX_N, rows=300, levels=2, zero_rows=0, order="C", seed=1)
+def test_margins_equal_the_partition_reference_bit_for_bit(n, rows, levels, zero_rows, order, seed):
+    # few distinct magnitudes, so that exact ties at the top are common
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, levels, size=(rows, n)) * 0.375 + rng.integers(0, 2, size=(rows, n)) * 2.0**-40
+    a[rng.integers(0, rows, size=zero_rows)] = 0.0
+    want = _partition_margins(a)
+    got = _margins(np.asarray(a, order=order).copy(order=order))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_one_sample_for_every_delta_equals_one_call_per_delta(n):
+    spec = standard_normal_spec(2) if n <= 2 else default_spec()
+    deltas = (0.5, 0.0, 0.01, 0.1, 0.01)
+    multi = estimate_nondiff_measures(spec, n, deltas, _BLOCK_ROWS + 7, seed=13)
+    single = tuple(estimate_nondiff_measure(spec, n, d, _BLOCK_ROWS + 7, seed=13) for d in deltas)
+    assert multi == single
+    assert [e.delta for e in multi] == list(deltas)
+
+
+def test_exact_ties_are_counted_and_logged_alike_for_one_and_many_deltas(monkeypatch, caplog):
+    real = gaussmeasure._sample_block
+
+    def coarse(spec, n, seed, block, rows=_BLOCK_ROWS):
+        # quarter-unit rows: ties at the top are frequent
+        return np.round(real(spec, n, seed, block, rows) * 4.0) / 4.0
+
+    monkeypatch.setattr(gaussmeasure, "_sample_block", coarse)
+    deltas = (0.0, 0.25)
+    with caplog.at_level(logging.WARNING, logger=gaussmeasure.__name__):
+        single = tuple(estimate_nondiff_measure(default_spec(), 3, d, 5000, seed=2) for d in deltas)
+        single_logs = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        multi = estimate_nondiff_measures(default_spec(), 3, deltas, 5000, seed=2)
+        multi_logs = [r.getMessage() for r in caplog.records]
+    assert multi == single
+    assert multi[0].tie_hits > 0 and multi[0].fraction == multi[0].tie_hits / 5000
+    assert multi_logs and single_logs == multi_logs * len(deltas)
+
+
+def test_estimate_peaks_near_two_block_arrays():
+    n = 64
+    estimate_nondiff_measure(default_spec(), n, 0.1, 10, seed=1)  # import scipy first
+    block_bytes = _BLOCK_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_nondiff_measure(default_spec(), n, 0.1, 2 * _BLOCK_ROWS, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint64 draw and its float64 buffer, while one is converted to the
+    # other; the first block is gone before the second is drawn
+    assert peak <= 2.1 * block_bytes

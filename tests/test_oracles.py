@@ -37,6 +37,7 @@ from banachdiff.spaces import (
     Space,
     constant_fn,
     eval_norm,
+    linear_combine,
     point_to_dict,
     pw_from_values,
     pw_point,
@@ -174,6 +175,26 @@ def test_near_tie_witness_splits_at_the_tie_point_not_at_x():
     assert set(tr.forward_q) == {1.0} and set(tr.backward_q) == {-1.0}
     # at x itself the quotients along w agree: no witness there
     assert gateaux_verdict(f, x, [w]).status is VerdictStatus.GATEAUX
+
+
+@pytest.mark.parametrize(
+    "coords, witness, tie_point",
+    [
+        ([2.0, 1.8, 1.95], [1.0, 0.0, -1.0], [1.975, 1.8, 1.975]),
+        ([2.0, 1.75, 1.9375], [1.0, 0.0, -1.0], [1.96875, 1.75, 1.96875]),
+        ([-2.0, 1.9375, -1.75], [-1.0, -1.0, 0.0], [-1.96875, 1.96875, -1.75]),
+    ],
+)
+def test_near_tie_witness_pushes_the_runner_up_inward(coords, witness, tie_point):
+    # the runner-up, not the first coordinate within tie_tol in index order
+    x = seq_point(Space.LINF_SEQ, coords)
+    w = witness_linf(x, 0.25)
+    assert w.coords.tolist() == witness
+    top, second = sorted(np.abs(coords))[:-3:-1]
+    y = linear_combine(1.0, x, -(top - second) / 2.0, w)
+    assert y.coords.tolist() == tie_point
+    tr = one_sided_derivatives(norm_functional(Space.LINF_SEQ), y, w, TGrid(t0=2.0**-4, rho=0.5, count=9))
+    assert set(tr.forward_q) == {1.0} and set(tr.backward_q) == {-1.0}
 
 
 def test_double_peak_witness_splits_between_the_peaks():
