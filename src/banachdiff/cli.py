@@ -138,47 +138,47 @@ def _config_of(args) -> dict:
     return cfg
 
 
+def _setting(args, cfg: dict, flag: str, key: str, convert, default):
+    """``convert`` applied once to the first value given: the flag, the
+    config's ``key``, then ``default``.  A value that does not convert is
+    :class:`PreconditionFailedError`, whichever source gave it."""
+    value = getattr(args, flag, None)
+    if value is None:
+        value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionFailedError(f"{key} {value!r} is not usable: {exc}") from None
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {type(value).__name__}")
+    return tuple(int(d) for d in value)
+
+
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
 def _seed_of(args, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("BS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PreconditionFailedError(f"BS_SEED={env!r} is not an integer") from None
-    return BASE_SEED
+    return _setting(args, cfg, "seed", "seed", int, os.environ.get("BS_SEED", BASE_SEED))
 
 
 def _grid_of(args, cfg: dict) -> TGrid:
-    t0 = args.t0 if getattr(args, "t0", None) is not None else cfg.get("t0", DEFAULT_GRID.t0)
-    rho = args.rho if getattr(args, "rho", None) is not None else cfg.get("rho", DEFAULT_GRID.rho)
-    count = (
-        args.count_steps
-        if getattr(args, "count_steps", None) is not None
-        else cfg.get("count", DEFAULT_GRID.count)
+    return TGrid(
+        t0=_setting(args, cfg, "t0", "t0", float, DEFAULT_GRID.t0),
+        rho=_setting(args, cfg, "rho", "rho", float, DEFAULT_GRID.rho),
+        count=_setting(args, cfg, "count_steps", "count", int, DEFAULT_GRID.count),
     )
-    return TGrid(t0=float(t0), rho=float(rho), count=int(count))
 
 
 def _tol_of(args, cfg: dict) -> float:
-    if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    return float(cfg.get("tol", DEFAULT_TOL))
+    return _setting(args, cfg, "tol", "tol", float, DEFAULT_TOL)
 
 
 def _dims_of(args, cfg: dict) -> tuple[int, ...]:
-    raw = getattr(args, "dims", None)
-    if raw:
-        try:
-            return tuple(int(d) for d in raw.split(","))
-        except ValueError:
-            raise PreconditionFailedError(f"--dims {raw!r} must be comma-separated integers") from None
-    if "dims" in cfg:
-        return tuple(int(d) for d in cfg["dims"])
-    return _DEFAULT_DIMS
+    return _setting(args, cfg, "dims", "dims", _int_tuple, _DEFAULT_DIMS)
 
 
 def _np_default(obj):
@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
     p.add_argument("--t", type=int, required=True, help="truncation dimension")
-    p.add_argument("--dims", help="comma-separated truncation chain (default 2,3,5,8,13)")
+    p.add_argument("--dims", type=_comma_list,
+                   help="comma-separated truncation chain (default 2,3,5,8,13)")
     p.set_defaults(handler=_cmd_cyl)
 
     p = add_parser("compose", "chain-rule verdict for outer ∘ cylindrical")
@@ -437,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True, help=f"outer map: one of {sorted(OUTER_MAPS)}")
     p.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
     p.add_argument("--t", type=int, required=True, help="truncation dimension")
-    p.add_argument("--dims", help="comma-separated truncation chain (default 2,3,5,8,13)")
+    p.add_argument("--dims", type=_comma_list,
+                   help="comma-separated truncation chain (default 2,3,5,8,13)")
     p.set_defaults(handler=_cmd_compose)
 
     p = add_parser("suite", "run the acceptance suite")

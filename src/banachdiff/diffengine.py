@@ -130,20 +130,20 @@ class Functional:
         meets an evaluation that fails, each step is one call of ``f`` on
         ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
         error of the first step that fails.  Either way the values are the
-        same bit for bit.
+        same bit for bit, and no steps give an empty array.
         """
         steps = np.asarray(steps, dtype=float)
         if self.batch is not None:
             self._expect(x)
             rows = max(1, _BATCH_VALUES // (_width(x) + _width(h)))
+            values = np.empty(steps.shape[0])
             try:
-                values = np.concatenate(
-                    [self.batch(x, h, steps[i : i + rows]) for i in range(0, steps.shape[0], rows)]
-                )
+                for i in range(0, steps.shape[0], rows):
+                    values[i : i + rows] = self.batch(x, h, steps[i : i + rows])
+                if np.isfinite(values).all():
+                    return values
             except EvalFailureError:
-                values = None
-            if values is not None and np.isfinite(values).all():
-                return values
+                pass
         return np.array([self(linear_combine(1.0, x, float(s), h)) for s in steps])
 
 
@@ -299,9 +299,9 @@ class DiffVerdict:
 
 def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) -> float:
     """(f(x + t*h) - f(x)) / t, exactly as evaluated."""
-    if t == 0.0:
-        raise PreconditionFailedError("t must be nonzero")
-    return (f(linear_combine(1.0, x, float(t), h)) - f(x)) / t
+    if t == 0.0 or not math.isfinite(t):
+        raise PreconditionFailedError("t must be finite and nonzero", t=t)
+    return (float(f.along(x, h, [t])[0]) - f(x)) / t
 
 
 def _series_limit(qs: Sequence[float], tol: float, start: int = 0) -> float | None:
@@ -411,8 +411,8 @@ def one_sided_derivatives(
     evaluator (the norms and the cylinder bases), one point at a time
     otherwise.  The trace is the same either way, bit for bit.
     """
-    if not tol > 0.0:
-        raise PreconditionFailedError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     return _direction_trace(f, x, h, grid.steps(), tol, f(x), _size(x))
 
 
@@ -488,8 +488,8 @@ def gateaux_verdict(
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
-    if not tol > 0.0:
-        raise PreconditionFailedError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     fx, nx, steps = f(x), _size(x), grid.steps()
     traces: list[QuotientTrace] = []
     dirs = list(probe_dirs)
@@ -579,8 +579,8 @@ def hadamard_verdict(
     """
     if not perturbations:
         raise PreconditionFailedError("need at least one perturbation family")
-    if not tol > 0.0:
-        raise PreconditionFailedError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     fx, steps = f(x), grid.steps()
     base = _direction_trace(f, x, h, steps, tol, fx, _size(x))
     traces = [base]
@@ -641,42 +641,41 @@ def frechet_verdict(
     """Uniform first-order remainder check for a candidate derivative u.
 
     For each radius s the profile records max over unit samples h of
-    |f(x + s*h) - f(x) - s*u(h)| / s.  FRECHET requires the profile at
-    the smallest radius to sit below tol; on the piecewise-linear
-    functionals in scope the certified cases come out exactly 0.0.
+    |f(x + s*h) - f(x) - s*u(h)| / s.  Each sample is evaluated at every
+    radius in one :meth:`Functional.along`, so an evaluation that fails
+    raises the error of the first sample that fails, at its largest
+    failing radius.  FRECHET requires the profile at the smallest radius
+    to sit below tol; on the piecewise-linear functionals in scope the
+    certified cases come out exactly 0.0.
     """
     if not sphere_samples:
         raise PreconditionFailedError("need at least one unit-sphere sample")
-    radii = [float(s) for s in radii]
-    if not radii or any(s <= 0.0 for s in radii):
-        raise PreconditionFailedError("radii must be positive")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
+    radii = np.array(radii, dtype=float)
+    if not (radii.size and np.all((0.0 < radii) & (radii < math.inf))):
+        raise PreconditionFailedError("radii must be finite and positive")
+    if np.any(radii[1:] >= radii[:-1]):
         raise PreconditionFailedError("radii must be strictly decreasing")
     for h in sphere_samples:
         n = eval_norm(h).value
         if abs(n - 1.0) > 1e-9:
             raise PreconditionFailedError(f"sphere sample has norm {n!r}, expected 1")
     fx = f(x)
-    applied = [apply_rep(u, h) for h in sphere_samples]
-    profile = []
-    for s in radii:
-        worst = 0.0
-        for h, uh in zip(sphere_samples, applied):
-            rem = abs(f(linear_combine(1.0, x, s, h)) - fx - s * uh) / s
-            if rem > worst:
-                worst = rem
-        profile.append((s, worst))
+    worst = np.zeros(radii.shape[0])
+    for h in sphere_samples:
+        rem = np.abs(f.along(x, h, radii) - fx - radii * apply_rep(u, h)) / radii
+        np.maximum(worst, rem, out=worst)
+    profile = tuple(zip(radii.tolist(), worst.tolist()))
     ok = profile[-1][1] < tol
     if ok:
         return DiffVerdict(
             status=VerdictStatus.FRECHET,
             derivative=u,
-            remainder_profile=tuple(profile),
+            remainder_profile=profile,
         )
     return DiffVerdict(
         status=VerdictStatus.INCONCLUSIVE,
         derivative=u,
-        remainder_profile=tuple(profile),
+        remainder_profile=profile,
         detail="first-order remainder did not fall below tol at the smallest radius",
     )
 
@@ -731,8 +730,8 @@ def local_lipschitz_estimate(
     |f(y) - f(z)| / ||y - z||; pairs that collapse to a single point are
     skipped.
     """
-    if not radius > 0.0:
-        raise PreconditionFailedError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise PreconditionFailedError("radius must be finite and positive", radius=radius)
     if pair_count < 1:
         raise PreconditionFailedError("pair_count must be >= 1")
     rng = philox_gen(seed)

@@ -70,8 +70,8 @@ class GaussianSpec:
     law: str | None = "inv_log"
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise PreconditionFailedError("r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise PreconditionFailedError("r must be finite and positive", r=self.r)
         object.__setattr__(self, "variances", tuple(float(s) for s in self.variances))
         for s in self.variances:
             if not s > 0.0:
@@ -254,8 +254,8 @@ def estimate_nondiff_measures(
     deltas = tuple(deltas)
     if not deltas:
         raise PreconditionFailedError("need at least one delta")
-    if any(d < 0.0 for d in deltas):
-        raise PreconditionFailedError("delta must be nonnegative")
+    if not all(0.0 <= d < math.inf for d in deltas):
+        raise PreconditionFailedError("delta must be finite and nonnegative", deltas=list(deltas))
     hits = [0] * len(deltas)
     ties = 0
     for block, take in _blocks(count):
@@ -281,8 +281,8 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     density of |X_1| times the probability that |X_2| lands within delta
     of u.  Entirely independent of the Monte-Carlo sampler.
     """
-    if delta < 0.0:
-        raise PreconditionFailedError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise PreconditionFailedError("delta must be finite and nonnegative", delta=delta)
     if delta == 0.0:
         return 0.0
     from scipy.integrate import quad

@@ -169,8 +169,8 @@ def oracle_linf(x: SpacePoint, eps: float) -> LinearFunctionalRep | None:
     sig(x_p)*(x_p + h_p), so the first-order remainder is identically zero.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
-    if not eps > 0.0:
-        raise PreconditionFailedError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     report = classify(x, eps)
     if not report.in_B:
         return None
@@ -204,8 +204,8 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
 def _peak_oracle(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
     """The signed point evaluation at the peak t0 and with the gap that
     ``classify(f, rho)`` certifies, or None where it rejects f."""
-    if rho <= 0.0:
-        raise PreconditionFailedError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise PreconditionFailedError("rho must be finite and positive", rho=rho)
     if np.any(f.jumps() != 0.0):
         raise PreconditionFailedError("a sup-norm oracle needs a continuous representation")
     report = classify(f, rho)
@@ -240,8 +240,8 @@ def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
     ``[sig(x_1) or 1]``, a witness at the origin, within tie_tol of x.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
-    if tie_tol < 0.0:
-        raise PreconditionFailedError("tie_tol must be nonnegative")
+    if not 0.0 <= tie_tol < np.inf:
+        raise PreconditionFailedError("tie_tol must be finite and nonnegative", tie_tol=tie_tol)
     abs_c = np.abs(x.coords)
     first = int(abs_c.argmax())
     top = float(abs_c[first])

@@ -33,6 +33,7 @@ from .diffengine import (
     VerdictStatus,
     _checked,
     _quotient_trace,
+    _unit_ball_directions,
     gateaux_verdict,
     one_sided_derivatives,
 )
@@ -81,9 +82,11 @@ class ProjectiveSystem:
 
     ``connect(s, t, v)`` truncates a length-t coordinate list to its
     first s entries (s <= t, both listed); ``project(t, x)`` truncates a
-    sequence-space point to the finite model of dimension t.  The
-    composition identity connect(s,t) ∘ connect(t,w) = connect(s,w) is
-    checked on construction for every listed triple.
+    sequence-space point to the finite model of dimension t; both raise
+    :class:`BadDimsError` for a dimension that is not listed.  Construction
+    checks only the dimensions themselves: :func:`make_truncation_system`
+    also checks the composition identity
+    connect(s,t) ∘ connect(t,w) = connect(s,w) for every listed triple.
     """
 
     dims: tuple[int, ...]
@@ -218,8 +221,6 @@ def make_cylinder(base_name: str, t: int) -> CylindricalFunction:
 
 def cyl_eval(cf: CylindricalFunction, sys_: ProjectiveSystem, x: SpacePoint) -> float:
     """Evaluate the cylindrical function: base map after projection."""
-    if cf.base_dim not in sys_.dims:
-        raise BadDimsError(f"base dimension {cf.base_dim} is not part of the system", dims=sys_.dims)
     return cf.base(sys_.project(cf.base_dim, x))
 
 
@@ -251,8 +252,6 @@ def cyl_gateaux(
     to full directions through truncation built into their evaluation,
     and failure witnesses are zero-padded back up.
     """
-    if cf.base_dim not in sys_.dims:
-        raise BadDimsError(f"base dimension {cf.base_dim} is not part of the system", dims=sys_.dims)
     xt = sys_.project(cf.base_dim, x)
     ht = sys_.project(cf.base_dim, h)
     below = gateaux_verdict(cf.base, xt, [ht], grid, tol)
@@ -271,45 +270,34 @@ def lipschitz_factor_check(
 ) -> tuple[float, float, bool]:
     """Estimate Lipschitz constants upstairs and downstairs and compare.
 
-    Samples antipodal pairs in the full-space ball around x, rates the
-    full function on them, and rates the base map on the projected pairs.
-    Projection can only shrink the denominator norm, so each projected
-    ratio is at least its full-space counterpart and the estimates must
-    come out ordered k_full <= k_base (up to a 1e-12 float allowance);
-    the returned flag asserts exactly that, plus finiteness.
+    Takes ``pair_count`` directions d of unit norm in x's space from the
+    sampler of :func:`~banachdiff.diffengine.local_lipschitz_estimate`,
+    seeded by ``seed``; rates the full function on the antipodal pairs
+    x ± (radius/2)·d, which lie in the radius ball around x, and the base
+    map on the projected pairs.  Projection can only shrink the
+    denominator norm, so each projected ratio is at least its full-space
+    counterpart and the estimates must come out ordered k_full <= k_base
+    (up to a 1e-12 float allowance); the returned flag asserts exactly
+    that, plus finiteness.
 
-    Raises if every sampled value of the function agrees — a constant
-    function has no Lipschitz geometry worth reporting.
+    Raises :class:`BadDimsError` if the base dimension is not a stage of
+    the system, and if every sampled value of the function agrees — a
+    constant function has no Lipschitz geometry worth reporting.
     """
-    if cf.base_dim not in sys_.dims:
-        raise BadDimsError(f"base dimension {cf.base_dim} is not part of the system", dims=sys_.dims)
-    if not radius > 0.0:
-        raise PreconditionFailedError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise PreconditionFailedError("radius must be finite and positive", radius=radius)
     if pair_count < 1:
         raise PreconditionFailedError("pair_count must be >= 1")
     f_full = full_functional(cf, sys_)
     t = cf.base_dim
-    rng = philox_gen(seed)
     c = radius / 2.0
-    n = x.dim
-    eye = np.eye(n)
     k_full = 0.0
     k_base = 0.0
     seen_lo = math.inf
     seen_hi = -math.inf
-    for i in range(pair_count):
-        mode = i % 3
-        if mode == 0:
-            d = rng.choice([-1.0, 1.0], size=n)
-        elif mode == 1:
-            d = eye[i % n].copy()
-        else:
-            d = rng.uniform(-1.0, 1.0, size=n)
-            if not np.any(d):
-                continue
-        du = seq_point(x.space, d / np.max(np.abs(d)))
-        y = linear_combine(1.0, x, c, du)
-        z = linear_combine(1.0, x, -c, du)
+    for d in _unit_ball_directions(x, philox_gen(seed), pair_count):
+        y = linear_combine(1.0, x, c, d)
+        z = linear_combine(1.0, x, -c, d)
         fy, fz = f_full(y), f_full(z)
         seen_lo, seen_hi = min(seen_lo, fy, fz), max(seen_hi, fy, fz)
         gap_full = eval_norm(subtract(y, z)).value

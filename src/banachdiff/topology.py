@@ -86,8 +86,8 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     (eps = 0 degrades to the pure uniqueness test).  NBV_AB points are
     never members: a fresh unit jump direction defeats every point.
     """
-    if eps < 0.0:
-        raise PreconditionFailedError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise PreconditionFailedError("eps must be finite and nonnegative", eps=eps)
     if x.space is Space.L1_SEQ:
         abs_c = np.abs(x.coords)
         m = int(abs_c.argmin())
@@ -213,8 +213,8 @@ def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
     """
     if x.space is not Space.L1_SEQ:
         raise PreconditionFailedError("densify_l1 needs an L1_SEQ point")
-    if not eps > 0.0:
-        raise PreconditionFailedError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     y = x.coords.copy()
     zeros = np.flatnonzero(y == 0.0)
     y[zeros] = eps * 2.0 ** -(zeros.astype(float) + 2.0)
@@ -230,8 +230,8 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
     """
     if x.space not in (Space.LINF_SEQ, Space.RT):
         raise PreconditionFailedError("densify_linf needs a max-norm sequence point")
-    if not eps > 0.0:
-        raise PreconditionFailedError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     abs_c = np.abs(x.coords)
     p = int(abs_c.argmax())
     norm = float(abs_c[p])
@@ -251,8 +251,8 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     """
     if f.space is not Space.C_AB:
         raise PreconditionFailedError("densify_csup needs a C_AB point")
-    if not eps > 0.0:
-        raise PreconditionFailedError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     if classify(f, 0.0).in_B:
         return f
     _, peaks = _peak_sites(f)

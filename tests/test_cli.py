@@ -227,6 +227,12 @@ def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     assert doc["error"]["code"] == "EVAL_FAILURE"
 
 
+def _fresh_run(argv):
+    """The CLI in a fresh interpreter, so that stderr shows what a user would see."""
+    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -236,11 +242,7 @@ def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     ids=["combination", "norm"],
 )
 def test_overflow_exits_3_without_numpy_warnings(argv):
-    # a fresh interpreter, so that stderr shows what a user would see
-    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env
-    )
+    run = _fresh_run(argv)
     assert run.returncode == 3
     assert json.loads(run.stdout)["error"]["code"] == "EVAL_FAILURE"
     assert run.stderr == ""
@@ -252,13 +254,29 @@ def test_overflow_exits_3_without_numpy_warnings(argv):
     ids=["underflowing-steps", "infinite-t0"],
 )
 def test_unusable_step_grid_exits_2_without_numpy_warnings(grid_flags):
-    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
-    argv = ["diff", "--space", "linf", "--point", "[3,1]", "--dir", "[1,0]", *grid_flags]
-    run = subprocess.run(
-        [sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env
-    )
+    run = _fresh_run(["diff", "--space", "linf", "--point", "[3,1]", "--dir", "[1,0]", *grid_flags])
     assert run.returncode == 2
     assert json.loads(run.stdout)["error"]["code"] == "PRECONDITION_FAILED"
+    assert run.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--space", "linf", "--point", "[2, 2]", "--tie-tol", "nan"],
+        ["classify", "--space", "linf", "--point", "[2, 1]", "--eps", "nan"],
+        ["measure", "--n", "2", "--delta", "nan", "--count", "100"],
+        ["measure", "--n", "2", "--delta", "inf", "--count", "100"],
+        ["diff", "--space", "linf", "--point", "[3, 1]", "--dir", "[1, 0]", "--tol", "inf"],
+        ["vakhania", "--N", "10", "--r", "inf"],
+        ["densify", "--space", "l1", "--point", "[1, 0]", "--eps", "inf"],
+    ],
+    ids=["tie-tol-nan", "eps-nan", "delta-nan", "delta-inf", "tol-inf", "r-inf", "densify-eps-inf"],
+)
+def test_non_finite_number_exits_2_without_warnings(argv):
+    run = _fresh_run(argv)
+    assert run.returncode == 2
+    assert json.loads(run.stdout, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"
     assert run.stderr == ""
 
 
@@ -408,3 +426,26 @@ def test_bs_seed_must_be_an_integer(capsys, monkeypatch):
     )
     assert rc == 2
     assert doc["error"]["code"] == "PRECONDITION_FAILED"
+
+
+DIFF_ARGV = ["diff", "--space", "linf", "--point", "[3, 1]", "--dir", "[1, 0]"]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"t0": "abc"}, DIFF_ARGV),
+        ({"tol": None}, DIFF_ARGV),
+        ({"count": [3]}, DIFF_ARGV),
+        ({"dims": "2,3"}, ["cyl", "--base", "supnorm", "--t", "3", "--space", "linf", "--point", "[1, 2, 3]"]),
+        ({"seed": "x"}, ["measure", "--n", "2", "--delta", "0.01", "--count", "100"]),
+    ],
+    ids=["t0-string", "tol-null", "count-list", "dims-string", "seed-string"],
+)
+def test_malformed_config_value_exits_2(capsys, tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(argv + ["--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"

@@ -21,6 +21,7 @@ from banachdiff.diffengine import (
     TGrid,
     VerdictStatus,
     _series_limit,
+    _unit_ball_directions,
     directional_quotient,
     frechet_verdict,
     gateaux_verdict,
@@ -35,7 +36,7 @@ from banachdiff.errors import (
     PreconditionFailedError,
     SpaceMismatchError,
 )
-from banachdiff.oracles import apply_rep, oracle_csup, oracle_linf, witness_linf
+from banachdiff.oracles import apply_rep, coeff_rep, oracle_csup, oracle_linf, point_mass_rep, witness_linf
 from banachdiff.projective import CYL_BASES
 from banachdiff.spaces import (
     FUNCTION_SPACES,
@@ -91,8 +92,9 @@ def test_grid_accepts_a_smallest_step_at_the_least_normal_float():
 def test_directional_quotient_rejects_zero_step():
     f = norm_functional(Space.L1_SEQ)
     x = seq_point(Space.L1_SEQ, [1.0])
-    with pytest.raises(PreconditionFailedError):
-        directional_quotient(f, x, x, 0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(PreconditionFailedError):
+            directional_quotient(f, x, x, t)
 
 
 def test_non_finite_values_are_eval_failures():
@@ -330,6 +332,9 @@ def test_frechet_polices_its_inputs():
         frechet_verdict(f, x, u, [e1], [0.125, 0.25])  # radii must decrease
     with pytest.raises(PreconditionFailedError):
         frechet_verdict(f, x, u, [], [0.25])
+    for radii in ([], [math.inf, 0.25], [0.25, math.nan], [0.25, 0.0]):
+        with pytest.raises(PreconditionFailedError):
+            frechet_verdict(f, x, u, [e1], radii)
 
 
 # -- Lipschitz sampling ------------------------------------------------------
@@ -350,6 +355,8 @@ def test_lipschitz_estimate_polices_inputs():
     x = seq_point(Space.L1_SEQ, [1.0])
     with pytest.raises(PreconditionFailedError):
         local_lipschitz_estimate(f, x, 0.0, 8, seed=1)
+    with pytest.raises(PreconditionFailedError):
+        local_lipschitz_estimate(f, x, math.inf, 8, seed=1)
     with pytest.raises(PreconditionFailedError):
         local_lipschitz_estimate(f, x, 0.5, 0, seed=1)
 
@@ -430,6 +437,9 @@ def test_batch_traces_equal_the_scalar_path_bitwise(seed, space, on_lattice, gri
     assert f.batch is not None
     batched = one_sided_derivatives(f, x, h, grid)
     assert _bits(batched) == _bits(one_sided_derivatives(_scalar(f), x, h, grid))
+    for steps in (grid.steps(), np.empty(0)):
+        values = f.along(x, h, steps)
+        assert values.dtype == float and values.tobytes() == _scalar(f).along(x, h, steps).tobytes()
     verdict = gateaux_verdict(f, x, [h], grid)
     scalar_verdict = gateaux_verdict(_scalar(f), x, [h], grid)
     assert json.dumps(verdict.to_dict(), default=float) == json.dumps(scalar_verdict.to_dict(), default=float)
@@ -510,3 +520,49 @@ def test_infinite_step_raises_alike_in_batch_and_scalar_paths():
             g.along(x, h, np.array([1.0, math.inf]))
         errors.append((str(info.value), info.value.context))
     assert errors[0] == errors[1]
+
+
+# -- Fréchet profiles and unit-ball directions ---------------------------------
+
+
+def _pointwise_profile(f, x, u, samples, radii):
+    """The remainder profile as a loop over radii, then samples, one
+    ``linear_combine`` and one evaluation per pair."""
+    fx = f(x)
+    applied = [apply_rep(u, h) for h in samples]
+    profile = []
+    for s in radii:
+        worst = 0.0
+        for h, uh in zip(samples, applied):
+            rem = abs(f(linear_combine(1.0, x, s, h)) - fx - s * uh) / s
+            if rem > worst:
+                worst = rem
+        profile.append((s, worst))
+    return profile
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Space)), st.booleans(), st.booleans())
+def test_frechet_profile_equals_the_pointwise_loop_bitwise(seed, space, on_lattice, batched):
+    rng = np.random.default_rng(seed)
+    x = _random_point(rng, space, on_lattice, int(rng.integers(1, 9)))
+    samples = _unit_ball_directions(x, rng, int(rng.integers(1, 7)))
+    if x.coords is not None:
+        u = coeff_rep(lattice(rng, -1.0, 1.0, x.dim) if on_lattice else rng.uniform(-1.0, 1.0, x.dim))
+    else:
+        u = point_mass_rep(float(rng.uniform(x.a, x.b)), float(rng.choice([-1.0, 1.0])))
+    radii = [0.25, 0.125, 0.0625] if on_lattice else sorted(rng.uniform(1e-6, 1.0, 3).tolist(), reverse=True)
+    f = norm_functional(space) if batched else _scalar(norm_functional(space))
+    got = frechet_verdict(f, x, u, samples, radii).remainder_profile
+    want = _pointwise_profile(f, x, u, samples, radii)
+    assert [(s.hex(), r.hex()) for s, r in got] == [(s.hex(), r.hex()) for s, r in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Space)), st.booleans())
+def test_unit_ball_directions_are_unit_in_the_space_norm(seed, space, on_lattice):
+    rng = np.random.default_rng(seed)
+    x = _random_point(rng, space, on_lattice, int(rng.integers(1, 14)))
+    for d in _unit_ball_directions(x, rng, 12):
+        assert d.space is space
+        assert abs(eval_norm(d).value - 1.0) <= 1e-12

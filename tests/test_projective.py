@@ -145,6 +145,10 @@ def test_cylinder_requires_a_stage_of_the_system():
     x = seq_point(Space.LINF_SEQ, [1.0] * 13)
     with pytest.raises(BadDimsError):
         cyl_eval(cf, sys_, x)
+    with pytest.raises(BadDimsError):
+        cyl_gateaux(cf, sys_, x, x)
+    with pytest.raises(BadDimsError):
+        lipschitz_factor_check(cf, sys_, x, 0.5, 8, seed=1)
     with pytest.raises(PreconditionFailedError):
         make_cylinder("no_such_base", 3)
 
@@ -208,6 +212,25 @@ def test_lipschitz_factors_for_the_sup_base():
     k_full, k_base, flag = lipschitz_factor_check(sup, sys_, x, 0.5, 64, seed=321)
     assert flag
     assert k_full == 1.0 and k_base == 1.0
+
+
+def test_lipschitz_pairs_stay_in_the_ball_of_the_space_norm():
+    # the pairs x ± (radius/2)·d use directions of unit norm in x's space:
+    # for a 13-coordinate L1_SEQ point every pair lies within radius/2 of x
+    sys_ = make_truncation_system(DIMS)
+    x = seq_point(Space.L1_SEQ, lattice(np.random.default_rng(5), -2.0, 2.0, 13))
+    seen = []
+
+    def record(p):
+        seen.append(p.coords.copy())
+        return float(np.abs(p.coords).sum())
+
+    cf = CylindricalFunction("l1_13", 13, Functional("l1_13", record, Space.RT))
+    lipschitz_factor_check(cf, sys_, x, 0.5, 64, seed=123)
+    assert seen
+    assert max(np.abs(y - x.coords).sum() for y in seen) <= 0.25 * (1.0 + 1e-12)
+    with pytest.raises(PreconditionFailedError):
+        lipschitz_factor_check(cf, sys_, x, float("inf"), 8, seed=1)
 
 
 def test_lipschitz_check_refuses_constant_samples():
