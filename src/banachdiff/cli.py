@@ -12,14 +12,24 @@ and for ``suite`` 1 when a criterion fails.
 A JSON config file (``--config``) may supply defaults for the step
 grid, tolerance, truncation dimensions, and seed; explicit flags win.
 The ``BS_SEED`` environment variable supplies the seed when neither a
-flag nor the config does.  ``--threads`` is accepted for interface
-stability and ignored: nothing runs in parallel.  It is deliberately left
-out of the echoed inputs.
+flag nor the config does.  Seeds are non-negative integers, and an
+integer setting (``count``, ``seed``, the ``dims`` entries) that is a
+bool or not integral exits 2 rather than being truncated.  ``--threads``
+is accepted for interface stability and ignored: nothing runs in
+parallel.  It is deliberately left out of the echoed inputs.
+
+The parser is built once per process, on the first call of :func:`main`;
+the config, ``BS_SEED`` and the help width are still read on every call,
+and the handler is looked up by the subcommand's name, so :func:`main`
+may be called repeatedly in one process and each report is byte-identical
+to the one a fresh process writes.  :func:`build_parser` returns a new
+parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -151,10 +161,20 @@ def _setting(args, cfg: dict, flag: str, key: str, convert, default):
         raise PreconditionFailedError(f"{key} {value!r} is not usable: {exc}") from None
 
 
+def _integer(value) -> int:
+    """``value`` as an int, never by truncation: a bool or a non-integral
+    number is refused, while ``20.0`` and ``"20"`` convert."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a bool")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of integers, got {type(value).__name__}")
-    return tuple(int(d) for d in value)
+    return tuple(_integer(d) for d in value)
 
 
 def _comma_list(text: str) -> list[str]:
@@ -162,14 +182,14 @@ def _comma_list(text: str) -> list[str]:
 
 
 def _seed_of(args, cfg: dict) -> int:
-    return _setting(args, cfg, "seed", "seed", int, os.environ.get("BS_SEED", BASE_SEED))
+    return _setting(args, cfg, "seed", "seed", _integer, os.environ.get("BS_SEED", BASE_SEED))
 
 
 def _grid_of(args, cfg: dict) -> TGrid:
     return TGrid(
         t0=_setting(args, cfg, "t0", "t0", float, DEFAULT_GRID.t0),
         rho=_setting(args, cfg, "rho", "rho", float, DEFAULT_GRID.rho),
-        count=_setting(args, cfg, "count_steps", "count", int, DEFAULT_GRID.count),
+        count=_setting(args, cfg, "count_steps", "count", _integer, DEFAULT_GRID.count),
     )
 
 
@@ -383,17 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("norm", "evaluate the space norm of a point")
     _add_point_flags(p)
-    p.set_defaults(handler=_cmd_norm)
 
     p = add_parser("diff", "differentiability verdict along a direction")
     _add_point_flags(p, with_dir=True)
     _add_grid_flags(p)
-    p.set_defaults(handler=_cmd_diff)
 
     p = add_parser("classify", "membership test for the differentiability set")
     _add_point_flags(p)
     p.add_argument("--eps", type=float, default=0.0, help="required dominance margin")
-    p.set_defaults(handler=_cmd_classify)
 
     p = add_parser("witness", "direction with split one-sided derivatives")
     _add_point_flags(p)
@@ -402,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "near tie the direction is an exact +1/-1 witness at the tie point "
                    "x - (m/2)*dir, m the gap of the two coordinates it moves, which "
                    "lies within tie_tol/2 of x, not at x itself")
-    p.set_defaults(handler=_cmd_witness)
 
     p = add_parser("densify", "repair a point into the differentiability set")
     _add_point_flags(p)
     p.add_argument("--eps", type=float, required=True, help="maximum repair distance")
-    p.set_defaults(handler=_cmd_densify)
 
     p = add_parser("measure", "Monte Carlo mass of the near-tie set")
     p.add_argument("--n", type=int, required=True, help=f"number of coordinates, at most {MAX_N}")
@@ -416,12 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (default: BS_SEED or built-in)")
     p.add_argument("--law", choices=("inv_log", "std"), default="inv_log",
                    help="variance law: default decaying law or unit variances")
-    p.set_defaults(handler=_cmd_measure)
 
     p = add_parser("vakhania", "summability check for the Gaussian law")
     p.add_argument("--N", type=int, required=True, help="number of series terms")
     p.add_argument("--r", type=float, help="exponential rate (default 2.0)")
-    p.set_defaults(handler=_cmd_vakhania)
 
     p = add_parser("cyl", "evaluate/differentiate a cylindrical function")
     _add_point_flags(p, with_dir=True)
@@ -430,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="truncation dimension")
     p.add_argument("--dims", type=_comma_list,
                    help="comma-separated truncation chain (default 2,3,5,8,13)")
-    p.set_defaults(handler=_cmd_cyl)
 
     p = add_parser("compose", "chain-rule verdict for outer ∘ cylindrical")
     _add_point_flags(p, with_dir=True)
@@ -440,22 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="truncation dimension")
     p.add_argument("--dims", type=_comma_list,
                    help="comma-separated truncation chain (default 2,3,5,8,13)")
-    p.set_defaults(handler=_cmd_compose)
 
     p = add_parser("suite", "run the acceptance suite")
     p.add_argument("--seed", type=int, help="base seed (default: BS_SEED or built-in)")
-    p.set_defaults(handler=_cmd_suite)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     output = getattr(args, "output", None)
     try:
         cfg = _config_of(args)
-        echo, result = args.handler(args, cfg)
+        # looked up at call time, so a rebound handler is the one that runs
+        echo, result = globals()[f"_cmd_{args.command}"](args, cfg)
         text = _render(
             {
                 "command": args.command,

@@ -1,10 +1,13 @@
 """Command-line interface: JSON reports, exit codes, flags, and config."""
 
+import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -227,9 +230,13 @@ def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     assert doc["error"]["code"] == "EVAL_FAILURE"
 
 
-def _fresh_run(argv):
-    """The CLI in a fresh interpreter, so that stderr shows what a user would see."""
+def _fresh_run(argv, bs_seed=None):
+    """The CLI in a fresh interpreter, so that stderr shows what a user would see.
+    ``BS_SEED`` is set to ``bs_seed``, or unset when it is None."""
     env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    env.pop("BS_SEED", None)
+    if bs_seed is not None:
+        env["BS_SEED"] = bs_seed
     return subprocess.run([sys.executable, "-m", "banachdiff", *argv], capture_output=True, text=True, env=env)
 
 
@@ -429,6 +436,8 @@ def test_bs_seed_must_be_an_integer(capsys, monkeypatch):
 
 
 DIFF_ARGV = ["diff", "--space", "linf", "--point", "[3, 1]", "--dir", "[1, 0]"]
+CYL_ARGV = ["cyl", "--base", "supnorm", "--t", "3", "--space", "linf", "--point", "[1, 2, 3]"]
+MEASURE_ARGV = ["measure", "--n", "2", "--delta", "0.01", "--count", "100"]
 
 
 @pytest.mark.parametrize(
@@ -437,10 +446,15 @@ DIFF_ARGV = ["diff", "--space", "linf", "--point", "[3, 1]", "--dir", "[1, 0]"]
         ({"t0": "abc"}, DIFF_ARGV),
         ({"tol": None}, DIFF_ARGV),
         ({"count": [3]}, DIFF_ARGV),
-        ({"dims": "2,3"}, ["cyl", "--base", "supnorm", "--t", "3", "--space", "linf", "--point", "[1, 2, 3]"]),
-        ({"seed": "x"}, ["measure", "--n", "2", "--delta", "0.01", "--count", "100"]),
+        ({"dims": "2,3"}, CYL_ARGV),
+        ({"seed": "x"}, MEASURE_ARGV),
+        ({"count": 20.7}, DIFF_ARGV),
+        ({"dims": [2.5, 3]}, CYL_ARGV),
+        ({"seed": 1.5}, MEASURE_ARGV),
+        ({"seed": True}, MEASURE_ARGV),
     ],
-    ids=["t0-string", "tol-null", "count-list", "dims-string", "seed-string"],
+    ids=["t0-string", "tol-null", "count-list", "dims-string", "seed-string",
+         "count-fraction", "dims-fraction", "seed-fraction", "seed-bool"],
 )
 def test_malformed_config_value_exits_2(capsys, tmp_path, config, argv):
     cfg = tmp_path / "cfg.json"
@@ -449,3 +463,141 @@ def test_malformed_config_value_exits_2(capsys, tmp_path, config, argv):
     out, err = capsys.readouterr()
     assert rc == 2 and err == ""
     assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"
+
+
+def test_integral_config_values_still_convert(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 20.0, "dims": [2.0, 3]}))
+    rc, doc = run_cli(capsys, DIFF_ARGV + ["--config", str(cfg)])
+    assert rc == 0 and doc["inputs"]["grid"]["count"] == 20
+    rc, doc = run_cli(capsys, CYL_ARGV + ["--config", str(cfg)])
+    assert rc == 0 and doc["inputs"]["dims"] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv, config, bs_seed",
+    [
+        (MEASURE_ARGV + ["--seed", "-1"], None, None),
+        (["suite", "--seed", "-1"], None, None),
+        (MEASURE_ARGV, {"seed": -1}, None),
+        (MEASURE_ARGV, None, "-1"),
+    ],
+    ids=["measure-flag", "suite-flag", "config", "environment"],
+)
+def test_negative_seed_exits_2(capsys, monkeypatch, tmp_path, argv, config, bs_seed):
+    monkeypatch.delenv("BS_SEED", raising=False)
+    if bs_seed is not None:
+        monkeypatch.setenv("BS_SEED", bs_seed)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"
+
+
+# -- one parser per process ---------------------------------------------------
+
+README_EXAMPLES = [
+    ["norm", "--space", "l1", "--point", "[1.0, -2.0, 0.5]"],
+    ["diff", "--space", "linf", "--point", "[3, 1, 0.5]", "--dir", "[1, 0, 0]"],
+    ["classify", "--space", "linf", "--point", "[3.0, 1.0, 0.5]"],
+    ["witness", "--space", "linf", "--point", "[2.0, -2.0, 1.0]"],
+    ["densify", "--space", "linf", "--point", "[1.0, 0.0125, 0.5]", "--eps", "0.25"],
+    ["measure", "--n", "2", "--delta", "0.01", "--count", "20000", "--seed", "7", "--law", "std"],
+    ["vakhania", "--N", "1000"],
+    ["cyl", "--base", "wseries_partial", "--t", "3", "--space", "linf",
+     "--point", "[1.0, -1.0, 2.0, 0.25, 0.125]", "--dir", "[1, 1, 1, 0, 0]"],
+    ["compose", "--outer", "square", "--base", "wseries_partial", "--t", "3",
+     "--space", "linf", "--point", "[1.0, -1.0, 2.0, 0.25, 0.125]",
+     "--dir", "[1, 1, 1, 0, 0]", "--t0", "0.0078125", "--count-steps", "20", "--tol", "1e-6"],
+]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for argv in README_EXAMPLES:
+            assert cli.main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert {argv[0] for argv in README_EXAMPLES} == set(_subparsers(build_parser())) - {"suite"}
+    assert len(builds) == 1
+
+
+def test_repeated_requests_in_one_process_match_fresh_runs(capsys, monkeypatch, tmp_path):
+    # each report, usage error included, equals the one a fresh process writes
+    monkeypatch.setenv("COLUMNS", "80")
+    cab, nbv = tmp_path / "cab.json", tmp_path / "nbv.json"
+    cab.write_text(point_to_json(constant_fn(Space.C_AB, 0.0, 1.0, 1.0)))
+    nbv.write_text(point_to_json(constant_fn(Space.NBV_AB, 0.0, 1.0, 0.0)))
+    errors = [
+        ["norm", "--space", "l1", "--point", "[]"],
+        ["norm", "--space", "linf", "--point", "[1.0, 2.0"],
+        ["norm", "--space", "linf", "--file", str(cab)],
+        ["witness", "--space", "linf", "--point", "[3.0, 1.0]"],
+        ["densify", "--file", str(nbv), "--eps", "0.25"],
+        ["cyl", "--base", "wseries_partial", "--t", "4", "--space", "linf",
+         "--point", "[1.0, 2.0, 3.0, 4.0, 5.0]"],
+    ]
+    norm = README_EXAMPLES[0]
+    requests = [(argv, None) for argv in README_EXAMPLES + errors]
+    requests += [(["norm", "--no-such-flag"], None), (["--threads", "4", *norm], None),
+                 ([*norm, "--threads", "4"], None)]
+    rng = random.Random(9)
+    rng.shuffle(requests)
+    # the parser is built by a measure request under BS_SEED, which is
+    # unset again for a later one
+    requests.insert(0, (MEASURE_ARGV, "7"))
+    requests.insert(rng.randrange(1, len(requests) + 1), (MEASURE_ARGV, None))
+    cli._parser.cache_clear()
+
+    def in_process(argv, bs_seed):
+        monkeypatch.delenv("BS_SEED", raising=False)
+        if bs_seed is not None:
+            monkeypatch.setenv("BS_SEED", bs_seed)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got = [in_process(*req) for req in requests]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda req: _fresh_run(*req), requests))
+    assert {code for code, _out, _err in got} == {0, 2}
+    for req, mine, run in zip(requests, got, runs):
+        assert mine == (run.returncode, run.stdout, run.stderr), req
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["diff", "--help"]], ids=["main", "diff"])
+def test_help_matches_a_freshly_built_parser(capsys, monkeypatch, argv):
+    # the cached parser was built, and has parsed, at another help width
+    monkeypatch.setenv("COLUMNS", "120")
+    cli._parser.cache_clear()
+    assert cli.main(DIFF_ARGV) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    fresh = cli.build_parser()
+    if argv[0] == "diff":
+        fresh = _subparsers(fresh)["diff"]
+    assert capsys.readouterr().out == fresh.format_help()

@@ -57,6 +57,11 @@ def test_spec_validation():
         GaussianSpec(law="no_such_law")
 
 
+def test_negative_seed_is_a_precondition_failure():
+    with pytest.raises(PreconditionFailedError):
+        estimate_nondiff_measure(standard_normal_spec(2), 2, 0.1, 10, seed=-1)
+
+
 def test_default_law_variances_decay():
     spec = default_spec()
     v = [spec.variance_at(k) for k in range(1, 6)]
