@@ -22,8 +22,10 @@ The parser is built once per process, on the first call of :func:`main`;
 the config, ``BS_SEED`` and the help width are still read on every call,
 and the handler is looked up by the subcommand's name, so :func:`main`
 may be called repeatedly in one process and each report is byte-identical
-to the one a fresh process writes.  :func:`build_parser` returns a new
-parser on every call.
+to the one a fresh process writes.  Only such repeated calls skip the
+build: the console script and ``python -m banachdiff`` call :func:`main`
+once per process.  :func:`build_parser` returns a new parser on every
+call.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def _setting(args, cfg: dict, flag: str, key: str, convert, default):
 
 def _integer(value) -> int:
     """``value`` as an int, never by truncation: a bool or a non-integral
-    number is refused, while ``20.0`` and ``"20"`` convert."""
+    number is refused, while the JSON number ``20.0`` converts.  A string
+    (``BS_SEED``, a quoted config value) must be an integer literal:
+    ``"20"`` converts, ``"20.0"`` is refused."""
     if isinstance(value, bool):
         raise TypeError("expected an integer, got a bool")
     if isinstance(value, float) and not value.is_integer():

@@ -452,9 +452,10 @@ MEASURE_ARGV = ["measure", "--n", "2", "--delta", "0.01", "--count", "100"]
         ({"dims": [2.5, 3]}, CYL_ARGV),
         ({"seed": 1.5}, MEASURE_ARGV),
         ({"seed": True}, MEASURE_ARGV),
+        ({"count": "20.0"}, DIFF_ARGV),
     ],
     ids=["t0-string", "tol-null", "count-list", "dims-string", "seed-string",
-         "count-fraction", "dims-fraction", "seed-fraction", "seed-bool"],
+         "count-fraction", "dims-fraction", "seed-fraction", "seed-bool", "count-decimal-string"],
 )
 def test_malformed_config_value_exits_2(capsys, tmp_path, config, argv):
     cfg = tmp_path / "cfg.json"
@@ -472,6 +473,16 @@ def test_integral_config_values_still_convert(capsys, tmp_path):
     assert rc == 0 and doc["inputs"]["grid"]["count"] == 20
     rc, doc = run_cli(capsys, CYL_ARGV + ["--config", str(cfg)])
     assert rc == 0 and doc["inputs"]["dims"] == [2, 3]
+    cfg.write_text(json.dumps({"count": "20"}))
+    rc, doc = run_cli(capsys, DIFF_ARGV + ["--config", str(cfg)])
+    assert rc == 0 and doc["inputs"]["grid"]["count"] == 20
+
+
+def test_bs_seed_must_be_an_integer_literal(capsys, monkeypatch):
+    # a string is read as an integer literal: only a JSON number may be written 7.0
+    monkeypatch.setenv("BS_SEED", "7.0")
+    rc, doc = run_cli(capsys, MEASURE_ARGV)
+    assert rc == 2 and doc["error"]["code"] == "PRECONDITION_FAILED"
 
 
 @pytest.mark.parametrize(
