@@ -5,14 +5,17 @@ for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
 below the structural scale of the point.  Every quotient trace is built
-by :func:`_quotient_trace`, from values that :meth:`Functional.along`
-computes for a whole grid in one array evaluation when the functional has
-a batch evaluator, and one point at a time otherwise.  Each one-sided
+by :func:`_quotient_trace`, from an array of value rows, one per
+direction: :func:`gateaux_verdict` evaluates each stage's directions as
+stacks, one array evaluation per block, when the functional has a batch
+evaluator; :meth:`Functional.along` evaluates one direction, in one array
+evaluation with a batch and one point at a time without.  Each one-sided
 limit is read off the earliest, tightest plateau of three consecutive
 grid quotients whose internal gaps stay under the tolerance, with no
 extrapolation, and only from a window whose last step t satisfies
 t·‖h‖ ≤ ‖x‖: at larger steps the quotient describes the far field of f,
-not its limit at x.
+not its limit at x.  :func:`_plateaus` scores the windows of every row at
+once.
 
 Verdict vocabulary deliberately includes INCONCLUSIVE: when probes fail
 to converge, converge only at steps too large for the scale of x, or
@@ -23,9 +26,10 @@ INCONCLUSIVE verdict names in its ``detail`` the stage that decided it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +46,7 @@ from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
-    constant_fn,
+    _norms,
     eval_norm,
     linear_combine,
     norms_along,
@@ -83,14 +87,17 @@ def _checked(what: str, fn: Callable[..., float], arg, **context) -> float:
     return value
 
 
-# Numbers a batch evaluation holds per combined array: bounds its memory
-# for any grid length, while a default grid along a point of up to several
-# hundred coordinates or knots still takes one batch.
-_BATCH_VALUES = 1 << 17
+# Numbers a batch evaluation holds per combined array, counting both
+# operands' widths per step and direction: bounds its memory for any grid
+# length and stack height and keeps its arrays small enough to stay in
+# cache, while a default grid along a point of up to a few hundred
+# coordinates or knots still takes one batch.
+_BATCH_VALUES = 1 << 15
 
 
 def _width(p: SpacePoint) -> int:
-    return (p.coords if p.coords is not None else p.knots).shape[0]
+    """Coordinates or knots of a point, or of each row of a stack."""
+    return (p.coords if p.coords is not None else p.knots).shape[-1]
 
 
 @dataclass(frozen=True)
@@ -99,12 +106,15 @@ class Functional:
 
     A call that overflows or yields a non-finite value raises
     :class:`EvalFailureError`.  ``batch``, when given, evaluates the map
-    along a line in one go: ``batch(x, h, steps)`` returns an array whose
-    entry i is bitwise ``evaluator(linear_combine(1.0, x, steps[i], h))``,
-    checks what :func:`linear_combine` checks, and may return a non-finite
-    entry, or raise :class:`EvalFailureError`, where that evaluation
-    fails.  :meth:`along` is the one way to evaluate a functional along a
-    line, with or without a batch.
+    along a stack of directions in one go: for a stack ``H`` (see
+    :func:`~banachdiff.spaces.rows_along`), ``batch(x, H, steps)`` returns
+    an array whose entry ``[j, i]`` is bitwise
+    ``evaluator(linear_combine(1.0, x, steps[i], H[j]))``, checks what
+    :func:`linear_combine` checks, and may return a non-finite entry, or
+    raise :class:`EvalFailureError`, where that evaluation fails.
+    :meth:`along` is the one way to evaluate a functional along one line,
+    with or without a batch; :func:`gateaux_verdict` hands the batch the
+    directions of a stage as stacks.
     """
 
     name: str
@@ -122,28 +132,41 @@ class Functional:
         self._expect(x)
         return _checked(f"functional {self.name!r}", self.evaluator, x, functional=self.name)
 
+    def _batched(self, x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray | None:
+        """The batch's values at ``x + s*H[j]`` for every row j of the stack
+        ``H`` and every signed step ``s = steps[i]``, indexed ``[j, i]``,
+        from calls of at most ``_BATCH_VALUES`` numbers each.  An entry
+        whose evaluation fails comes out non-finite, or the whole call None
+        when the batch raises :class:`EvalFailureError`."""
+        arr = H.coords if H.coords is not None else H.values
+        rows = arr.size // arr.shape[-1]
+        cols = max(1, _BATCH_VALUES // (rows * (_width(x) + _width(H))))
+        try:
+            if cols >= steps.shape[0]:
+                values = self.batch(x, H, steps)
+            else:
+                parts = [self.batch(x, H, steps[i : i + cols]) for i in range(0, steps.shape[0], cols)]
+                values = np.concatenate(parts, axis=1)
+        except EvalFailureError:
+            return None
+        return values
+
     def along(self, x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
         """``f(x + s*h)`` for every signed step ``s`` in ``steps``.
 
-        With a ``batch`` the steps are evaluated in blocks of at most
-        ``_BATCH_VALUES`` numbers per array; without one, or when the batch
-        meets an evaluation that fails, each step is one call of ``f`` on
-        ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
-        error of the first step that fails.  Either way the values are the
-        same bit for bit, and no steps give an empty array.
+        With a ``batch`` h is evaluated as a stack of one row, in blocks of
+        at most ``_BATCH_VALUES`` numbers per array; without one, or when the
+        batch meets an evaluation that fails, each step is one call of
+        ``f`` on ``linear_combine(1.0, x, s, h)``, in order, so a failure
+        raises the error of the first step that fails.  Either way the
+        values are the same bit for bit, and no steps give an empty array.
         """
         steps = np.asarray(steps, dtype=float)
         if self.batch is not None:
             self._expect(x)
-            rows = max(1, _BATCH_VALUES // (_width(x) + _width(h)))
-            values = np.empty(steps.shape[0])
-            try:
-                for i in range(0, steps.shape[0], rows):
-                    values[i : i + rows] = self.batch(x, h, steps[i : i + rows])
-                if np.isfinite(values).all():
-                    return values
-            except EvalFailureError:
-                pass
+            values = self._batched(x, h, steps)
+            if values is not None and np.isfinite(values).all():
+                return values[0]
         return np.array([self(linear_combine(1.0, x, float(s), h)) for s in steps])
 
 
@@ -184,6 +207,20 @@ class TGrid:
     def steps(self) -> np.ndarray:
         return self.t0 * self.rho ** np.arange(self.count)
 
+    @functools.cached_property
+    def _signed(self) -> np.ndarray:
+        """The steps and then their negatives, read-only: the signed steps
+        every trace evaluates its direction at, made once per grid."""
+        steps = self.steps()
+        signed = np.concatenate((steps, -steps))
+        signed.setflags(write=False)
+        return signed
+
+    @functools.cached_property
+    def _ticks(self) -> tuple[float, ...]:
+        """The steps as the tuple every trace of the grid shares."""
+        return tuple(self.steps().tolist())
+
 
 DEFAULT_GRID = TGrid()
 
@@ -199,6 +236,13 @@ class QuotientTrace:
     ``converged_minus`` say which sides did; :meth:`split` is the one
     judgement of a kink, and :meth:`unsettled` the one account of a trace
     that leaves a verdict open.
+
+    ``plateau_step`` and ``plateau_score`` hold, forward side first, the
+    last step of each side's best window and that window's worst internal
+    gap: where a converged limit was read and how tight its plateau was.
+    A side with no window within ``reach``, or none whose gaps stay
+    finite, has step None and score inf.
+    They stay out of :meth:`to_dict`, so reports do not change with them.
     """
 
     steps: tuple[float, ...]
@@ -207,6 +251,8 @@ class QuotientTrace:
     d_plus: float | None
     d_minus: float | None
     reach: float = math.inf
+    plateau_step: tuple[float | None, float | None] = (None, None)
+    plateau_score: tuple[float, float] = (math.inf, math.inf)
 
     @property
     def converged_plus(self) -> bool:
@@ -304,32 +350,41 @@ def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) 
     return (float(f.along(x, h, [t])[0]) - f(x)) / t
 
 
-def _series_limit(qs: Sequence[float], tol: float, start: int = 0) -> float | None:
-    """Limit estimate for a difference-quotient sequence over shrinking steps.
+@np.errstate(over="ignore", invalid="ignore")
+def _plateaus(
+    values: np.ndarray, f0: float, signed: np.ndarray, start: np.ndarray | None
+) -> tuple[np.ndarray, list[int], list[float], bool]:
+    """The difference quotients of every row of ``values`` at the signed
+    steps ``signed`` (see :func:`_quotient_trace`), and the tightest
+    *corroborated* plateau of each of their sides.
 
-    The limit is read off the tightest *corroborated* plateau: each window of
-    three consecutive quotients, from index ``start`` on, is scored by its
-    worst internal gap, the earliest minimal window wins, and convergence
-    means that score is below tol.  A single agreeing pair is not enough on
-    purpose.  At the smallest steps the cancellation noise is quantized
-    coarsely (one ulp of f divided by t), so two successive quotients can
-    coincide bit-for-bit by accident; such a lone pair inherits the score of
-    its drifting neighbor and loses to any genuine plateau, whose members all
-    agree.  On exactly constant data every gap is zero and this returns the
-    common value unchanged; on curved data the gaps shrink monotonically and
-    the smallest-step window still wins, so the returned value matches the
-    plain last quotient.  None means no window converged.
+    Each window of three consecutive quotients of a side, from index
+    ``start[r]`` on for side r (forward sides at even r, backward at odd;
+    from 0 on every side when ``start`` is None), is scored by its worst
+    internal gap, and the earliest minimal window wins.  Returned are the
+    R × 2n quotients, each side's winning window (its first index) and
+    score, inf when the side has no window from ``start[r]`` on, and
+    whether every quotient is finite.  A limit converges when that score
+    is below the tolerance, and is the window's last quotient.  A single
+    agreeing pair is not enough on purpose.  At the smallest steps the
+    cancellation noise is quantized coarsely (one ulp of f divided by t),
+    so two successive quotients can coincide bit-for-bit by accident; such
+    a lone pair inherits the score of its drifting neighbor and loses to
+    any genuine plateau, whose members all agree.  On exactly constant
+    data every gap is zero and the limit is the common value unchanged; on
+    curved data the gaps shrink monotonically and the smallest-step window
+    still wins, so the limit matches the plain last quotient.
     """
-    best_i = 0
-    best_score = math.inf
-    for i in range(start, len(qs) - 2):
-        score = max(abs(qs[i + 1] - qs[i]), abs(qs[i + 2] - qs[i + 1]))
-        if score < best_score:
-            best_score = score
-            best_i = i
-    if best_score < tol:
-        return qs[best_i + 2]
-    return None
+    q = (values - f0) / signed
+    sides = q.reshape(-1, signed.shape[0] // 2)
+    gaps = sides[:, 1:] - sides[:, :-1]
+    np.abs(gaps, out=gaps)
+    score = np.maximum(gaps[:, :-1], gaps[:, 1:])
+    if start is not None:
+        score[np.arange(score.shape[1]) < start[:, None]] = math.inf
+    best = score.argmin(axis=1).tolist()
+    low = [row[b] for row, b in zip(score.tolist(), best)]
+    return q, best, low, math.isfinite(np.add.reduce(q, axis=None))
 
 
 def _size(p: SpacePoint) -> float:
@@ -340,9 +395,9 @@ def _size(p: SpacePoint) -> float:
         return math.inf
 
 
-def _reach(nx: float, nh: float) -> float:
-    """The largest step t with t·‖h‖ ≤ ‖x‖, from nx = ‖x‖ and nh = ‖h‖;
-    unbounded when x or h is 0, or when a norm overflows.
+def _reach(nx: float, nh: Sequence[float]) -> list[float]:
+    """The largest step t with t·‖h‖ ≤ ‖x‖ for each norm ‖h‖ in ``nh``,
+    given nx = ‖x‖; unbounded when x or h is 0, or when a norm overflows.
 
     Below it a quotient of f at x along h reads f near x; above it, where
     the step outgrows x, the quotient tends to the slope of f far from x,
@@ -350,51 +405,187 @@ def _reach(nx: float, nh: float) -> float:
     norms in scope are positively homogeneous there, so every step counts.
     An overflowing norm leaves no finite scale to compare with.
     """
-    return nx / nh if 0.0 < nx < math.inf and 0.0 < nh < math.inf else math.inf
+    if not 0.0 < nx < math.inf:
+        return [math.inf] * len(nh)
+    return [nx / v if 0.0 < v < math.inf else math.inf for v in nh]
 
 
 def _quotient_trace(
-    ahead: Sequence[float],
-    behind: Sequence[float],
+    values: np.ndarray,
     f0: float,
-    steps: np.ndarray,
+    grid: TGrid,
     tol: float,
-    reach: float,
-) -> QuotientTrace:
-    """The trace of forward quotients ``(ahead[k] - f0) / t_k`` and backward
-    quotients ``(behind[k] - f0) / -t_k`` over the grid ``steps``, where
-    ``ahead[k]`` and ``behind[k]`` are the function at the signed steps
-    ``+t_k`` and ``-t_k`` and ``f0`` is its value at 0.
+    reach: Sequence[float],
+) -> Iterator[QuotientTrace]:
+    """The traces of the rows of ``values``, an R × 2n array whose row j
+    holds a function along one direction at the signed steps of the grid:
+    its n steps ``t_k`` and then their negatives.  ``f0`` is the
+    function's value at 0 and ``reach[j]`` the reach of row j.
 
-    The values come from :meth:`Functional.along` for a functional along a
-    fixed direction, and from a loop of single evaluations for a
-    perturbation family or the outer map of a composition; both give the
-    same quotients bit for bit.  Each side's limit is read by
-    :func:`_series_limit` from the first window whose last step is at most
-    ``reach`` on.
+    Row j's forward quotients are ``(values[j, k] - f0) / t_k`` and its
+    backward quotients ``(values[j, n + k] - f0) / -t_k``.  Both sides of
+    every row are scored in one :func:`_plateaus` call, from the first
+    window whose last step is at most the row's reach on.  The traces come
+    out row by row, and a row with a quotient that overflows raises
+    :class:`EvalFailureError` when its turn comes, so the rows before it
+    are still judged first.  They stop before the first row that holds a
+    non-finite value, an evaluation that failed, which the caller makes
+    again on its own to raise its error.
+
+    The rows come from the stack evaluations of a verdict stage (see
+    :func:`_traces`); a single direction, a perturbation family and the
+    outer map of a composition each pass one row, of values from
+    :meth:`Functional.along` or from a loop of single evaluations; the
+    quotients are the same bit for bit either way.
     """
-    fq = ((np.asarray(ahead, dtype=float) - f0) / steps).tolist()
-    bq = ((np.asarray(behind, dtype=float) - f0) / -steps).tolist()
-    near = next((k for k, t in enumerate(steps) if t <= reach), len(steps))
-    start = max(0, near - 2)
-    return QuotientTrace(
-        steps=tuple(steps.tolist()),
-        forward_q=tuple(fq),
-        backward_q=tuple(bq),
-        d_plus=_series_limit(fq, tol, start),
-        d_minus=_series_limit(bq, tol, start),
-        reach=reach,
-    )
+    signed, t = grid._signed, grid._ticks
+    n = len(t)
+    start = None
+    if min(reach) < t[0]:
+        near = np.searchsorted(-signed[:n], np.negative(reach), side="left")
+        start = np.repeat(np.maximum(near - 2, 0), 2)
+    q, best, score, finite = _plateaus(values, f0, signed, start)
+    for j, row in enumerate(q.tolist()):
+        if not finite and not all(map(math.isfinite, row)):
+            if not np.isfinite(values[j]).all():
+                return
+            k = next(k for k, v in enumerate(row) if not math.isfinite(v))
+            raise EvalFailureError("difference quotient overflows", step=float(signed[k]))
+        fq, bq = row[:n], row[n:]
+        p, m = best[2 * j] + 2, best[2 * j + 1] + 2
+        sp, sm = score[2 * j], score[2 * j + 1]
+        d_plus = fq[p] if sp < tol else None
+        d_minus = bq[m] if sm < tol else None
+        if d_plus is not None and d_minus == d_plus != 0.0:
+            d_minus = d_plus  # an agreed limit is kept as one float
+        yield QuotientTrace(  # steps, forward_q, backward_q, d_plus, d_minus, reach, plateau_*
+            t,
+            tuple(fq),
+            tuple(bq),
+            d_plus,
+            d_minus,
+            reach[j],
+            (t[p] if sp < math.inf else None, t[m] if sm < math.inf else None),
+            (sp, sm),
+        )
 
 
-def _direction_trace(
-    f: Functional, x: SpacePoint, h: SpacePoint, steps: np.ndarray, tol: float, fx: float, nx: float
-) -> QuotientTrace:
-    """The quotient trace of f at x along h, given fx = f(x) and nx = ‖x‖
-    (inf when it overflows): all ±steps in one :meth:`Functional.along`."""
-    values = f.along(x, h, np.concatenate((steps, -steps)))
-    n = steps.shape[0]
-    return _quotient_trace(values[:n], values[n:], fx, steps, tol, _reach(nx, _size(h)))
+def _fit_count(x: SpacePoint) -> int:
+    """How many canonical directions identify a sparse derivative
+    representation at x: the coordinate vectors of a sequence point, the
+    constant one and the ramp t ↦ t of a C_AB or LINF_R point, and none
+    for NBV_AB."""
+    if x.space in SEQUENCE_SPACES:
+        return x.dim
+    return 2 if x.space in (Space.C_AB, Space.LINF_R) else 0
+
+
+def _fit_point(x: SpacePoint, k: int) -> SpacePoint:
+    """The k-th canonical fit direction at x as a point; the constant one
+    and the ramp are sampled at the knots of x."""
+    if x.coords is not None:
+        e = np.zeros(x.dim)
+        e[k] = 1.0
+        return seq_point(x.space, e)
+    return pw_from_values(x.space, x.knots, np.ones_like(x.knots) if k == 0 else x.knots)
+
+
+# A direction of a verdict stage: a point, or the index k of the canonical
+# fit direction ``_fit_point(x, k)``, whose arrays are made only inside the
+# stack that holds it.
+_Dir = SpacePoint | int
+
+
+def _stack(x: SpacePoint, block: Sequence[_Dir]) -> SpacePoint:
+    """The directions of ``block`` as one stack of rows (see
+    :func:`~banachdiff.spaces.rows_along`); a single point is its own
+    stack.  The points among them share one space and coordinate count, or
+    one knots array, with x's when the block holds fit directions."""
+    if len(block) == 1 and isinstance(block[0], SpacePoint):
+        return block[0]
+    like = next((d for d in block if isinstance(d, SpacePoint)), x)
+    if like.coords is not None:
+        coords = np.zeros((len(block), like.coords.shape[0]))
+        for j, d in enumerate(block):
+            if isinstance(d, SpacePoint):
+                coords[j] = d.coords
+            else:
+                coords[j, d] = 1.0
+        return SpacePoint(like.space, coords=coords)
+    values = np.empty((len(block), like.knots.shape[0]))
+    continuous = all(not isinstance(d, SpacePoint) or d.lefts is d.values for d in block)
+    lefts = values if continuous else np.empty_like(values)
+    for j, d in enumerate(block):
+        if isinstance(d, SpacePoint):
+            values[j], lefts[j] = d.values, d.lefts
+        else:
+            values[j] = lefts[j] = 1.0 if d == 0 else x.knots
+    return SpacePoint(like.space, knots=like.knots, values=values, lefts=lefts)
+
+
+def _stackable(p: SpacePoint, q: SpacePoint) -> bool:
+    """Whether directions p and q can be rows of one stack."""
+    if p.space is not q.space:
+        return False
+    if p.coords is not None:
+        return p.coords.shape == q.coords.shape
+    return p.knots is q.knots or np.array_equal(p.knots, q.knots)
+
+
+def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]:
+    """``dirs`` in order, cut into blocks of consecutive directions that
+    share one stack (one space and coordinate count, or one knots array)
+    and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps."""
+    block: list[_Dir] = []
+    for d in dirs:
+        p = d if isinstance(d, SpacePoint) else x
+        if block and (len(block) == cap or not _stackable(head, p)):
+            yield block
+            block = []
+        if not block:
+            head, cap = p, max(1, _BATCH_VALUES // (n * (_width(x) + _width(p))))
+        block.append(d)
+    if block:
+        yield block
+
+
+def _traces(
+    f: Functional,
+    x: SpacePoint,
+    dirs: Sequence[_Dir],
+    grid: TGrid,
+    tol: float,
+    fx: float,
+    nx: float,
+) -> Iterator[QuotientTrace]:
+    """The quotient traces of f at x along each direction of ``dirs`` over
+    the grid, in order, given fx = f(x) and nx = ‖x‖ (inf when it
+    overflows).
+
+    With a batch, each block of :func:`_blocks` is one stack evaluation at
+    all ±steps, made once the traces of the blocks before it are taken.
+    The directions of a block from the first one whose evaluation fails on
+    are evaluated again one at a time through :meth:`Functional.along`, as
+    is every direction of a functional without a batch, so a failure
+    raises the error of the first direction that fails, after the traces
+    of the directions before it.
+    """
+    signed, batched = grid._signed, f.batch is not None
+    for block in _blocks(x, dirs, signed.shape[0]) if batched else ([d] for d in dirs):
+        if batched:
+            H = _stack(x, block)
+            values = f._batched(x, H, signed)
+            if values is not None:
+                norms = [_size(H)] if H is block[0] else _norms(H.space, H.coords, H.values, H.lefts).tolist()
+                done = 0
+                for trace in _quotient_trace(values, fx, grid, tol, _reach(nx, norms)):
+                    yield trace
+                    done += 1
+                block = block[done:]
+        for d in block:
+            h = d if isinstance(d, SpacePoint) else _fit_point(x, d)
+            values = f.along(x, h, signed)[None]
+            yield from _quotient_trace(values, fx, grid, tol, _reach(nx, [_size(h)]))
 
 
 def one_sided_derivatives(
@@ -413,19 +604,8 @@ def one_sided_derivatives(
     """
     if not 0.0 < tol < math.inf:
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)
-    return _direction_trace(f, x, h, grid.steps(), tol, f(x), _size(x))
-
-
-def _fit_directions(x: SpacePoint) -> list[SpacePoint]:
-    """Canonical directions that identify a sparse derivative representation."""
-    if x.space in SEQUENCE_SPACES:
-        eye = np.eye(x.dim)
-        return [seq_point(x.space, eye[k]) for k in range(x.dim)]
-    if x.space in (Space.C_AB, Space.LINF_R):
-        one = constant_fn(x.space, x.a, x.b, 1.0)
-        ramp = pw_from_values(x.space, [x.a, x.b], [x.a, x.b])
-        return [one, ramp]
-    return []  # NBV_AB: no sparse representation is identifiable
+    (trace,) = _traces(f, x, [h], grid, tol, f(x), _size(x))
+    return trace
 
 
 def _fit_rep(
@@ -472,52 +652,60 @@ def gateaux_verdict(
 ) -> DiffVerdict:
     """Probe-based directional differentiability verdict at x.
 
-    Three stages read two-sided limits, in order: every supplied probe
+    Three checks read two-sided limits, in order: every supplied probe
     direction, then additivity/doubling combinations of the first probes,
     then canonical fit directions for the space (coordinate vectors;
-    constant and ramp for function domains).  Along each direction, one-sided
-    limits that both converge but disagree beyond tol make the direction a
-    failure witness (NOT_GATEAUX); a side that does not converge, or
-    converges only at steps too large for the scale of x, ends the verdict
-    INCONCLUSIVE — nonconvergence is not evidence of nondifferentiability.
-    The combinations must reproduce the probes' limits linearly, and the
-    sparse derivative fitted to the canonical responses must reproduce every
-    probe's limit.  The ``detail`` of a verdict that stops short of GATEAUX
-    names the stage and the direction that decided it.  f(x) and ``‖x‖``
-    are evaluated once per verdict, not once per direction.
+    constant and ramp at the knots of x for C_AB and LINF_R).  Along each
+    direction, one-sided limits that both converge but disagree beyond tol
+    make the direction a failure witness (NOT_GATEAUX); a side that does
+    not converge, or converges only at steps too large for the scale of x,
+    ends the verdict INCONCLUSIVE — nonconvergence is not evidence of
+    nondifferentiability.  The combinations must reproduce the probes'
+    limits linearly, and the sparse derivative fitted to the canonical
+    responses must reproduce every probe's limit.  The ``detail`` of a
+    verdict that stops short of GATEAUX names the stage and the direction
+    that decided it.
+
+    The directions are evaluated in two stages, the probes and then the
+    combinations with the fit directions, each as stacks of one array
+    evaluation per block (see :func:`_traces`) when f has a batch
+    evaluator; no stage is evaluated before the one ahead of it has been
+    judged.  A fit direction becomes a point only as a failure witness.
+    Directions are judged in the order above, ``traces`` ends at the
+    deciding one, and verdict, traces and errors are those of evaluating
+    one direction at a time.  f(x) and ``‖x‖`` are evaluated once per
+    verdict.
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
     if not 0.0 < tol < math.inf:
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)
-    fx, nx, steps = f(x), _size(x), grid.steps()
+    fx, nx = f(x), _size(x)
     traces: list[QuotientTrace] = []
     dirs = list(probe_dirs)
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
         return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
 
-    def limit(h: SpacePoint, stage: str) -> float | DiffVerdict:
-        """The two-sided limit along h, or the verdict it ends with."""
-        tr = _direction_trace(f, x, h, steps, tol, fx, nx)
+    def judge(tr: QuotientTrace, h: _Dir, stage: str) -> DiffVerdict | None:
+        """Keep the trace along h; the verdict it ends with, if any."""
         traces.append(tr)
         if tr.split(tol):
             return verdict(
                 VerdictStatus.NOT_GATEAUX,
                 f"one-sided limits disagree along {stage}: "
                 f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}",
-                failure_witness=h,
+                failure_witness=h if isinstance(h, SpacePoint) else _fit_point(x, h),
             )
         if tr.d_plus is None or tr.d_minus is None:
             return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage))
-        return tr.d_plus
+        return None
 
     responses: list[float] = []
-    for i, h in enumerate(dirs):
-        d = limit(h, f"probe {i}")
-        if isinstance(d, DiffVerdict):
-            return d
-        responses.append(d)
+    for i, tr in enumerate(_traces(f, x, dirs, grid, tol, fx, nx)):
+        if (end := judge(tr, dirs[i], f"probe {i}")) is not None:
+            return end
+        responses.append(tr.d_plus)
 
     # linearity spot-checks: additivity on the first pair, doubling on the first
     lin_pairs: list[tuple[SpacePoint, float, str]] = []
@@ -526,23 +714,25 @@ def gateaux_verdict(
             (linear_combine(1.0, dirs[0], 1.0, dirs[1]), responses[0] + responses[1], "probe 0 + probe 1")
         )
     lin_pairs.append((linear_combine(2.0, dirs[0], 0.0, dirs[0]), 2.0 * responses[0], "2 * probe 0"))
-    for h, expected, stage in lin_pairs:
-        d = limit(h, stage)
-        if isinstance(d, DiffVerdict):
-            return d
-        if abs(d - expected) > tol * max(1.0, abs(expected)):
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
-                f"directional limits exist on the probes but are not linear across them: "
-                f"{float(d)} along {stage}, expected {float(expected)}",
-            )
-
+    second: list[_Dir] = [h for h, _, _ in lin_pairs]
+    second.extend(range(_fit_count(x)))
     fit_resp: list[float] = []
-    for k, h in enumerate(_fit_directions(x)):
-        d = limit(h, f"canonical fit direction {k}")
-        if isinstance(d, DiffVerdict):
-            return d
-        fit_resp.append(d)
+    for j, tr in enumerate(_traces(f, x, second, grid, tol, fx, nx)):
+        if j < len(lin_pairs):
+            h, expected, stage = lin_pairs[j]
+            if (end := judge(tr, h, stage)) is not None:
+                return end
+            if abs(tr.d_plus - expected) > tol * max(1.0, abs(expected)):
+                return verdict(
+                    VerdictStatus.INCONCLUSIVE,
+                    f"directional limits exist on the probes but are not linear across them: "
+                    f"{float(tr.d_plus)} along {stage}, expected {float(expected)}",
+                )
+        else:
+            k = j - len(lin_pairs)
+            if (end := judge(tr, k, f"canonical fit direction {k}")) is not None:
+                return end
+            fit_resp.append(tr.d_plus)
 
     rep = _fit_rep(x, fit_resp, responses, tol)
     if rep is None:
@@ -582,7 +772,7 @@ def hadamard_verdict(
     if not 0.0 < tol < math.inf:
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     fx, steps = f(x), grid.steps()
-    base = _direction_trace(f, x, h, steps, tol, fx, _size(x))
+    (base,) = _traces(f, x, [h], grid, tol, fx, _size(x))
     traces = [base]
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
@@ -619,7 +809,7 @@ def hadamard_verdict(
         padded = fam + [h] * max(0, len(steps) - len(fam))
         ahead = [f(linear_combine(1.0, x, float(t), k)) for t, k in zip(steps, padded)]
         behind = [f(linear_combine(1.0, x, -float(t), k)) for t, k in zip(steps, padded)]
-        tr = _quotient_trace(ahead, behind, fx, steps, tol, base.reach)
+        (tr,) = _quotient_trace(np.array([ahead + behind]), fx, grid, tol, [base.reach])
         traces.append(tr)
         if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
             return verdict(

@@ -16,6 +16,8 @@ sides are implemented with no shared logic.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,7 +57,7 @@ class RepKind(str, Enum):
     ZERO = "ZERO"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearFunctionalRep:
     """Sparse representation of a derivative functional.
 
@@ -111,16 +113,43 @@ class LinearFunctionalRep:
         return doc
 
 
+# Keys (value, sign) of the coefficients most derivatives of norms hold.
+_SIGNS = {(v, math.copysign(1.0, v)): v for v in (1.0, -1.0, 0.0, -0.0)}
+
+
 def coeff_rep(coeffs) -> LinearFunctionalRep:
-    return LinearFunctionalRep(RepKind.COEFF_SEQ, coeffs=tuple(float(c) for c in coeffs))
+    """A COEFF_SEQ representation.  Coefficients equal bit for bit share one
+    float, and signs and zeros share the module's, so the sign vector that
+    is the derivative of the sum norm holds no float of its own."""
+    seen = dict(_SIGNS)
+    return LinearFunctionalRep(
+        RepKind.COEFF_SEQ,
+        coeffs=tuple(seen.setdefault((c, math.copysign(1.0, c)), c) for c in map(float, coeffs)),
+    )
 
 
 def signed_index_rep(p: int, sigma: float, gap: float | None = None) -> LinearFunctionalRep:
+    if gap is None:
+        return _shared(RepKind.SIGNED_INDEX, int(p), float(sigma))
     return LinearFunctionalRep(RepKind.SIGNED_INDEX, p=int(p), sigma=float(sigma), gap=gap)
 
 
 def point_mass_rep(t0: float, sigma: float, gap: float | None = None) -> LinearFunctionalRep:
+    if gap is None:
+        t0 = float(t0)
+        return _shared(RepKind.POINT_MASS, t0, float(sigma), math.copysign(1.0, t0))
     return LinearFunctionalRep(RepKind.POINT_MASS, t0=float(t0), sigma=float(sigma), gap=gap)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared(kind: RepKind, at, sigma: float, sign: float = 1.0) -> LinearFunctionalRep:
+    """The representation ``sigma * h_at`` (a coordinate) or ``sigma *
+    h(at)`` (a point) without a gap.  Representations are immutable, so one
+    object serves every caller that asks for the same one; ``sign`` keeps
+    the points 0.0 and -0.0 apart."""
+    if kind is RepKind.SIGNED_INDEX:
+        return LinearFunctionalRep(kind, p=at, sigma=sigma)
+    return LinearFunctionalRep(kind, t0=at, sigma=sigma)
 
 
 def zero_rep() -> LinearFunctionalRep:

@@ -177,11 +177,13 @@ def wseries_eval(x: SpacePoint) -> float:
     return _wseries_sums(x.coords)
 
 
-def _wseries_along(x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
-    """:func:`wseries_eval` at ``x + s*h`` for every signed step s, bitwise."""
-    rows = rows_along(x, h, steps)
+def _wseries_along(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray:
+    """:func:`wseries_eval` at ``x + s*H[j]`` for every direction ``H[j]`` of
+    the stack ``H`` (see :func:`~banachdiff.spaces.rows_along`) and every
+    signed step s, indexed ``[j, i]``, bitwise."""
+    rows = rows_along(x, H, steps)
     _require_sequence(x)
-    return _wseries_sums(rows["coords"])
+    return _wseries_sums(rows["coords"]).T
 
 
 def wseries_gateaux(x: SpacePoint, h: SpacePoint) -> float | None:
@@ -384,9 +386,8 @@ def compose_propagate(
     y0 = cyl_eval(inner, sys_, x)
     # the outer map steps along the unit direction of R, so the scale is |y0|
     g0, steps = outer(y0), grid.steps()
-    gtrace = _quotient_trace(
-        [outer(y0 + t) for t in steps], [outer(y0 - t) for t in steps], g0, steps, tol, abs(y0) or math.inf
-    )
+    values = [outer(y0 + t) for t in steps] + [outer(y0 - t) for t in steps]
+    (gtrace,) = _quotient_trace(np.array([values]), g0, grid, tol, [abs(y0) or math.inf])
     f_comp = Functional(
         f"{outer.name}_of_{inner.name}",
         lambda pt: outer(cyl_eval(inner, sys_, pt)),

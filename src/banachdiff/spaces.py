@@ -319,8 +319,9 @@ def _segment_at(x: SpacePoint, t):
     and the fraction ``w`` of the way across it; ``t = b`` is the end,
     ``w = 1``, of the last segment."""
     k = x.knots
-    i = np.minimum(np.searchsorted(k, t, side="right") - 1, k.shape[0] - 2)
-    return i, (t - k[i]) / (k[i + 1] - k[i])
+    i = np.searchsorted(k[1:-1], t, side="right")
+    lo = k[i]
+    return i, (t - lo) / (k[i + 1] - lo)
 
 
 def _lerp(v, e, w):
@@ -383,21 +384,29 @@ def eval_norm(x: SpacePoint) -> NormValue:
     this equals the essential sup because each one-sided limit is
     approached on a set of positive measure.  The witness is the first
     knot where the sup is reached.  A norm that overflows raises
-    :class:`EvalFailureError`.
+    :class:`EvalFailureError`.  Points are immutable, so each computes its
+    norm once and keeps it, the way ``functools.cached_property`` keeps a
+    value, in the instance dictionary.
     """
-    if x.space in (Space.L1_SEQ, Space.NBV_AB):
-        total = float(_norms(x.space, x.coords, x.values, x.lefts))
-        if not math.isfinite(total):
-            raise EvalFailureError(f"norm evaluates to {total}, not a finite number")
-        return NormValue(total, None)
-    profile = _abs_profile(x.coords, x.values, x.lefts)
-    i = int(profile.argmax())
-    return NormValue(float(profile[i]), i + 1 if x.coords is not None else float(x.knots[i]))
+    norm = x.__dict__.get("_norm")
+    if norm is None:
+        if x.space in (Space.L1_SEQ, Space.NBV_AB):
+            total = float(_norms(x.space, x.coords, x.values, x.lefts))
+            if not math.isfinite(total):
+                raise EvalFailureError(f"norm evaluates to {total}, not a finite number")
+            norm = NormValue(total, None)
+        else:
+            profile = _abs_profile(x.coords, x.values, x.lefts)
+            i = int(profile.argmax())
+            norm = NormValue(float(profile[i]), i + 1 if x.coords is not None else float(x.knots[i]))
+        x.__dict__["_norm"] = norm
+    return norm
 
 
 def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and left limits of ``x`` at ``t``, an increasing superset of
-    its knots with the same endpoints.
+    its knots with the same endpoints; for a stack (see :func:`rows_along`)
+    the last axis runs over ``t``.
 
     A point of ``t`` that is not a knot of ``x`` lies inside a segment,
     where the left limit is the value; at a knot both are read back
@@ -406,18 +415,26 @@ def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if t.shape == x.knots.shape:
         return x.values, x.lefts
     i, w = _segment_at(x, t)
-    vals = _lerp(x.values[i], x.lefts[i + 1], w)
+    vals = _lerp(x.values.take(i, axis=-1), x.lefts.take(i + 1, axis=-1), w)
     if x.lefts is x.values:
         return vals, vals
-    return vals, np.where(w == 0.0, x.lefts[i], vals)
+    return vals, np.where(w == 0.0, x.lefts.take(i, axis=-1), vals)
+
+
+def _scaled(alpha: float, arr: np.ndarray) -> np.ndarray:
+    """``alpha * arr``; ``arr`` itself when alpha is 1, which is the same bit
+    for bit."""
+    return arr if alpha == 1.0 else alpha * arr
 
 
 @np.errstate(over="raise", invalid="raise")
 def _combined(alpha: float, x: SpacePoint, beta, y: SpacePoint) -> dict[str, np.ndarray]:
     """The arrays of ``alpha*x + beta*y``, keyed as :class:`SpacePoint`
-    fields.  ``beta`` is a float, or a column of floats that makes every
-    combined array a stack of rows, one per entry, each computed by the
-    very operations of the float case.
+    fields.  ``beta`` is a float, or an n × 1 × 1 array of floats and
+    ``y`` a stack of R rows (see :func:`rows_along`): every combined array
+    then holds n × R rows, one per (step, direction) pair, each computed by
+    the very operations of the float case.  Rows of a stack are read along
+    its last axis, so a single point is a stack of one row.
 
     Checks, in this order: matching space tags, finite coefficients,
     matching lengths/domains.  numpy computes with overflow set to raise,
@@ -432,9 +449,9 @@ def _combined(alpha: float, x: SpacePoint, beta, y: SpacePoint) -> dict[str, np.
         raise EvalFailureError("linear combination with a non-finite coefficient", alpha=alpha, beta=beta)
     try:
         if x.coords is not None:
-            if x.dim != y.dim:
-                raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.dim}")
-            return {"coords": alpha * x.coords + beta * y.coords}
+            if x.coords.shape[-1] != y.coords.shape[-1]:
+                raise SpaceMismatchError(f"length mismatch: {x.dim} vs {y.coords.shape[-1]}")
+            return {"coords": _scaled(alpha, x.coords) + beta * y.coords}
         if x.knots[0] != y.knots[0] or x.knots[-1] != y.knots[-1]:
             raise SpaceMismatchError(
                 f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
@@ -442,8 +459,8 @@ def _combined(alpha: float, x: SpacePoint, beta, y: SpacePoint) -> dict[str, np.
         knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
         xv, xl = _at_knots(x, knots)
         yv, yl = _at_knots(y, knots)
-        values = alpha * xv + beta * yv
-        lefts = values if xl is xv and yl is yv else alpha * xl + beta * yl
+        values = _scaled(alpha, xv) + beta * yv
+        lefts = values if xl is xv and yl is yv else _scaled(alpha, xl) + beta * yl
         return {"knots": knots, "values": values, "lefts": lefts}
     except FloatingPointError as exc:
         raise EvalFailureError("linear combination overflows", alpha=alpha, beta=beta) from exc
@@ -470,28 +487,34 @@ def linear_combine(alpha: float, x: SpacePoint, beta: float, y: SpacePoint) -> S
     return SpacePoint(space=x.space, **arrays)
 
 
-def rows_along(x: SpacePoint, h: SpacePoint, steps) -> dict[str, np.ndarray]:
-    """The points ``x + s*h`` for every signed step ``s`` in ``steps``, as
-    the arrays of :func:`linear_combine` stacked row by row.
+def rows_along(x: SpacePoint, H: SpacePoint, steps) -> dict[str, np.ndarray]:
+    """The points ``x + s*H[j]`` for every direction ``H[j]`` of the stack
+    ``H`` and every signed step ``s = steps[i]``, as the arrays of
+    :func:`linear_combine` indexed ``[i, j]`` before their last axis.
 
-    Row i of ``coords`` (sequences) or of ``values`` and ``lefts`` (over
-    the one ``knots`` array of every row) is bitwise the array of
-    ``linear_combine(1.0, x, steps[i], h)``: the knots are merged once and
-    every other operation is the one the single combination performs.  It
-    raises what that combination raises, for the whole batch at once.
+    A stack is a :class:`SpacePoint` whose ``coords`` (sequences), or
+    ``values`` and ``lefts`` over its one ``knots`` array (functions),
+    carry one direction per row; a point is a stack of one row.  Row
+    ``[i, j]`` of ``coords``, or of ``values`` and ``lefts`` over the one
+    merged ``knots`` array, is bitwise the array of
+    ``linear_combine(1.0, x, steps[i], H[j])``, where ``H[j]`` is the
+    point of row j: the knots are merged once and every other operation is
+    the one the single combination performs.  It raises what that
+    combination raises, for the whole stack at once.
     """
-    return _combined(1.0, x, np.asarray(steps, dtype=float)[:, None], h)
+    return _combined(1.0, x, np.asarray(steps, dtype=float)[:, None, None], H)
 
 
-def norms_along(x: SpacePoint, h: SpacePoint, steps) -> np.ndarray:
-    """``‖x + s*h‖`` for every signed step ``s`` in ``steps``, each bitwise
-    ``eval_norm(linear_combine(1.0, x, s, h)).value``.
+def norms_along(x: SpacePoint, H: SpacePoint, steps) -> np.ndarray:
+    """``‖x + s*H[j]‖`` at ``[j, i]`` for every direction ``H[j]`` of the
+    stack ``H`` and step ``s = steps[i]``, each bitwise
+    ``eval_norm(linear_combine(1.0, x, s, H[j])).value``.
 
-    The row-wise sums and max scans of :func:`rows_along`; a norm that
-    overflows comes out infinite instead of raising.
+    The sums and max scans over the last axis of :func:`rows_along`; a
+    norm that overflows comes out infinite instead of raising.
     """
-    rows = rows_along(x, h, steps)
-    return _norms(x.space, rows.get("coords"), rows.get("values"), rows.get("lefts"))
+    rows = rows_along(x, H, steps)
+    return _norms(x.space, rows.get("coords"), rows.get("values"), rows.get("lefts")).T
 
 
 # -- canonical JSON --------------------------------------------------------

@@ -255,6 +255,16 @@ def test_overflow_exits_3_without_numpy_warnings(argv):
     assert run.stderr == ""
 
 
+def test_quotient_overflow_exits_3_without_numpy_warnings():
+    # every value along the line is finite; the quotient (1e308 - 0) / 0.5 is not
+    run = _fresh_run(["diff", "--space", "l1", "--point", "[0, 0]", "--dir", "[1e308, 1e308]", "--t0", "0.5",
+                      "--count-steps", "3"])
+    assert run.returncode == 3
+    error = json.loads(run.stdout)["error"]
+    assert error["code"] == "EVAL_FAILURE" and error["message"] == "difference quotient overflows"
+    assert run.stderr == ""
+
+
 @pytest.mark.parametrize(
     "grid_flags",
     [["--t0", "1e-300", "--rho", "1e-10", "--count-steps", "5"], ["--t0", "inf"]],

@@ -8,6 +8,7 @@ exactly representable slopes and the quotients carry no rounding at all.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from hypothesis import strategies as st
 from banachdiff.diffengine import (
     DEFAULT_GRID,
     DEFAULT_TOL,
+    DiffVerdict,
     Functional,
+    QuotientTrace,
     TGrid,
     VerdictStatus,
-    _series_limit,
+    _fit_rep,
+    _quotient_trace,
     _unit_ball_directions,
     directional_quotient,
     frechet_verdict,
@@ -36,15 +40,26 @@ from banachdiff.errors import (
     PreconditionFailedError,
     SpaceMismatchError,
 )
-from banachdiff.oracles import apply_rep, coeff_rep, oracle_csup, oracle_linf, point_mass_rep, witness_linf
-from banachdiff.projective import CYL_BASES
+from banachdiff.oracles import (
+    apply_rep,
+    coeff_rep,
+    oracle_csup,
+    oracle_linf,
+    point_mass_rep,
+    witness_Linf,
+    witness_linf,
+    witness_nbv,
+)
+from banachdiff.projective import CYL_BASES, _lift_direction, cyl_gateaux, make_cylinder, make_truncation_system
 from banachdiff.spaces import (
     FUNCTION_SPACES,
+    SEQUENCE_SPACES,
     Space,
     constant_fn,
     eval_norm,
     linear_combine,
     pw_from_values,
+    pw_point,
     seq_point,
     step_fn,
 )
@@ -105,6 +120,17 @@ def test_non_finite_values_are_eval_failures():
         Functional("undefined", lambda p: math.nan)(x)
     with pytest.raises(EvalFailureError):
         Functional("overflowing", lambda p: math.exp(1000.0))(x)
+
+
+def _series_limit(qs, tol):
+    """The limit the trace builder reads off the quotient sequence ``qs``,
+    forward and backward alike, over a dyadic grid: multiplying by a power
+    of two and dividing back is exact."""
+    grid = TGrid(t0=1.0, rho=0.5, count=len(qs))
+    ahead = np.asarray(qs) * grid.steps()
+    (tr,) = _quotient_trace(np.concatenate((ahead, -ahead))[None], 0.0, grid, tol, [math.inf])
+    assert tr.forward_q == tr.backward_q == tuple(qs)
+    return tr.d_plus
 
 
 def test_series_limit_prefers_the_tightest_plateau():
@@ -566,3 +592,281 @@ def test_unit_ball_directions_are_unit_in_the_space_norm(seed, space, on_lattice
     for d in _unit_ball_directions(x, rng, 12):
         assert d.space is space
         assert abs(eval_norm(d).value - 1.0) <= 1e-12
+
+
+# -- stage-batched verdicts against one direction at a time -------------------
+
+
+def _window_limit(qs, tol, start):
+    """The limit of the quotients ``qs`` as a loop over windows: the earliest
+    window from ``start`` on with the smallest worst gap, if under tol."""
+    best_i, best = 0, math.inf
+    for i in range(start, len(qs) - 2):
+        score = max(abs(qs[i + 1] - qs[i]), abs(qs[i + 2] - qs[i + 1]))
+        if score < best:
+            best, best_i = score, i
+    return qs[best_i + 2] if best < tol else None
+
+
+def _norm_or_inf(p):
+    try:
+        return eval_norm(p).value
+    except EvalFailureError:
+        return math.inf
+
+
+def _one_trace(f, x, h, grid, tol, fx, nx):
+    """The trace along h from one evaluation of f per signed step, +steps
+    first, with quotients and limits computed one float at a time."""
+    steps = grid.steps().tolist()
+    signed = steps + [-t for t in steps]
+    q = [(f(linear_combine(1.0, x, s, h)) - fx) / s for s in signed]
+    for s, v in zip(signed, q):
+        if not math.isfinite(v):
+            raise EvalFailureError("difference quotient overflows", step=s)
+    nh = _norm_or_inf(h)
+    reach = nx / nh if 0.0 < nx < math.inf and 0.0 < nh < math.inf else math.inf
+    start = max(0, next((k for k, t in enumerate(steps) if t <= reach), len(steps)) - 2)
+    n = len(steps)
+    fq, bq = q[:n], q[n:]
+    return QuotientTrace(
+        tuple(steps), tuple(fq), tuple(bq), _window_limit(fq, tol, start), _window_limit(bq, tol, start), reach
+    )
+
+
+def _reference_fit_directions(x):
+    if x.space in SEQUENCE_SPACES:
+        return [seq_point(x.space, np.eye(x.dim)[k]) for k in range(x.dim)]
+    if x.space in (Space.C_AB, Space.LINF_R):
+        return [pw_from_values(x.space, x.knots, np.ones_like(x.knots)), pw_from_values(x.space, x.knots, x.knots)]
+    return []
+
+
+def _reference_verdict(f, x, probes, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
+    """gateaux_verdict one direction at a time: the probes, the linearity
+    pairs and the canonical fit directions in turn, each traced by
+    :func:`_one_trace` and judged before the next is evaluated."""
+    fx, nx = f(x), _norm_or_inf(x)
+    traces = []
+
+    def verdict(status, detail="", **fields):
+        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
+
+    def limit(h, stage):
+        tr = _one_trace(f, x, h, grid, tol, fx, nx)
+        traces.append(tr)
+        if tr.split(tol):
+            return verdict(
+                VerdictStatus.NOT_GATEAUX,
+                f"one-sided limits disagree along {stage}: d_plus={tr.d_plus}, d_minus={tr.d_minus}",
+                failure_witness=h,
+            )
+        if tr.d_plus is None or tr.d_minus is None:
+            return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage))
+        return tr.d_plus
+
+    responses = []
+    for i, h in enumerate(probes):
+        d = limit(h, f"probe {i}")
+        if isinstance(d, DiffVerdict):
+            return d
+        responses.append(d)
+    pairs = []
+    if len(probes) >= 2 and probes[0].space is probes[1].space:
+        pairs.append((linear_combine(1.0, probes[0], 1.0, probes[1]), responses[0] + responses[1], "probe 0 + probe 1"))
+    pairs.append((linear_combine(2.0, probes[0], 0.0, probes[0]), 2.0 * responses[0], "2 * probe 0"))
+    for h, expected, stage in pairs:
+        d = limit(h, stage)
+        if isinstance(d, DiffVerdict):
+            return d
+        if abs(d - expected) > tol * max(1.0, abs(expected)):
+            return verdict(
+                VerdictStatus.INCONCLUSIVE,
+                f"directional limits exist on the probes but are not linear across them: "
+                f"{d} along {stage}, expected {expected}",
+            )
+    fit = []
+    for k, h in enumerate(_reference_fit_directions(x)):
+        d = limit(h, f"canonical fit direction {k}")
+        if isinstance(d, DiffVerdict):
+            return d
+        fit.append(d)
+    rep = _fit_rep(x, fit, responses, tol)
+    if rep is None:
+        return verdict(VerdictStatus.INCONCLUSIVE, "directional limits exist but no sparse representation reproduces them")
+    for i, h in enumerate(probes):
+        got = apply_rep(rep, h)
+        if abs(got - responses[i]) > tol * max(1.0, abs(responses[i])):
+            return verdict(
+                VerdictStatus.INCONCLUSIVE, f"fitted representation disagrees with probe {i}: {got} vs {responses[i]}"
+            )
+    return verdict(VerdictStatus.GATEAUX, derivative=rep)
+
+
+def _outcome(run):
+    """A verdict's report as JSON text, or the error it raised."""
+    try:
+        return json.dumps(run().to_dict(), default=float)
+    except EvalFailureError as exc:
+        return type(exc).__name__, str(exc), exc.context
+
+
+def _assert_same_verdict(f, x, probes, grid=DEFAULT_GRID):
+    want = _outcome(lambda: _reference_verdict(f, x, probes, grid))
+    assert _outcome(lambda: gateaux_verdict(f, x, probes, grid)) == want
+    assert _outcome(lambda: gateaux_verdict(_scalar(f), x, probes, grid)) == want
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Space)),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from([DEFAULT_GRID, EXACT]),
+)
+def test_stage_batched_verdicts_equal_one_direction_at_a_time(seed, space, on_lattice, probe_count, grid):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    x = _random_point(rng, space, on_lattice, dim)
+    probes = [_random_point(rng, space, on_lattice, dim) for _ in range(probe_count)]
+    if rng.integers(0, 2) and space in SEQUENCE_SPACES:
+        probes[0] = seq_point(space, np.eye(dim)[rng.integers(0, dim)])  # may cross a zero coordinate
+    _assert_same_verdict(norm_functional(space), x, probes, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.sampled_from(sorted(CYL_BASES)))
+def test_cylinder_verdicts_equal_one_direction_at_a_time(seed, dim, on_lattice, base):
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, dim + 1))
+    x, h = (_random_point(rng, Space.LINF_SEQ, on_lattice, dim) for _ in range(2))
+    cf, sys_ = make_cylinder(base, t), make_truncation_system(sorted({t, dim}))
+    ref = _reference_verdict(cf.base, sys_.project(t, x), [sys_.project(t, h)])
+    if ref.failure_witness is not None:
+        ref = dataclasses.replace(ref, failure_witness=_lift_direction(ref.failure_witness, x))
+    got = cyl_gateaux(cf, sys_, x, h)
+    assert json.dumps(got.to_dict(), default=float) == json.dumps(ref.to_dict(), default=float)
+
+
+def _tie_linf():
+    x = seq_point(Space.LINF_SEQ, [2.0, -2.0, 1.0, 0.5])
+    return x, [witness_linf(x), seq_point(Space.LINF_SEQ, [0.0, 0.0, 1.0, 0.0]), seq_point(Space.LINF_SEQ, [1.0] * 4)]
+
+
+def _zero_l1():
+    x = seq_point(Space.L1_SEQ, [1.0, 0.0, -0.5])
+    return x, [seq_point(Space.L1_SEQ, [0.25, 1.0, 0.0]), seq_point(Space.L1_SEQ, [1.0, 0.0, 0.0])]
+
+
+def _tie_linf_r():
+    x = pw_from_values(Space.LINF_R, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 0.0, -1.0, 0.0])
+    return x, [witness_Linf(x), constant_fn(Space.LINF_R, 0.0, 1.0, 1.0)]
+
+
+def _step_nbv():
+    x = pw_point(Space.NBV_AB, 0.0, 1.0, [0.5], [1.0, -1.0], [0.0, 1.0])
+    return x, [witness_nbv(x), step_fn(Space.NBV_AB, 0.0, 1.0, 0.25, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("fixture", [_tie_linf, _zero_l1, _tie_linf_r, _step_nbv])
+def test_a_split_probe_0_ends_the_verdict_before_the_probes_stacked_with_it(fixture):
+    x, probes = fixture()
+    _assert_same_verdict(norm_functional(x.space), x, probes, EXACT)
+    v = gateaux_verdict(norm_functional(x.space), x, probes, EXACT)
+    assert v.status is VerdictStatus.NOT_GATEAUX and "probe 0" in v.detail
+    assert v.failure_witness is probes[0] and len(v.traces) == 1
+
+
+@pytest.mark.parametrize(
+    "x, probes, grid, message",
+    [
+        # x + t*h overflows for the second probe: the stack's combination raises
+        (
+            seq_point(Space.LINF_SEQ, [1e308, 1.0]),
+            [seq_point(Space.LINF_SEQ, [0.0, 1.0]), seq_point(Space.LINF_SEQ, [1e308, 0.0])],
+            TGrid(1.0, 0.5, 5),
+            "linear combination overflows",
+        ),
+        # the second probe's norm overflows: its row of the stack is infinite
+        (
+            seq_point(Space.L1_SEQ, [8.9e307, 8.9e307]),
+            [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [1e306, 1e306])],
+            TGrid(16.0, 0.5, 5),
+            "norm evaluates to inf, not a finite number",
+        ),
+        # the second probe's values are finite but a quotient overflows
+        (
+            seq_point(Space.L1_SEQ, [1.0, 1.0]),
+            [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [1e308, 1e308])],
+            TGrid(0.5, 0.5, 3),
+            "difference quotient overflows",
+        ),
+    ],
+    ids=["combination-overflow", "norm-overflow", "quotient-overflow"],
+)
+def test_a_stack_that_overflows_raises_what_one_direction_at_a_time_raises(x, probes, grid, message):
+    outcome = _assert_same_verdict(norm_functional(x.space), x, probes, grid)
+    assert outcome[:2] == ("EvalFailureError", message)
+
+
+def test_quotient_overflow_is_an_eval_failure():
+    f = norm_functional(Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [0.0, 0.0])
+    h = seq_point(Space.L1_SEQ, [1e308, 1e308])
+    grid = TGrid(t0=0.5, rho=0.5, count=3)
+    for g in (f, _scalar(f)):
+        for run in (lambda: one_sided_derivatives(g, x, h, grid), lambda: gateaux_verdict(g, x, [h], grid)):
+            with pytest.raises(EvalFailureError) as info:
+                run()
+            assert str(info.value) == "difference quotient overflows"
+            assert info.value.context == {"step": 0.5}
+
+
+def test_plateau_steps_and_scores_are_kept():
+    f = norm_functional(Space.L1_SEQ)
+    # every quotient is exactly 1 or -1: the first window of each side wins
+    tr = one_sided_derivatives(f, seq_point(Space.L1_SEQ, [2.0, -2.0]), seq_point(Space.L1_SEQ, [1.0, 0.0]), EXACT)
+    assert tr.plateau_step == (2.0**-6, 2.0**-6) and tr.plateau_score == (0.0, 0.0)
+    # |x|/|h| = 2**-8: the windows start at the step 2**-8; backward, the
+    # quotients settle only from that step on, so the plateau ends at 2**-10
+    tr = one_sided_derivatives(f, seq_point(Space.L1_SEQ, [2.0**-8, 0.0]), seq_point(Space.L1_SEQ, [1.0, 0.0]), EXACT)
+    assert (tr.d_plus, tr.d_minus) == (1.0, 1.0)
+    assert tr.plateau_step == (2.0**-8, 2.0**-10) and tr.plateau_score == (0.0, 0.0)
+    # no step comes down to |x|/|h|: no window, no plateau
+    tr = one_sided_derivatives(f, seq_point(Space.L1_SEQ, [1e-11, 0.0]), seq_point(Space.L1_SEQ, [1.0, 0.0]))
+    assert tr.plateau_step == (None, None) and tr.plateau_score == (math.inf, math.inf)
+    # a trace that does not converge still names its best window
+    sq = Functional("l1_squared", lambda p: eval_norm(p).value ** 2, Space.L1_SEQ)
+    tr = one_sided_derivatives(sq, seq_point(Space.L1_SEQ, [1.0, 0.5]), seq_point(Space.L1_SEQ, [1.0, 1.0]), EXACT)
+    assert tr.d_plus is None and tr.plateau_step[0] == EXACT.steps()[-1]
+    q = tr.forward_q
+    assert tr.plateau_score[0] == max(abs(q[-1] - q[-2]), abs(q[-2] - q[-3])) > DEFAULT_TOL
+    # the fields stay out of the report
+    assert set(tr.to_dict()) == {"t", "fq", "bq"}
+
+
+def test_an_agreed_limit_is_kept_as_one_float():
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [3.0, 1.0])
+    tr = one_sided_derivatives(f, x, seq_point(Space.LINF_SEQ, [0.5, 0.25]), EXACT)
+    assert tr.d_plus == 0.5 and tr.d_plus is tr.d_minus
+    # a zero limit keeps each side's own float: 0.0 and -0.0 differ in bits
+    tr = one_sided_derivatives(f, x, seq_point(Space.LINF_SEQ, [0.0, 0.25]), EXACT)
+    assert tr.d_plus == tr.d_minus == 0.0
+
+
+def test_verdict_memory_is_bounded_in_the_dimension():
+    dim = 4000
+    x = seq_point(Space.L1_SEQ, np.where(np.arange(dim) % 2, 0.5, -0.25))
+    h = seq_point(Space.L1_SEQ, np.full(dim, 2.0**-6))
+    f = norm_functional(Space.L1_SEQ)
+    tracemalloc.start()
+    try:
+        v = gateaux_verdict(f, x, [h], EXACT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.status is VerdictStatus.GATEAUX and len(v.traces) == dim + 2
+    assert peak < 32 * 2**20

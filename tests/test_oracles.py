@@ -78,6 +78,25 @@ def test_sum_norm_oracle_is_the_sign_pattern():
     assert oracle_l1(seq_point(Space.L1_SEQ, [1.0, 0.0])) is None
 
 
+def test_representations_are_compact_and_shared():
+    signs = np.where(np.arange(64) % 3, 1.0, -1.0)
+    rep = coeff_rep(signs)
+    assert rep.coeffs == tuple(signs.tolist())
+    assert len({id(c) for c in rep.coeffs}) == 2
+    assert len({id(c) for c in coeff_rep([0.25, 0.5, 0.25, 1.0]).coeffs}) == 3
+    assert not hasattr(rep, "__dict__")  # slots: a representation is a few words
+    # equal but differently signed zeros stay apart, bit for bit
+    zeros = coeff_rep([0.0, -0.0, 0.0])
+    assert [str(c) for c in zeros.coeffs] == ["0.0", "-0.0", "0.0"]
+    # immutable coordinates and point masses without a gap are one object each
+    assert signed_index_rep(3, -1.0) is signed_index_rep(3, -1)
+    assert point_mass_rep(0.25, 1.0) is point_mass_rep(0.25, 1)
+    assert str(point_mass_rep(-0.0, 1.0).t0) == "-0.0" and str(point_mass_rep(0.0, 1.0).t0) == "0.0"
+    assert signed_index_rep(3, 1.0, gap=0.5) is not signed_index_rep(3, 1.0, gap=0.5)
+    with pytest.raises(ValueError):
+        signed_index_rep(0, 1.0)
+
+
 def test_max_norm_oracle_requires_strict_dominance():
     x = seq_point(Space.LINF_SEQ, [3.0, 1.0, 0.5])
     rep = oracle_linf(x, 0.25)
