@@ -18,8 +18,10 @@ meant literally, not up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,9 +225,38 @@ def _nbv_fn(rng) -> SpacePoint:
 # criteria
 
 
-def criterion_1(seed: int = BASE_SEED) -> CriterionResult:
+# Every criterion in definition order, as ``run_all`` runs them.
+_CRITERIA: list[Callable[[int], CriterionResult]] = []
+
+
+def _criterion(number: int, name: str, bound: float | None = None):
+    """Declare the check ``(seed) -> (passed, detail)`` as criterion ``number``.
+
+    The decorated function registers it for ``run_all``, times it and
+    returns its ``CriterionResult``.  A check that takes ``bound`` seconds
+    or more fails, with the runtime appended to its detail.
+    """
+
+    def declare(check: Callable[[int], tuple[bool, str]]) -> Callable[[int], CriterionResult]:
+        @functools.wraps(check)
+        def run(seed: int = BASE_SEED) -> CriterionResult:
+            t_start = time.perf_counter()
+            passed, detail = check(seed)
+            elapsed = time.perf_counter() - t_start
+            if bound is not None and elapsed >= bound:
+                passed = False
+                detail += f"; runtime {elapsed:.1f}s exceeded {bound:g}s target"
+            return CriterionResult(number, name, passed, detail, elapsed)
+
+        _CRITERIA.append(run)
+        return run
+
+    return declare
+
+
+@_criterion(1, "closed-form agreement", bound=30.0)
+def criterion_1(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Closed-form agreement: fitted derivatives match the oracles."""
-    t_start = time.perf_counter()
     mismatches = 0
     checked = 0
 
@@ -274,17 +305,12 @@ def criterion_1(seed: int = BASE_SEED) -> CriterionResult:
                  _seq_direction(rng, Space.LINF_SEQ, 64),
                  [_seq_direction(rng, Space.LINF_SEQ, 64) for _ in range(20)])
 
-    elapsed = time.perf_counter() - t_start
-    passed = mismatches == 0 and elapsed < 30.0
-    detail = f"{checked} certified points, {mismatches} oracle mismatches"
-    if elapsed >= 30.0:
-        detail += f"; runtime {elapsed:.1f}s exceeded 30s target"
-    return CriterionResult(1, "closed-form agreement", passed, detail, elapsed)
+    return mismatches == 0, f"{checked} certified points, {mismatches} oracle mismatches"
 
 
-def criterion_2(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(2, "first-order exactness")
+def criterion_2(seed: int = BASE_SEED) -> tuple[bool, str]:
     """First-order remainder is bitwise zero inside the dominance gap."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 2)
     norm = norm_functional(Space.LINF_SEQ)
     bad = 0
@@ -310,16 +336,12 @@ def criterion_2(seed: int = BASE_SEED) -> CriterionResult:
             checked += 1
             if v.status is not VerdictStatus.FRECHET or any(r != 0.0 for _s, r in v.remainder_profile):
                 bad += 1
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        2, "first-order exactness", bad == 0,
-        f"{checked} remainders, {bad} nonzero", elapsed,
-    )
+    return bad == 0, f"{checked} remainders, {bad} nonzero"
 
 
-def criterion_3(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(3, "witness exactness")
+def criterion_3(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Witness directions give one-sided quotients exactly +1 / -1."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 3)
     bad = 0
     checked = 0
@@ -343,16 +365,12 @@ def criterion_3(seed: int = BASE_SEED) -> CriterionResult:
         else:
             f = _nbv_fn(rng)
         check(Space.NBV_AB, f, witness_nbv(f))
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        3, "witness exactness", bad == 0,
-        f"{checked} witnesses, {bad} with inexact quotients", elapsed,
-    )
+    return bad == 0, f"{checked} witnesses, {bad} with inexact quotients"
 
 
-def criterion_4(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(4, "weighted-series failure at 0")
+def criterion_4(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Weighted series at the origin: one-sided limits are the partial sum."""
-    t_start = time.perf_counter()
     f = wseries_functional()
     bad = []
     for n in (10, 64):
@@ -369,17 +387,14 @@ def criterion_4(seed: int = BASE_SEED) -> CriterionResult:
         verdict = gateaux_verdict(f, x0, [ones], GRID_EXACT, 1e-9)
         if verdict.status is not VerdictStatus.NOT_GATEAUX:
             bad.append(f"n={n} origin verdict {verdict.status.value}")
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        4, "weighted-series failure at 0", not bad,
-        "; ".join(bad) if bad else "n=10,64: d_plus = -d_minus = partial sum, origin NOT_GATEAUX",
-        elapsed,
+    return not bad, (
+        "; ".join(bad) if bad else "n=10,64: d_plus = -d_minus = partial sum, origin NOT_GATEAUX"
     )
 
 
-def criterion_5(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(5, "density of repaired points")
+def criterion_5(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Density: repaired points certify membership within distance eps."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 5)
     failures = 0
     checked = 0
@@ -409,16 +424,12 @@ def criterion_5(seed: int = BASE_SEED) -> CriterionResult:
             knots = _pl_knots(rng, int(rng.integers(3, 6)))
             f = pw_from_values(Space.C_AB, knots, _lattice(rng, -1.0, 1.0, knots.shape[0]))
         verify(f, densify_csup(f, eps), eps)
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        5, "density of repaired points", failures == 0,
-        f"{checked} (x, eps) pairs, {failures} failures", elapsed,
-    )
+    return failures == 0, f"{checked} (x, eps) pairs, {failures} failures"
 
 
-def criterion_6(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(6, "openness of the dominated set")
+def criterion_6(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Openness: dominated points survive 1000 sampled perturbations."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 6)
     escapes = 0
     for i in range(100):
@@ -426,20 +437,16 @@ def criterion_6(seed: int = BASE_SEED) -> CriterionResult:
         x, _p = _dominant_linf(rng, 8, gap=gap)
         if not ball_check_linf(x, gap / 2.0, 1000, seed + i):
             escapes += 1
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        6, "openness of the dominated set", escapes == 0,
-        f"100 points x 1000 perturbations, {escapes} escapes", elapsed,
-    )
+    return escapes == 0, f"100 points x 1000 perturbations, {escapes} escapes"
 
 
-def criterion_7(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(7, "near-tie measure decay", bound=120.0)
+def criterion_7(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Near-tie measure: monotone in delta, small at 0.001, matches quadrature.
 
     Two Monte-Carlo samples of 10**6 rows, one at n = 10 and one at n = 2,
     each counted against all four deltas.
     """
-    t_start = time.perf_counter()
     deltas = (0.1, 0.05, 0.01, 0.001)
     problems = []
     spec = default_spec()
@@ -455,33 +462,26 @@ def criterion_7(seed: int = BASE_SEED) -> CriterionResult:
         want = b2_tie_probability_oracle(spec2, est.delta)
         if abs(est.fraction - want) > 3.0 * max(est.std_error, 1e-12):
             problems.append(f"n=2 delta={est.delta}: MC {est.fraction:.6f} vs oracle {want:.6f}")
-    elapsed = time.perf_counter() - t_start
-    passed = not problems and elapsed < 120.0
-    detail = "; ".join(problems) if problems else (
+    return not problems, "; ".join(problems) if problems else (
         "n=10 fractions " + ", ".join(f"{e.fraction:.6f}" for e in ests) + "; n=2 matches quadrature"
     )
-    if elapsed >= 120.0:
-        detail += f"; runtime {elapsed:.1f}s exceeded 2min target"
-    return CriterionResult(7, "near-tie measure decay", passed, detail, elapsed)
 
 
-def criterion_8(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(8, "summability of the default law")
+def criterion_8(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Summability of the default law: partial sum near the closed form."""
-    t_start = time.perf_counter()
     flag, partial = vakhania_check(default_spec(), 10**4)
     reference = math.pi**2 / 6.0 - 1.0 - 0.25  # sum over k >= 3 of 1/k^2
     gap = abs(partial - reference)
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        8, "summability of the default law", bool(flag) and gap < 1e-3,
+    return (
+        bool(flag) and gap < 1e-3,
         f"partial {partial:.10f} vs closed form {reference:.10f} (|diff| {gap:.2e}), flag {flag}",
-        elapsed,
     )
 
 
-def criterion_9(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(9, "chain-rule propagation")
+def criterion_9(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Chain rule: propagated values match direct quotients; failure sets agree."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 9)
     sys_ = make_truncation_system((2, 3, 5, 8, 13))
     smooth = [OUTER_MAPS[n] for n in ("identity", "square", "cube_plus_u", "sin", "exp")]
@@ -518,17 +518,15 @@ def criterion_9(seed: int = BASE_SEED) -> CriterionResult:
         comp_fails = comp_v.status is VerdictStatus.NOT_GATEAUX
         if inner_fails != has_zero or comp_fails != has_zero:
             set_mismatch += 1
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        9, "chain-rule propagation", bad == 0 and set_mismatch == 0,
+    return (
+        bad == 0 and set_mismatch == 0,
         f"100 smooth instances, {bad} value disagreements; 40 set samples, {set_mismatch} mismatches",
-        elapsed,
     )
 
 
-def criterion_10(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(10, "projective consistency")
+def criterion_10(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Projective consistency: truncations compose exactly; evaluation agrees."""
-    t_start = time.perf_counter()
     rng = philox_gen(seed, 10)
     sys_ = make_truncation_system((2, 3, 5, 8, 13))
     dims = sys_.dims
@@ -557,17 +555,15 @@ def criterion_10(seed: int = BASE_SEED) -> CriterionResult:
                     want = float(np.abs(x.coords[:t_dim]).max())
                 if got != want:
                     eval_bad += 1
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        10, "projective consistency", bad == 0 and eval_bad == 0,
+    return (
+        bad == 0 and eval_bad == 0,
         f"1000 vectors x all triples, {bad} composition breaks; {eval_bad} evaluation mismatches",
-        elapsed,
     )
 
 
-def criterion_11(seed: int = BASE_SEED) -> CriterionResult:
+@_criterion(11, "Lipschitz estimate brackets")
+def criterion_11(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Lipschitz estimates sit inside the provable brackets."""
-    t_start = time.perf_counter()
     s64 = 0.0
     for k in range(1, 65):
         s64 += 1.0 / (k * k)
@@ -581,27 +577,9 @@ def criterion_11(seed: int = BASE_SEED) -> CriterionResult:
         est_n = local_lipschitz_estimate(norm_functional(space), xn, 0.5, 64, seed + 1)
         if not est_n <= 1.0 + 1e-12:
             problems.append(f"{space.value} norm estimate {est_n!r} > 1")
-    elapsed = time.perf_counter() - t_start
-    return CriterionResult(
-        11, "Lipschitz estimate brackets", not problems,
-        "; ".join(problems) if problems else f"series {est:.6f} in [1, {s64:.6f}]; norms <= 1",
-        elapsed,
+    return not problems, (
+        "; ".join(problems) if problems else f"series {est:.6f} in [1, {s64:.6f}]; norms <= 1"
     )
-
-
-_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-)
 
 
 def run_all(seed: int = BASE_SEED) -> list[CriterionResult]:

@@ -762,10 +762,12 @@ def hadamard_verdict(
     """Directional verdict robust to perturbed directions k_j -> h.
 
     Each perturbation family is first checked to actually converge to h
-    (norm distances nonincreasing and ending below tol), then paired with
-    the grid steps; families shorter than the grid are padded with h
-    itself.  HADAMARD requires every family's quotients to settle on the
-    plain direction's limit; the shared limit is reported as ``value``.
+    (norm distances nonincreasing and ending below tol); this check reads
+    the whole family.  Then its members are paired with the grid steps in
+    order: only the first ``grid.count`` members are used, and families
+    shorter than the grid are padded with h itself.  HADAMARD requires
+    every family's quotients to settle on the plain direction's limit; the
+    shared limit is reported as ``value``.
     """
     if not perturbations:
         raise PreconditionFailedError("need at least one perturbation family")
@@ -840,6 +842,8 @@ def frechet_verdict(
     """
     if not sphere_samples:
         raise PreconditionFailedError("need at least one unit-sphere sample")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     radii = np.array(radii, dtype=float)
     if not (radii.size and np.all((0.0 < radii) & (radii < math.inf))):
         raise PreconditionFailedError("radii must be finite and positive")
@@ -875,14 +879,14 @@ def _unit_ball_directions(x: SpacePoint, rng: np.random.Generator, count: int) -
     out: list[SpacePoint] = []
     if x.space in SEQUENCE_SPACES:
         n = x.dim
-        eye = np.eye(n)
         k = 0
         while len(out) < count:
             mode = len(out) % 3
             if mode == 0:
                 d = rng.choice([-1.0, 1.0], size=n)
             elif mode == 1:
-                d = eye[k % n].copy()
+                d = np.zeros(n)
+                d[k % n] = 1.0
                 k += 1
             else:
                 d = rng.uniform(-1.0, 1.0, size=n)

@@ -1,5 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# When a hypothesis test fails, hypothesis imports its patch writer, which
+# imports libcst, whose import warns (DeprecationWarning on
+# mypy_extensions.TypedDict).  Under filterwarnings = ["error"] that warning
+# is an INTERNALERROR that ends the session before the remaining tests run.
+# Importing the writer once here, with the warning ignored, leaves the
+# warning filters of the run as configured.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst hypothesis writes no patch
+        pass
 
 # Fixture coordinates live on the lattice of multiples of 2^-6 so that
 # norm arithmetic, slope recovery, and difference quotients are exact in

@@ -16,7 +16,8 @@ import banachdiff
 from banachdiff import cli
 from banachdiff.errors import EvalFailureError
 from banachdiff.gaussmeasure import MAX_N
-from banachdiff.spaces import Space, constant_fn, point_to_json
+from banachdiff.oracles import witness_Linf, witness_nbv
+from banachdiff.spaces import Space, constant_fn, point_to_dict, point_to_json, pw_from_values, seq_point
 
 # Monte Carlo tie-band fraction for two unit-variance coordinates at
 # delta = 0.01, 20000 draws, seed 7 — frozen from a direct run of the
@@ -173,6 +174,62 @@ def test_compose_scales_inner_coefficients(capsys):
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
     # the reported directional value is the sum of the fitted coefficients
     assert abs(doc["result"]["value"] - sum(coeffs)) < 1e-9
+
+
+def run_cli_strict(capsys, argv):
+    rc = cli.main(argv)
+    return rc, json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+def test_dims_flag_sets_the_truncation_chain(capsys):
+    argv = ["cyl", "--base", "supnorm", "--t", "3", "--space", "linf", "--point", "[1,2,3,4,5]"]
+    rc, doc = run_cli_strict(capsys, argv + ["--dims", "2,3,5"])
+    assert rc == 0
+    assert doc["inputs"]["dims"] == [2, 3, 5]
+    assert doc["result"]["value"] == 3.0
+    rc, doc = run_cli_strict(capsys, argv + ["--dims", "2,x"])
+    assert rc == 2
+    assert doc["error"]["code"] == "PRECONDITION_FAILED"
+
+
+def _point_file(tmp_path, point):
+    path = tmp_path / "point.json"
+    path.write_text(point_to_json(point))
+    return str(path)
+
+
+def test_witness_on_linf_r_needs_two_peaks(capsys, tmp_path):
+    two = pw_from_values(Space.LINF_R, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 0.0, -1.0, 0.0])
+    rc, doc = run_cli_strict(capsys, ["witness", "--file", _point_file(tmp_path, two)])
+    assert rc == 0
+    assert doc["result"]["direction"] == point_to_dict(witness_Linf(two))
+    one = pw_from_values(Space.LINF_R, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    rc, doc = run_cli_strict(capsys, ["witness", "--file", _point_file(tmp_path, one)])
+    assert rc == 2
+    assert doc["error"]["code"] == "NO_DOUBLE_MAX"
+
+
+def test_witness_on_nbv(capsys, tmp_path):
+    f = pw_from_values(Space.NBV_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    rc, doc = run_cli_strict(capsys, ["witness", "--file", _point_file(tmp_path, f)])
+    assert rc == 0
+    assert doc["result"]["direction"] == point_to_dict(witness_nbv(f))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        seq_point(Space.RT, [1.0, -1.0, 0.5]),
+        pw_from_values(Space.C_AB, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0, 0.0, -1.0, 0.0]),
+    ],
+    ids=["rt", "c_ab"],
+)
+def test_densify_repairs_rt_and_c_ab_points(capsys, tmp_path, point):
+    rc, doc = run_cli_strict(capsys, ["densify", "--file", _point_file(tmp_path, point), "--eps", "0.25"])
+    assert rc == 0
+    assert doc["inputs"]["point"]["space"] == doc["result"]["point"]["space"] == point.space.value
+    assert doc["result"]["report"]["in_B"] is True
+    assert doc["result"]["distance"] < 0.25
 
 
 # -- exit codes ----------------------------------------------------------------

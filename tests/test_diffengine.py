@@ -41,6 +41,7 @@ from banachdiff.errors import (
     SpaceMismatchError,
 )
 from banachdiff.oracles import (
+    RepKind,
     apply_rep,
     coeff_rep,
     oracle_csup,
@@ -307,8 +308,24 @@ def test_hadamard_rejects_non_collapsing_families():
     growing = [linear_combine(1.0, h, 4.0 ** k, noise) for k in range(5)]
     with pytest.raises(NonconvergentPerturbationError):
         hadamard_verdict(f, x, h, [growing], EXACT)
+    stalled = [linear_combine(1.0, h, 2.0 ** -k, noise) for k in range(3)]  # ends 0.25 from h
+    with pytest.raises(NonconvergentPerturbationError, match="does not approach the direction within tol"):
+        hadamard_verdict(f, x, h, [stalled], EXACT)
     with pytest.raises(PreconditionFailedError):
         hadamard_verdict(f, x, h, [], EXACT)
+
+
+def test_hadamard_pairs_only_the_first_grid_count_members_with_steps():
+    # the family comes within tol of h only at j = 44; the 20 members paired
+    # with the default grid's 20 steps give quotients 1 + 2**-j, j <= 20,
+    # none within tol of the directional limit 1
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [2.0, 1.0])
+    h = seq_point(Space.LINF_SEQ, [1.0, 0.0])
+    fam = [seq_point(Space.LINF_SEQ, [1.0 + 2.0 ** -j, 0.0]) for j in range(1, 45)]
+    v = hadamard_verdict(f, x, h, [fam])
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == "perturbation family 0 does not reproduce the directional limit"
 
 
 def test_hadamard_sees_the_kink_through_the_plain_direction():
@@ -361,6 +378,9 @@ def test_frechet_polices_its_inputs():
     for radii in ([], [math.inf, 0.25], [0.25, math.nan], [0.25, 0.0]):
         with pytest.raises(PreconditionFailedError):
             frechet_verdict(f, x, u, [e1], radii)
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(PreconditionFailedError, match="tol must be finite and positive"):
+            frechet_verdict(f, x, u, [e1], [0.25, 0.125], tol)
 
 
 # -- Lipschitz sampling ------------------------------------------------------
@@ -811,6 +831,24 @@ def test_a_stack_that_overflows_raises_what_one_direction_at_a_time_raises(x, pr
     assert outcome[:2] == ("EvalFailureError", message)
 
 
+def test_fit_reports_zero_and_gives_up_on_non_unit_point_evaluations():
+    const = Functional("const", lambda p: 1.5)
+    x = seq_point(Space.L1_SEQ, [1.0, 2.0])
+    probes = [seq_point(Space.L1_SEQ, [1.0, -1.0])]
+    _assert_same_verdict(const, x, probes)
+    v = gateaux_verdict(const, x, probes)
+    assert v.status is VerdictStatus.GATEAUX and v.derivative.kind is RepKind.ZERO
+    # twice the sup norm responds 2 to the constant one at the tent's peak:
+    # not a unit point evaluation, the only sparse form a C_AB fit knows
+    twice = Functional("twice_csup", lambda p: 2.0 * eval_norm(p).value)
+    tent = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    probes = [constant_fn(Space.C_AB, 0.0, 1.0, 1.0)]
+    _assert_same_verdict(twice, tent, probes)
+    v = gateaux_verdict(twice, tent, probes)
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == "directional limits exist but no sparse representation reproduces them"
+
+
 def test_quotient_overflow_is_an_eval_failure():
     f = norm_functional(Space.L1_SEQ)
     x = seq_point(Space.L1_SEQ, [0.0, 0.0])
@@ -870,3 +908,19 @@ def test_verdict_memory_is_bounded_in_the_dimension():
         tracemalloc.stop()
     assert v.status is VerdictStatus.GATEAUX and len(v.traces) == dim + 2
     assert peak < 32 * 2**20
+
+
+def test_lipschitz_memory_is_bounded_in_the_dimension():
+    # the sampled directions take O(dim) memory each; one dim x dim array
+    # would take 122 MB at this dimension
+    dim = 4000
+    x = seq_point(Space.LINF_SEQ, np.where(np.arange(dim) % 2, 0.5, -0.25))
+    f = norm_functional(Space.LINF_SEQ)
+    tracemalloc.start()
+    try:
+        est = local_lipschitz_estimate(f, x, 0.5, 3, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est <= 1.0 + 1e-12
+    assert peak < 2**20

@@ -296,6 +296,56 @@ def test_outer_kink_exactly_at_the_inner_value():
     assert "kink" in v.detail
 
 
+@pytest.mark.parametrize("slope", [1.0, 2.0], ids=["signed-index", "coeff-seq"])
+def test_outer_kink_at_a_linear_inner_value(slope):
+    # inner value 0 at the origin of the first coordinate; along e2 the inner
+    # derivative is 0, so the witness is the sloped direction e1 of its rep
+    sys_ = make_truncation_system((2, 3, 5))
+    first = CylindricalFunction("first", 3, Functional("first", lambda p: slope * float(p.coords[0]), Space.RT))
+    x = seq_point(Space.LINF_SEQ, [0.0, 1.0, 0.5, 0.25, 2.0])
+    e1 = seq_point(Space.LINF_SEQ, [1.0, 0.0, 0.0, 0.0, 0.0])
+    e2 = seq_point(Space.LINF_SEQ, [0.0, 1.0, 0.0, 0.0, 0.0])
+    rep = cyl_gateaux(first, sys_, x, e1).derivative
+    assert rep.kind is (RepKind.SIGNED_INDEX if slope == 1.0 else RepKind.COEFF_SEQ)
+    for outer in ("abs", "relu"):
+        for h in (e1, e2):
+            v = compose_propagate(OUTER_MAPS[outer], first, sys_, x, h)
+            assert v.status is VerdictStatus.NOT_GATEAUX
+            assert v.detail == "outer map kinks exactly at the inner value"
+            assert np.array_equal(v.failure_witness.coords, e1.coords)
+
+
+def test_outer_kink_under_a_zero_inner_derivative_verifies_flat():
+    sys_ = make_truncation_system((2, 3, 5))
+    zero = CylindricalFunction("zero", 3, Functional("zero", lambda p: 0.0, Space.RT))
+    x = seq_point(Space.LINF_SEQ, [0.0, 1.0, 0.5, 0.25, 2.0])
+    for outer in ("abs", "relu"):
+        for k in (0, 1):
+            h = seq_point(Space.LINF_SEQ, np.eye(5)[k])
+            v = compose_propagate(OUTER_MAPS[outer], zero, sys_, x, h)
+            assert v.status is VerdictStatus.GATEAUX
+            assert v.derivative.kind is RepKind.ZERO and v.value == 0.0
+
+
+def test_smooth_outer_scales_a_signed_index_rep():
+    sys_ = make_truncation_system((2, 3, 5))
+    cf = make_cylinder("supnorm", 3)
+    x = seq_point(Space.LINF_SEQ, [3.0, 1.0, 0.5, 0.25, 2.0])
+    e1 = seq_point(Space.LINF_SEQ, [1.0, 0.0, 0.0, 0.0, 0.0])
+    v = compose_propagate(OUTER_MAPS["identity"], cf, sys_, x, e1, SMOOTH, 1e-6)
+    assert v.status is VerdictStatus.GATEAUX and v.value == 1.0
+    assert (v.derivative.kind, v.derivative.p, v.derivative.sigma) == (RepKind.SIGNED_INDEX, 1, 1.0)
+    v = compose_propagate(OUTER_MAPS["square"], cf, sys_, x, e1, SMOOTH, 1e-6)
+    assert v.status is VerdictStatus.GATEAUX and v.value == 6.0
+    assert v.derivative.kind is RepKind.COEFF_SEQ and v.derivative.coeffs == (6.0,)
+    # the default grid stops before the quotients of u^2 at 3 settle
+    v = compose_propagate(OUTER_MAPS["square"], cf, sys_, x, e1)
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == (
+        "quotients along the outer map's unit step at the inner value did not converge on the grid"
+    )
+
+
 def test_relu_outer_away_from_its_kink():
     sys_ = make_truncation_system(DIMS)
     cf = make_cylinder("wseries_partial", 3)
