@@ -5,9 +5,10 @@ Every invocation writes a single JSON document (stdout by default, or
 that was used, and the library version — no timestamps or other
 nondeterminism, so identical requests produce byte-identical reports.
 Exit codes: 0 on success, 2 on validation errors (bad points, bad
-flags, ``measure --n`` above ``gaussmeasure.MAX_N``), 3 on computational
-errors (among them a linear combination of valid points that overflows),
-and for ``suite`` 1 when a criterion fails.
+flags, ``measure --n`` above ``gaussmeasure.MAX_N``, an ``--output``
+that cannot be written, whose error report then goes to stdout), 3 on
+computational errors (among them a linear combination of valid points
+that overflows), and for ``suite`` 1 when a criterion fails.
 
 A JSON config file (``--config``) may supply defaults for the step
 grid, tolerance, truncation dimensions, and seed; explicit flags win.
@@ -73,7 +74,6 @@ from .spaces import (
     eval_norm,
     point_from_dict,
     point_to_dict,
-    seq_point,
     subtract,
 )
 from .topology import classify, densify_csup, densify_l1, densify_linf
@@ -103,22 +103,30 @@ def _space_of(tag: str) -> Space:
 
 
 def _read_json(text: str, what: str):
+    # json.loads raises ValueError beyond its 4300-digit integer limit and
+    # RecursionError on arrays nested too deep for the parser
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedPointError(f"{what} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MalformedPointError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _read_file(path: str, flag: str):
+    """The JSON document in the file ``path``; a file that cannot be read,
+    or is not UTF-8, fails as :class:`PreconditionFailedError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionFailedError(f"cannot read --{flag} {path}: {exc}") from None
+    return _read_json(text, f"--{flag} {path}")
 
 
 def _load_point(args, *, flag: str = "point", file_flag: str = "file"):
     inline = getattr(args, flag, None)
     path = getattr(args, file_flag, None)
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = _read_json(fh.read(), f"--{file_flag} {path}")
-        except OSError as exc:
-            raise PreconditionFailedError(f"cannot read --{file_flag} {path}: {exc}") from exc
-        pt = point_from_dict(doc)
+        pt = point_from_dict(_read_file(path, file_flag))
         if getattr(args, "space", None):
             want = _space_of(args.space)
             if pt.space is not want:
@@ -133,18 +141,14 @@ def _load_point(args, *, flag: str = "point", file_flag: str = "file"):
         coords = _read_json(inline, f"--{flag}")
         if not isinstance(coords, list):
             raise MalformedPointError(f"--{flag} must be a JSON array of numbers")
-        return seq_point(space, coords)
+        return point_from_dict({"space": space.value, "coords": coords})
     raise PreconditionFailedError(f"provide --{flag} or --{file_flag}")
 
 
 def _config_of(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = _read_json(fh.read(), f"--config {args.config}")
-    except OSError as exc:
-        raise PreconditionFailedError(f"cannot read --config {args.config}: {exc}") from exc
+    cfg = _read_file(args.config, "config")
     if not isinstance(cfg, dict):
         raise PreconditionFailedError("--config must contain a JSON object")
     return cfg
@@ -231,11 +235,26 @@ def _error_doc(exc: ToolkitError) -> dict:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    """Write ``text`` to the file ``output``, or to stdout when there is
+    none.  A file that cannot be written is :class:`PreconditionFailedError`."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise PreconditionFailedError(f"cannot write --output {output}: {exc}") from None
+
+
+def _fail(exc: ToolkitError, output: str | None) -> int:
+    """Emit the error report of ``exc`` and return its exit code; when
+    ``output`` cannot be written, report that on stdout instead."""
+    try:
+        _emit(_render(_error_doc(exc)), output)
+    except PreconditionFailedError as unwritable:
+        return _fail(unwritable, None)
+    return 2 if isinstance(exc, VALIDATION_ERRORS) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +494,10 @@ def main(argv=None) -> int:
         cfg = _config_of(args)
         # looked up at call time, so a rebound handler is the one that runs
         echo, result = globals()[f"_cmd_{args.command}"](args, cfg)
-        text = _render(
-            {
-                "command": args.command,
-                "inputs": echo,
-                "result": result,
-                "version": __version__,
-            }
-        )
+        report = {"command": args.command, "inputs": echo, "result": result, "version": __version__}
+        _emit(_render(report), output)
     except ToolkitError as exc:
-        _emit(_render(_error_doc(exc)), output)
-        return 2 if isinstance(exc, VALIDATION_ERRORS) else 3
-    _emit(text, output)
+        return _fail(exc, output)
     if args.command == "suite" and not result["all_passed"]:
         return 1
     return 0

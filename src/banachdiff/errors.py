@@ -72,7 +72,12 @@ class QuadratureNonconvergedError(ToolkitError):
 
 
 class BadDimsError(ToolkitError):
-    """A truncation system's dimension list is not strictly increasing."""
+    """A truncation system or a use of it names unusable dimensions.
+
+    Raised for a dimension list that is empty, holds a dimension below 1
+    or is not strictly increasing, for a dimension that is not listed in
+    the system, and for ``connect(s, t)`` with s > t.
+    """
 
     code = "BAD_DIMS"
 

@@ -20,6 +20,7 @@ so importing the package does not load it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -52,6 +53,8 @@ _BLOCK_ROWS = 65536
 # One block holds its uint64 draw and one float64 buffer of _BLOCK_ROWS * n
 # values, converted in place: about 0.27 GB at n = 256.
 MAX_N = 256
+# Series terms vakhania_check exponentiates at once, 0.5 MB of float64.
+_TERM_BLOCK = 65536
 _LOG = logging.getLogger(__name__)
 
 
@@ -139,14 +142,24 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
     The flag is a ratio test in disguise: the decay exponent of the term
     sequence is estimated between k = N/2 and k = N, and the tail counts
     as summable when that exponent beats 1 (a convergent p-series bound).
-    Terms that underflow to zero count as summable outright.
+    Terms that underflow to zero count as summable outright.  Terms are
+    exponentiated in blocks of ``_TERM_BLOCK``, so memory stays bounded in N.
     """
     if N < 1:
         raise PreconditionFailedError("N must be >= 1")
-    terms = np.exp([-spec.r / spec.variance_at(k) for k in range(1, N + 1)])
-    partial = math.fsum(terms)
     m = max(1, N // 2)
-    a_mid, a_end = float(terms[m - 1]), float(terms[N - 1])
+    marks = {}
+
+    def blocks():
+        for lo in range(1, N + 1, _TERM_BLOCK):
+            ks = range(lo, min(lo + _TERM_BLOCK, N + 1))
+            exponents = (-spec.r / spec.variance_at(k) for k in ks)
+            terms = np.exp(np.fromiter(exponents, float, len(ks)))
+            marks.update((k, float(terms[k - lo])) for k in (m, N) if k in ks)
+            yield terms
+
+    partial = math.fsum(itertools.chain.from_iterable(blocks()))
+    a_mid, a_end = marks[m], marks[N]
     if a_end == 0.0:
         flag = True
     elif m == N or a_mid == 0.0:

@@ -84,9 +84,10 @@ class ProjectiveSystem:
     first s entries (s <= t, both listed); ``project(t, x)`` truncates a
     sequence-space point to the finite model of dimension t; both raise
     :class:`BadDimsError` for a dimension that is not listed.  Construction
-    checks only the dimensions themselves: :func:`make_truncation_system`
-    also checks the composition identity
-    connect(s,t) ∘ connect(t,w) = connect(s,w) for every listed triple.
+    checks only the dimensions themselves.  The composition identity
+    connect(s,t) ∘ connect(t,w) = connect(s,w) holds by construction,
+    because each connecting map is a slice; ``test_connectors_compose_exactly``
+    and acceptance criterion 10 test it.
     """
 
     dims: tuple[int, ...]
@@ -123,21 +124,9 @@ class ProjectiveSystem:
 
 
 def make_truncation_system(dims) -> ProjectiveSystem:
-    """Build the truncation chain and verify its composition identity."""
-    sys_ = ProjectiveSystem(dims=tuple(int(d) for d in dims))
-    ds = sys_.dims
-    for i, s in enumerate(ds):
-        for j in range(i, len(ds)):
-            for k in range(j, len(ds)):
-                t, w = ds[j], ds[k]
-                v = np.arange(1.0, w + 1.0)
-                via = sys_.connect(s, t, sys_.connect(t, w, v))
-                direct = sys_.connect(s, w, v)
-                if not np.array_equal(via, direct):
-                    raise BadDimsError(
-                        "composition identity failed", triple=(s, t, w)
-                    )  # unreachable for plain truncations
-    return sys_
+    """The truncation chain over ``dims``; see :class:`ProjectiveSystem` for
+    why its connecting maps compose with no check."""
+    return ProjectiveSystem(dims=tuple(int(d) for d in dims))
 
 
 @dataclass(frozen=True)
@@ -283,8 +272,8 @@ def lipschitz_factor_check(
     that, plus finiteness.
 
     Raises :class:`BadDimsError` if the base dimension is not a stage of
-    the system, and if every sampled value of the function agrees — a
-    constant function has no Lipschitz geometry worth reporting.
+    the system, and :class:`NonconstancyUnverifiedError` if every sampled
+    value agrees — a constant function has no Lipschitz geometry to report.
     """
     if not 0.0 < radius < math.inf:
         raise PreconditionFailedError("radius must be finite and positive", radius=radius)
@@ -356,9 +345,7 @@ def _scale_rep(rep: LinearFunctionalRep, factor: float, tol: float) -> LinearFun
         coeffs = [0.0] * rep.p
         coeffs[rep.p - 1] = rep.sigma * factor
         return coeff_rep(coeffs)
-    if rep.kind is RepKind.COEFF_SEQ:
-        return coeff_rep([factor * c for c in rep.coeffs])
-    raise PreconditionFailedError("cannot scale a point-evaluation representation to a sequence model")
+    return coeff_rep([factor * c for c in rep.coeffs])
 
 
 def compose_propagate(
@@ -439,19 +426,14 @@ def compose_propagate(
     rep_in = inner_verdict.derivative
     v = apply_rep(rep_in, sys_.project(inner.base_dim, h))
     if gtrace.split(tol):
-        if abs(v) <= tol and rep_in.kind is RepKind.ZERO:
+        if rep_in.kind is RepKind.ZERO:
             if settles_at(direct(h), 0.0):
                 return verdict(VerdictStatus.GATEAUX, derivative=zero_rep(), value=0.0)
             return verdict(
                 VerdictStatus.INCONCLUSIVE,
                 "outer kink under a zero inner derivative did not verify flat",
             )
-        witness = h if abs(v) > tol else _pick_sloped_direction(rep_in, x, tol)
-        if witness is None:
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
-                "outer map kinks at the inner value but no sloped direction was found",
-            )
+        witness = h if abs(v) > tol else _pick_sloped_direction(rep_in, x)
         if direct(witness).split(tol):
             return verdict(
                 VerdictStatus.NOT_GATEAUX,
@@ -471,21 +453,10 @@ def compose_propagate(
     return verdict(VerdictStatus.GATEAUX, derivative=_scale_rep(rep_in, g_prime, tol), value=value)
 
 
-def _pick_sloped_direction(
-    rep: LinearFunctionalRep, x: SpacePoint, tol: float
-) -> SpacePoint | None:
-    """A direction along which the representation responds nonzero."""
-    if rep.kind is RepKind.SIGNED_INDEX:
-        k = rep.p - 1
-    elif rep.kind is RepKind.COEFF_SEQ:
-        coeffs = np.asarray(rep.coeffs)
-        k = int(np.abs(coeffs).argmax())
-        if abs(coeffs[k]) <= tol:
-            return None
-    else:
-        return None
-    if k >= x.dim:
-        return None
+def _pick_sloped_direction(rep: LinearFunctionalRep, x: SpacePoint) -> SpacePoint:
+    """The coordinate direction where a SIGNED_INDEX or COEFF_SEQ
+    representation is largest in absolute value."""
+    k = rep.p - 1 if rep.kind is RepKind.SIGNED_INDEX else int(np.abs(rep.coeffs).argmax())
     d = np.zeros(x.dim)
     d[k] = 1.0
     return seq_point(x.space, d)

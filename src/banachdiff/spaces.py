@@ -106,8 +106,16 @@ def sig(u: float) -> float:
     return 0.0
 
 
+def _floats(value) -> np.ndarray:
+    """``value`` as a float array; data that does not convert is malformed."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedPointError(f"point data must be numbers: {exc}") from None
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
+    out = _floats(arr)
     if out.ndim != 1:
         raise MalformedPointError("expected a one-dimensional float array")
     out = out.copy()
@@ -246,6 +254,7 @@ def _knot_point(space: Space | str, knots, values, lefts) -> SpacePoint:
     return SpacePoint(space=space, knots=k, values=v, lefts=e)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pw_point(space: Space | str, a: float, b: float, breakpoints, slopes, intercepts) -> SpacePoint:
     """Build a piecewise-linear function point (C_AB, LINF_R or NBV_AB).
 
@@ -254,12 +263,15 @@ def pw_point(space: Space | str, a: float, b: float, breakpoints, slopes, interc
     ``t -> slopes[i]*t + intercepts[i]``.  Validation enforces the
     per-space invariants: continuity for C_AB, value 0 at ``a`` for NBV_AB.
     Where two C_AB lines meet up to rounding in their evaluation, the
-    value of the right-hand one is kept.
+    value of the right-hand one is kept.  Data that is not numbers, or
+    whose lines overflow at the knots, raises :class:`MalformedPointError`.
     """
-    bp, sl, ic = (np.asarray(v, dtype=float) for v in (breakpoints, slopes, intercepts))
+    ends, bp, sl, ic = map(_floats, ((a, b), breakpoints, slopes, intercepts))
+    if ends.shape != (2,):
+        raise MalformedPointError("the domain ends a and b must be numbers")
     if bp.ndim != 1 or sl.shape != (bp.shape[0] + 1,) or ic.shape != sl.shape:
         raise MalformedPointError("need one more segment (slope, intercept) than breakpoints")
-    k = np.concatenate(([float(a)], bp, [float(b)]))
+    k = np.concatenate((ends[:1], bp, ends[1:]))
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(sl)) and np.all(np.isfinite(ic))):
         raise MalformedPointError("segment data must be finite")
     starts = sl * k[:-1] + ic
@@ -539,7 +551,21 @@ def point_to_dict(x: SpacePoint) -> dict:
     }
 
 
+def _json_numbers(value):
+    """``value``, a JSON number or list, with booleans and strings among its
+    entries refused: numpy would read ``true`` and ``"1"`` as 1.0."""
+    for v in value if isinstance(value, list) else (value,):
+        if isinstance(v, (bool, str)):
+            raise MalformedPointError(f"point data must be numbers, got {v!r}")
+    return value
+
+
 def point_from_dict(doc: dict) -> SpacePoint:
+    """The point a JSON document describes (see :func:`point_to_dict`).
+
+    Every failure is :class:`MalformedPointError`, among them numbers given
+    as JSON booleans or strings.
+    """
     if not isinstance(doc, dict) or "space" not in doc:
         raise MalformedPointError("point document must be an object with a 'space' key")
     try:
@@ -549,16 +575,17 @@ def point_from_dict(doc: dict) -> SpacePoint:
     if space in SEQUENCE_SPACES:
         if "coords" not in doc:
             raise MalformedPointError(f"{space.value} document needs 'coords'")
-        return seq_point(space, doc["coords"])
+        return seq_point(space, _json_numbers(doc["coords"]))
     try:
         segments = doc["segments"]
-        slopes = [s["slope"] for s in segments]
-        intercepts = [s["intercept"] for s in segments]
-        point = pw_point(space, doc["a"], doc["b"], doc.get("breakpoints", []), slopes, intercepts)
+        slopes = _json_numbers([s["slope"] for s in segments])
+        intercepts = _json_numbers([s["intercept"] for s in segments])
+        a, b, bp = (_json_numbers(v) for v in (doc["a"], doc["b"], doc.get("breakpoints", [])))
     except (KeyError, TypeError) as exc:
         raise MalformedPointError(f"bad piecewise document: {exc}") from exc
+    point = pw_point(space, a, b, bp, slopes, intercepts)
     if "jumps" in doc:
-        given = np.asarray(doc["jumps"], dtype=float)
+        given = _floats(_json_numbers(doc["jumps"]))
         derived = point.jumps()
         if given.shape != derived.shape or not np.allclose(
             given, derived, rtol=0.0, atol=_roundoff(point.knots, slopes, intercepts)

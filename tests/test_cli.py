@@ -1,16 +1,22 @@
 """Command-line interface: JSON reports, exit codes, flags, and config."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banachdiff
 from banachdiff import cli
@@ -420,6 +426,134 @@ def test_error_context_stays_strict_json(capsys, tmp_path):
     assert rc == 2
     assert doc["error"]["code"] == "MALFORMED_POINT"
     assert doc["error"]["context"]["given"] == ["Infinity"]
+
+
+_CAB_DOC = {
+    "space": "C_AB",
+    "a": 0.0,
+    "b": 1.0,
+    "breakpoints": [0.5],
+    "segments": [{"slope": 2.0, "intercept": 0.0}, {"slope": -2.0, "intercept": 2.0}],
+    "jumps": [0.0],
+}
+
+
+def _with(doc, **fields):
+    return {**doc, **fields}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"space": "L1_SEQ", "coords": "abc"},
+        {"space": "L1_SEQ", "coords": [True, 2]},
+        {"space": "L1_SEQ", "coords": ["1", 2]},
+        {"space": "L1_SEQ", "coords": [10**400]},
+        _with(_CAB_DOC, segments=[{"slope": "x", "intercept": 0}, _CAB_DOC["segments"][1]]),
+        _with(_CAB_DOC, segments=[{"slope": 2.0, "intercept": False}, _CAB_DOC["segments"][1]]),
+        _with(_CAB_DOC, a="x"),
+        _with(_CAB_DOC, b=[1.0]),
+        _with(_CAB_DOC, breakpoints=["x"]),
+        _with(_CAB_DOC, jumps=["x"]),
+        _with(_CAB_DOC, jumps={"at": 0.5}),
+        _with(_CAB_DOC, b=10.0, segments=[{"slope": 1e308, "intercept": 0.0}] * 2),
+    ],
+    ids=["coords-string", "coords-bool", "coords-numeric-string", "coords-huge-int", "slope-string",
+         "intercept-bool", "a-string", "b-list", "breakpoints-string", "jumps-string", "jumps-object",
+         "lines-overflow"],
+)
+def test_unusable_point_document_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["norm", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "MALFORMED_POINT"
+
+
+@pytest.mark.parametrize(
+    "point",
+    ['["a", 1]', "[true, 2]", '["1", 2]', "[1, [2]]", "[" * 100000],
+    ids=["string", "bool", "numeric-string", "nested", "too-deep"],
+)
+def test_non_numeric_inline_point_exits_2(capsys, point):
+    rc = cli.main(["norm", "--space", "l1", "--point", point])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "MALFORMED_POINT"
+
+
+@pytest.mark.parametrize("flag", ["--file", "--config"])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, flag):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    rc = cli.main(["norm", "--space", "l1", "--point", "[1]", flag, str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["code"] == "PRECONDITION_FAILED" and error["message"].startswith(f"cannot read {flag}")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_POINT_DOCS = [
+    {"space": "L1_SEQ", "coords": [1.0, -2.0]},
+    _CAB_DOC,
+    _with(_CAB_DOC, space="LINF_R", jumps=[1.0], segments=[{"slope": 0.0, "intercept": 0.0}] * 2),
+    _with(_CAB_DOC, space="NBV_AB"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(_POINT_DOCS),
+    fields=st.dictionaries(
+        st.sampled_from(["space", "coords", "a", "b", "breakpoints", "segments", "jumps"]), _JSON_VALUES
+    ),
+    segment=st.dictionaries(st.sampled_from(["slope", "intercept"]), _JSON_VALUES),
+)
+def test_any_json_in_a_point_document_is_a_report(base, fields, segment):
+    doc = _with(base, **fields)
+    if "segments" in base and "segments" not in fields:
+        doc["segments"] = [{**base["segments"][0], **segment}, base["segments"][1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "point.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["norm", "--file", path])
+    assert rc in (0, 2, 3) and err.getvalue() == ""
+    json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."], ids=["missing-dir", "a-directory"])
+def test_an_unwritable_output_exits_2_with_the_report_on_stdout(capsys, tmp_path, target):
+    output = str(tmp_path / target)
+    rc = cli.main(["--output", output, "norm", "--space", "l1", "--point", "[1]"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["code"] == "PRECONDITION_FAILED" and error["message"].startswith(f"cannot write --output {output}")
+
+
+def test_cylinder_memory_does_not_grow_with_the_largest_dimension(capsys):
+    argv = ["cyl", "--base", "supnorm", "--t", "3", "--dims", "2,3,1000000", "--space", "linf",
+            "--point", "[1, 2, 3]"]
+    cli.main(argv)  # the parser is built once per process, outside the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == 3.0
+    assert peak < 2 * 2**20
 
 
 def test_suite_failure_exits_1(capsys, monkeypatch):

@@ -91,6 +91,39 @@ def test_summability_check_can_fail():
     assert not flag
 
 
+def _vakhania_reference(spec, N):
+    """vakhania_check with every term in one array."""
+    terms = np.exp([-spec.r / spec.variance_at(k) for k in range(1, N + 1)])
+    m = max(1, N // 2)
+    a_mid, a_end = float(terms[m - 1]), float(terms[N - 1])
+    if a_end == 0.0 or m == N or a_mid == 0.0:
+        flag = a_end == 0.0
+    else:
+        flag = (math.log(a_mid) - math.log(a_end)) / math.log(N / m) > 1.0
+    return flag, math.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [default_spec(), GaussianSpec(r=1.5), GaussianSpec(r=60.0), GaussianSpec(variances=(0.5, 1.0, 2.0))],
+    ids=["default", "r-1.5", "underflowing", "explicit"],
+)
+def test_summability_check_in_blocks_equals_one_array(spec):
+    block = gaussmeasure._TERM_BLOCK
+    for N in (1, 2, 1000, block - 1, block, block + 1, 2 * block + 1):
+        assert vakhania_check(spec, N) == _vakhania_reference(spec, N)
+
+
+def test_summability_check_memory_is_bounded_in_N():
+    tracemalloc.start()
+    try:
+        vakhania_check(default_spec(), 200000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_sampling_is_reproducible_and_correctly_shaped():
     spec = default_spec()
     pts = gaussian_sample(spec, 6, 4, seed=42)

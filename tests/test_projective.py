@@ -1,5 +1,8 @@
 """Truncation systems, cylindrical functions, and chain-rule propagation."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,19 @@ def test_system_construction_validates_dims():
         make_truncation_system((0, 1))
     with pytest.raises(BadDimsError):
         make_truncation_system(())
+
+
+def test_building_a_system_costs_nothing_per_triple():
+    tracemalloc.start()
+    try:
+        make_truncation_system((2, 3, 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    start = time.perf_counter()
+    assert make_truncation_system(range(1, 151)).dims == tuple(range(1, 151))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_connectors_compose_exactly(rng):
@@ -325,6 +341,31 @@ def test_outer_kink_under_a_zero_inner_derivative_verifies_flat():
             v = compose_propagate(OUTER_MAPS[outer], zero, sys_, x, h)
             assert v.status is VerdictStatus.GATEAUX
             assert v.derivative.kind is RepKind.ZERO and v.value == 0.0
+
+
+_STEEP_ABS = ScalarMap("steep_abs", lambda u: 1e3 * abs(u))
+
+
+@pytest.mark.parametrize(
+    "outer, base, k, detail",
+    [
+        (OUTER_MAPS["identity"], lambda p: float(p.coords[1]) ** 2, 1,
+         "inner factor inconclusive: quotients along probe 0 did not converge on the grid"),
+        (_STEEP_ABS, lambda p: 5e-10 * float(p.coords[0]), 0,
+         "outer kink under a zero inner derivative did not verify flat"),
+        (_STEEP_ABS, lambda p: float(p.coords[0]) + 1e-3 * float(p.coords[0]) ** 2, 0,
+         "outer kink did not verify against the composition"),
+    ],
+    ids=["inner-inconclusive", "zero-inner-not-flat", "kink-unverified"],
+)
+def test_compose_reports_what_it_could_not_verify(outer, base, k, detail):
+    sys_ = make_truncation_system((2, 3, 5))
+    inner = CylindricalFunction("inner", 3, Functional("inner", base, Space.RT))
+    x = seq_point(Space.LINF_SEQ, [0.0, 1.0, 0.5, 0.25, 2.0])
+    h = seq_point(Space.LINF_SEQ, np.eye(5)[k])
+    v = compose_propagate(outer, inner, sys_, x, h)
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == detail
 
 
 def test_smooth_outer_scales_a_signed_index_rep():
