@@ -71,6 +71,7 @@ from .projective import (
 )
 from .spaces import (
     Space,
+    _read_json,
     eval_norm,
     point_from_dict,
     point_to_dict,
@@ -102,24 +103,16 @@ def _space_of(tag: str) -> Space:
         ) from None
 
 
-def _read_json(text: str, what: str):
-    # json.loads raises ValueError beyond its 4300-digit integer limit and
-    # RecursionError on arrays nested too deep for the parser
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedPointError(f"{what} is not valid JSON: {exc}") from None
-
-
-def _read_file(path: str, flag: str):
+def _read_file(path: str, flag: str, error=MalformedPointError):
     """The JSON document in the file ``path``; a file that cannot be read,
-    or is not UTF-8, fails as :class:`PreconditionFailedError`."""
+    or is not UTF-8, fails as :class:`PreconditionFailedError`, and one
+    that is not JSON as ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionFailedError(f"cannot read --{flag} {path}: {exc}") from None
-    return _read_json(text, f"--{flag} {path}")
+    return _read_json(text, f"--{flag} {path}", error)
 
 
 def _load_point(args, *, flag: str = "point", file_flag: str = "file"):
@@ -148,7 +141,7 @@ def _load_point(args, *, flag: str = "point", file_flag: str = "file"):
 def _config_of(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    cfg = _read_file(args.config, "config")
+    cfg = _read_file(args.config, "config", PreconditionFailedError)
     if not isinstance(cfg, dict):
         raise PreconditionFailedError("--config must contain a JSON object")
     return cfg

@@ -74,6 +74,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# The most steps a grid may have: every halving grid whose steps are normal
+# floats (2**1023 down to 2**-1022 is 2046 steps) fits, and the memory of a
+# verdict, which grows with the steps, stays bounded.
+MAX_STEPS = 2048
+
 
 def _checked(what: str, fn: Callable[..., float], arg, **context) -> float:
     """``float(fn(arg))``, where an overflow or a non-finite value raises
@@ -185,9 +190,10 @@ class TGrid:
     decimal t0 of comparable size loses ~2e-9 of accuracy to cancellation
     at the smallest steps — above the default tolerance.
 
-    A grid must be usable as given: t0 finite and the smallest step
-    ``t0 * rho**(count-1)`` a positive normal float, so that no step
-    underflows and every quotient divides by a full-precision step.
+    A grid must be usable as given: t0 finite, count an integer of at
+    most ``MAX_STEPS``, and the smallest step ``t0 * rho**(count-1)`` a
+    positive normal float, so that no step underflows and every quotient
+    divides by a full-precision step.
     """
 
     t0: float = 0.0625
@@ -197,6 +203,8 @@ class TGrid:
     def __post_init__(self):
         if not (0.0 < self.t0 < math.inf and 0.0 < self.rho < 1.0 and self.count >= 3):
             raise PreconditionFailedError("need finite t0 > 0, rho in (0,1), count >= 3")
+        if self.count > MAX_STEPS or self.count != int(self.count):
+            raise PreconditionFailedError(f"count must be an integer from 3 to {MAX_STEPS}", count=self.count)
         smallest = self.t0 * self.rho ** (self.count - 1)
         if not smallest >= sys.float_info.min:
             raise PreconditionFailedError(

@@ -29,8 +29,8 @@ from .errors import (
     NotInComplementError,
     PreconditionFailedError,
 )
-from .spaces import Space, SpacePoint, seq_point, sig, step_fn, value_at
-from .topology import _peak_sites, _sup_scan, classify
+from .spaces import Space, SpacePoint, _abs_profile, _top_two, seq_point, sig, step_fn, value_at
+from .topology import _peak_sites, classify
 
 __all__ = [
     "RepKind",
@@ -271,22 +271,18 @@ def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
     _expect(x, Space.LINF_SEQ, Space.RT)
     if not 0.0 <= tie_tol < np.inf:
         raise PreconditionFailedError("tie_tol must be finite and nonnegative", tie_tol=tie_tol)
-    abs_c = np.abs(x.coords)
-    first = int(abs_c.argmax())
-    top = float(abs_c[first])
+    profile = _abs_profile(x.coords, None, None)
+    p, q = _top_two(profile)
     if classify(x, tie_tol).in_B:
         raise NotInComplementError(
             "point has a dominant coordinate; no tie within tie_tol",
-            top=top,
+            top=float(profile[p]),
             tie_tol=tie_tol,
         )
     h = np.zeros(x.dim)
-    h[first] = sig(x.coords[first]) or 1.0
-    if x.dim > 1:
-        rest = abs_c.copy()
-        rest[first] = -1.0  # below every magnitude
-        second = int(rest.argmax())
-        h[second] = -(sig(x.coords[second]) or 1.0)
+    h[p] = sig(x.coords[p]) or 1.0
+    if q is not None:
+        h[q] = -(sig(x.coords[q]) or 1.0)
     return seq_point(x.space, h)
 
 
@@ -302,12 +298,12 @@ def witness_Linf(f: SpacePoint) -> SpacePoint:
     sup of a two-peak function responds to the fastest-growing peak.
     """
     _expect(f, Space.LINF_R)
-    norm, sites = _peak_sites(f)
+    norm, sites, signed = _peak_sites(f)
     if norm == 0.0:
         raise NoDoubleMaxError("the zero function has no maximum structure")
     if len(sites) < 2:
         raise NoDoubleMaxError("|f| attains its sup at fewer than two points")
-    (x0, v0), (x1, v1) = list(sites.items())[:2]
+    (x0, x1), (v0, v1) = sites[:2], signed[:2]
     split = x0 + (x1 - x0) / 2.0
     return step_fn(Space.LINF_R, f.a, f.b, split, sig(v0) or 1.0, -(sig(v1) or 1.0))
 
@@ -324,15 +320,12 @@ def witness_nbv(f: SpacePoint) -> SpacePoint:
     jump-free midpoint of the breakpoint partition.
     """
     _expect(f, Space.NBV_AB)
-    _, cands = _sup_scan(f)
-    lo = min(cands, key=lambda pv: (pv[1], pv[0]))
-    hi = max(cands, key=lambda pv: (pv[1], -pv[0]))
-    candidates = []
-    if lo[0] != hi[0]:
-        candidates.append(lo[0] + (hi[0] - lo[0]) / 2.0)
-    candidates.append(f.a + (f.b - f.a) / 2.0)
     k = f.knots
-    candidates.extend(float(k[i] + (k[i + 1] - k[i]) / 2.0) for i in range(k.shape[0] - 1))
+    sided = np.column_stack((f.lefts, f.values)).ravel()  # in t-order, left limit first
+    lo, hi = float(k[sided.argmin() // 2]), float(k[sided.argmax() // 2])
+    candidates = [lo + (hi - lo) / 2.0] if lo != hi else []
+    candidates.append(f.a + (f.b - f.a) / 2.0)
+    candidates.extend((k[:-1] + np.diff(k) / 2.0).tolist())
     bset = set(f.breakpoints.tolist())
     for mid in candidates:
         if f.a < mid < f.b and mid not in bset:

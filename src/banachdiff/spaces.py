@@ -367,6 +367,19 @@ def _abs_profile(coords, values, lefts) -> np.ndarray:
     return np.maximum(np.abs(values), np.abs(lefts))
 
 
+def _top_two(profile: np.ndarray) -> tuple[int, int | None]:
+    """The first index p of the largest entry of a profile (see
+    :func:`_abs_profile`) and the first index of the largest among the
+    others, None when there are none.  The max of the profile without
+    entry k is entry p, except at k = p, where it is the runner-up."""
+    p = int(profile.argmax())
+    if profile.shape[0] == 1:
+        return p, None
+    rest = profile.copy()
+    rest[p] = -1.0  # below every magnitude
+    return p, int(rest.argmax())
+
+
 def _norms(space: Space, coords, values, lefts) -> np.ndarray:
     """The norm of every point whose arrays are the last-axis rows of
     ``coords`` (sequences) or of ``values`` and ``lefts`` (functions).
@@ -602,9 +615,16 @@ def point_to_json(x: SpacePoint) -> str:
     return json.dumps(point_to_dict(x), sort_keys=True, separators=(",", ":"))
 
 
-def point_from_json(text: str) -> SpacePoint:
+def _read_json(text: str, what: str, error=MalformedPointError):
+    """The JSON document ``text``; text that is not JSON raises ``error``
+    with a message naming ``what``."""
+    # json.loads raises ValueError beyond its 4300-digit integer limit and
+    # RecursionError on arrays nested too deep for the parser
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedPointError(f"invalid JSON: {exc}") from exc
-    return point_from_dict(doc)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def point_from_json(text: str) -> SpacePoint:
+    return point_from_dict(_read_json(text, "point text"))

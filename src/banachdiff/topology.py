@@ -5,12 +5,13 @@ its space's norm and, when it does, emits the certificate (dominant index
 or unique peak location plus a positive margin) that the closed-form
 derivative builds upon.  It is the only membership test: the oracles and
 the tie witness in ``oracles`` read its verdict instead of repeating it.
-The sup scans over knot values that it and the function-space witnesses
-share live here too.  The ``densify_*`` builders move an arbitrary
-point into that set by less than a requested distance, and
-``ball_check_linf`` samples a whole ball to confirm that max-norm
-dominance survives perturbation — a theorem check whose failure would
-signal a bug, not new mathematics.
+Every sup decision here and in the witnesses reads one scan: the profile
+whose max ``spaces.eval_norm`` takes (|coordinate|, or per knot the larger
+of |value| and |left limit|), and the helper that finds its two largest
+entries.  The ``densify_*`` builders move an arbitrary point into that
+set by less than a requested distance, and ``ball_check_linf`` samples a
+whole ball to confirm that max-norm dominance survives perturbation — a
+theorem check whose failure would signal a bug, not new mathematics.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
-    _lerp,
+    _abs_profile,
+    _at_knots,
+    _top_two,
+    eval_norm,
     linear_combine,
     pw_from_values,
     seq_point,
@@ -103,10 +107,10 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
             f"|x_{m + 1}| = {lo} fails the > {eps} floor",
         )
     if x.space in (Space.LINF_SEQ, Space.RT):
-        abs_c = np.abs(x.coords)
-        p = int(abs_c.argmax())
-        top = float(abs_c[p])
-        second = float(np.delete(abs_c, p).max()) if x.dim > 1 else 0.0
+        profile = _abs_profile(x.coords, None, None)
+        p, q = _top_two(profile)
+        top = float(profile[p])
+        second = 0.0 if q is None else float(profile[q])
         margin = top - second
         if margin > eps and top > eps:
             return MembershipReport(
@@ -126,59 +130,39 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     )
 
 
-def _sup_scan(x: SpacePoint) -> tuple[float, list[tuple[float, float]]]:
-    """Sup of |x| plus the (position, value) candidates in t-order.
-
-    The candidates are the value at ``a``, then at each later knot its
-    left limit followed, except at ``b``, by its attained value.
-    """
-    pos = np.repeat(x.knots, 2)[1:-1]
-    vals = np.column_stack((x.lefts, x.values)).ravel()[1:-1]
-    cands = list(zip(pos.tolist(), vals.tolist()))
-    return max(abs(v) for _, v in cands), cands
-
-
-def _peak_sites(x: SpacePoint) -> tuple[float, dict[float, float]]:
-    """Sup of |x| and, in t-order, each position where a candidate reaches
-    it, mapped to the first such candidate value there."""
-    norm, cands = _sup_scan(x)
-    sites: dict[float, float] = {}
-    for pos, val in cands:
-        if abs(val) == norm and pos not in sites:
-            sites[pos] = val
-    return norm, sites
+def _peak_sites(x: SpacePoint) -> tuple[float, list[float], list[float]]:
+    """The sup of |x| (the cached ``eval_norm``), and in t-order the knots
+    where the profile reaches it, each with the signed value of x that
+    reaches it there: the left limit if it does, else the attained value."""
+    norm = eval_norm(x).value
+    at = np.flatnonzero(_abs_profile(None, x.values, x.lefts) == norm)
+    lefts = x.lefts[at]
+    signed = np.where(np.abs(lefts) == norm, lefts, x.values[at])
+    return norm, x.knots[at].tolist(), signed.tolist()
 
 
 def _gap_outside(x: SpacePoint, t0: float, rho: float, norm: float) -> float:
     """norm minus the sup of |x| outside the open rho-ball around t0.
 
-    ``rho = 0`` leaves out only t0 itself: the competitors are then the
-    values and left limits at every other knot.  LINF_R also counts its
-    constant tails, which lie outside every ball.
+    x is read at its knots and at the ends of the ball that fall inside
+    [a, b], and the profile is scanned at those of them outside the ball;
+    ``rho = 0`` leaves out only t0 itself, one of the knots.  LINF_R also
+    counts its constant tails, which lie outside every ball.
     """
-    k, v, e = x.knots, x.values, x.lefts
-    if rho == 0.0:
-        off = k != t0
-        competitors = [v[off], e[off]]
-    else:
-        # clip each segment [kl, kr] to the complement of (t0 - rho, t0 + rho)
-        kl, kr, start, end = k[:-1], k[1:], v[:-1], e[1:]
-        lo, hi = t0 - rho, t0 + rho
-        left_part = kl <= lo
-        right_part = kr >= hi
-        at_lo = _lerp(start, end, (np.clip(lo, kl, kr) - kl) / (kr - kl))
-        at_hi = _lerp(start, end, (np.clip(hi, kl, kr) - kl) / (kr - kl))
-        competitors = [start[left_part], at_lo[left_part], at_hi[right_part], end[right_part]]
+    k = x.knots
+    lo, hi = t0 - rho, t0 + rho
+    t = np.union1d(k, np.clip((lo, hi), k[0], k[-1]))
+    outside = (t <= lo) | (t >= hi) if rho > 0.0 else t != t0
     if x.space is Space.LINF_R:
-        competitors.append(v[[0, -1]])
-    return norm - max(float(np.abs(c).max(initial=0.0)) for c in competitors)
+        outside[[0, -1]] = True
+    profile = _abs_profile(None, *_at_knots(x, t))
+    return norm - float(profile[outside].max(initial=0.0))
 
 
 def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
-    norm, peaks = _peak_sites(x)
+    norm, sites, _ = _peak_sites(x)
     if norm == 0.0:
         return MembershipReport(x.space, False, None, None, "the zero function peaks everywhere")
-    sites = list(peaks)
     if len(sites) > 1:
         return MembershipReport(
             x.space, False, None, None,
@@ -232,11 +216,10 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("densify_linf needs a max-norm sequence point")
     if not 0.0 < eps < math.inf:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
-    abs_c = np.abs(x.coords)
-    p = int(abs_c.argmax())
-    norm = float(abs_c[p])
+    norm = eval_norm(x)
+    p = norm.witness - 1
     y = x.coords.copy()
-    y[p] = (sig(x.coords[p]) or 1.0) * (norm + eps / 2.0)
+    y[p] = (sig(x.coords[p]) or 1.0) * (norm.value + eps / 2.0)
     return seq_point(x.space, y)
 
 
@@ -255,14 +238,12 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     if classify(f, 0.0).in_B:
         return f
-    _, peaks = _peak_sites(f)
-    t1, v1 = next(iter(peaks.items()))  # the first peak
-    sigma = sig(v1) or 1.0
+    _, sites, signed = _peak_sites(f)
+    t1, sigma = sites[0], sig(signed[0]) or 1.0  # the first peak
 
-    knots = f.knots
-    gaps = [float(knots[i + 1] - knots[i]) for i in range(knots.shape[0] - 1)]
-    adjacent = [g for i, g in enumerate(gaps) if knots[i] <= t1 <= knots[i + 1]]
-    w = 2.0 ** math.floor(math.log2(min(min(adjacent), (f.b - f.a) / 4.0) / 2.0))
+    k = f.knots
+    adjacent = np.diff(k)[(k[:-1] <= t1) & (t1 <= k[1:])]
+    w = 2.0 ** math.floor(math.log2(min(float(adjacent.min()), (f.b - f.a) / 4.0) / 2.0))
 
     lo, hi = max(f.a, t1 - w), min(f.b, t1 + w)
     bpos = [p for p in (lo, t1, hi) if f.a < p < f.b]
@@ -297,10 +278,7 @@ def ball_check_linf(x: SpacePoint, eps: float, trial_count: int, seed: int) -> b
     rng = philox_gen(seed)
     u = rng.uniform(-1.0, 1.0, size=(trial_count, x.dim))
     u[np.abs(u) >= 1.0] *= 0.5
-    ys = x.coords[None, :] + (eps / 4.0) * u
-    abs_y = np.abs(ys)
-    top = abs_y[:, p]
-    others = np.delete(abs_y, p, axis=1)
-    if others.shape[1] == 0:
-        return bool(np.all(top >= eps / 2.0))
-    return bool(np.all(others.max(axis=1) <= top - eps / 2.0))
+    abs_y = _abs_profile(x.coords[None, :] + (eps / 4.0) * u, None, None)
+    top = abs_y[:, p].copy()
+    abs_y[:, p] = 0.0  # each row's max is now its runner-up, 0 for one coordinate
+    return bool(np.all(abs_y.max(axis=1) <= top - eps / 2.0))

@@ -494,6 +494,33 @@ def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, flag):
     assert error["code"] == "PRECONDITION_FAILED" and error["message"].startswith(f"cannot read {flag}")
 
 
+def test_a_config_that_is_not_json_exits_2_as_a_failed_precondition(capsys, tmp_path):
+    path = tmp_path / "badcfg.json"
+    path.write_text("{bad")
+    rc = cli.main(["norm", "--space", "l1", "--point", "[1]", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["code"] == "PRECONDITION_FAILED"
+    assert error["message"].startswith(f"--config {path} is not valid JSON")
+
+
+def test_a_step_count_past_the_bound_exits_2_before_building_steps(capsys):
+    argv = ["diff", "--space", "l1", "--point", "[1, 2]", "--dir", "[1, 0]", "--rho", "0.9999999"]
+    cli.main(argv)  # the parser is built once per process, outside the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv + ["--count-steps", "10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"
+    assert peak < 2 * 2**20
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

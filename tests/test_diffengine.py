@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from banachdiff.diffengine import (
     DEFAULT_GRID,
     DEFAULT_TOL,
+    MAX_STEPS,
     DiffVerdict,
     Functional,
     QuotientTrace,
@@ -39,6 +40,7 @@ from banachdiff.errors import (
     NonconvergentPerturbationError,
     PreconditionFailedError,
     SpaceMismatchError,
+    ToolkitError,
 )
 from banachdiff.oracles import (
     RepKind,
@@ -105,12 +107,35 @@ def test_grid_accepts_a_smallest_step_at_the_least_normal_float():
     assert g.steps()[-1] == 2.0**-1022
 
 
+def test_grid_refuses_a_fractional_or_oversized_count_before_building_steps():
+    tracemalloc.start()
+    try:
+        for count in (3.5, MAX_STEPS + 1, 10**7, math.inf):
+            with pytest.raises(PreconditionFailedError, match="count must be an integer"):
+                TGrid(t0=1.0, rho=1.0 - 1e-7, count=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert TGrid(t0=1.0, rho=0.99, count=MAX_STEPS).steps().shape == (MAX_STEPS,)
+
+
 def test_directional_quotient_rejects_zero_step():
     f = norm_functional(Space.L1_SEQ)
     x = seq_point(Space.L1_SEQ, [1.0])
     for t in (0.0, math.inf, math.nan):
         with pytest.raises(PreconditionFailedError):
             directional_quotient(f, x, x, t)
+
+
+def test_directional_quotient_reads_each_side_of_a_kink():
+    # |x1 + t| + |x2 + t/2| at x = (0, -2): slopes 1 - 1/2 ahead, -1 - 1/2 behind
+    f = norm_functional(Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [0.0, -2.0])
+    h = seq_point(Space.L1_SEQ, [1.0, 0.5])
+    for g in (f, _scalar(f)):
+        assert directional_quotient(g, x, h, 0.25) == 0.5
+        assert directional_quotient(g, x, h, -0.25) == -1.5
 
 
 def test_non_finite_values_are_eval_failures():
@@ -727,7 +752,7 @@ def _outcome(run):
     """A verdict's report as JSON text, or the error it raised."""
     try:
         return json.dumps(run().to_dict(), default=float)
-    except EvalFailureError as exc:
+    except ToolkitError as exc:
         return type(exc).__name__, str(exc), exc.context
 
 
@@ -829,6 +854,19 @@ def test_a_split_probe_0_ends_the_verdict_before_the_probes_stacked_with_it(fixt
 def test_a_stack_that_overflows_raises_what_one_direction_at_a_time_raises(x, probes, grid, message):
     outcome = _assert_same_verdict(norm_functional(x.space), x, probes, grid)
     assert outcome[:2] == ("EvalFailureError", message)
+
+
+def test_a_probe_of_another_space_raises_once_probe_0_is_judged():
+    f = norm_functional(Space.L1_SEQ)
+    other = seq_point(Space.LINF_SEQ, [0.0, 1.0])
+    # probe 0 has a limit, so the verdict goes on to probe 1, which cannot be combined with x
+    x = seq_point(Space.L1_SEQ, [1.0, -2.0])
+    outcome = _assert_same_verdict(f, x, [seq_point(Space.L1_SEQ, [1.0, 0.0]), other])
+    assert outcome[:2] == ("SpaceMismatchError", "cannot combine L1_SEQ with LINF_SEQ")
+    # probe 0 splits at a zero coordinate: the verdict ends before probe 1
+    x = seq_point(Space.L1_SEQ, [0.0, -2.0])
+    _assert_same_verdict(f, x, [seq_point(Space.L1_SEQ, [1.0, 0.0]), other])
+    assert gateaux_verdict(f, x, [seq_point(Space.L1_SEQ, [1.0, 0.0]), other]).status is VerdictStatus.NOT_GATEAUX
 
 
 def test_fit_reports_zero_and_gives_up_on_non_unit_point_evaluations():

@@ -1,5 +1,7 @@
 """The harnesses around the checks: acceptance criteria and the test run."""
 
+import importlib
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -68,3 +70,13 @@ def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_the_benchmark_traces_only_names_the_program_has():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.WRAPPED) == 26
+    for module, attribute, _span in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (module, attribute)

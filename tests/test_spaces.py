@@ -287,6 +287,16 @@ def test_point_from_dict_rejects_garbage():
         point_from_json("[not json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"space": "L1_SEQ", "coords": [' + "1" * 5000 + "]}", "[" * 100000],
+    ids=["integer-past-the-digit-limit", "too-deep"],
+)
+def test_unreadable_point_text_is_malformed(text):
+    with pytest.raises(MalformedPointError, match="is not valid JSON"):
+        point_from_json(text)
+
+
 @given(st.lists(dyadics, min_size=1, max_size=20))
 def test_seq_round_trip_is_bitwise(coords):
     x = seq_point(Space.LINF_SEQ, coords)
