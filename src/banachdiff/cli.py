@@ -5,10 +5,11 @@ Every invocation writes a single JSON document (stdout by default, or
 that was used, and the library version — no timestamps or other
 nondeterminism, so identical requests produce byte-identical reports.
 Exit codes: 0 on success, 2 on validation errors (bad points, bad
-flags, ``measure --n`` above ``gaussmeasure.MAX_N``, an ``--output``
-that cannot be written, whose error report then goes to stdout), 3 on
-computational errors (among them a linear combination of valid points
-that overflows), and for ``suite`` 1 when a criterion fails.
+flags, ``measure --n`` above ``gaussmeasure.MAX_N``, ``vakhania --N``
+above ``gaussmeasure.MAX_TERMS``, an ``--output`` that cannot be
+written, whose error report then goes to stdout), 3 on computational
+errors (among them a linear combination of valid points that
+overflows), and for ``suite`` 1 when a criterion fails.
 
 A JSON config file (``--config``) may supply defaults for the step
 grid, tolerance, truncation dimensions, and seed; explicit flags win.
@@ -52,6 +53,7 @@ from .errors import (
 )
 from .gaussmeasure import (
     MAX_N,
+    MAX_TERMS,
     GaussianSpec,
     b2_tie_probability_oracle,
     default_spec,
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variance law: default decaying law or unit variances")
 
     p = add_parser("vakhania", "summability check for the Gaussian law")
-    p.add_argument("--N", type=int, required=True, help="number of series terms")
+    p.add_argument("--N", type=int, required=True, help=f"number of series terms, at most {MAX_TERMS}")
     p.add_argument("--r", type=float, help="exponential rate (default 2.0)")
 
     p = add_parser("cyl", "evaluate/differentiate a cylindrical function")

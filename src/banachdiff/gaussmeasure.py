@@ -11,8 +11,10 @@ cross-checked for n=2 against deterministic quadrature.
 Sampling is counter-based (Philox) in fixed blocks of rows, so results
 are bit-identical across platforms and independent of how many blocks
 run in parallel; the block stream depends only on (seed, block, n).
-A block holds ``n`` coordinates per row, so sampling accepts at most
-``MAX_N`` coordinates, which bounds the memory of one block.
+Any window of rows of a block can be drawn on its own, bit for bit, so
+the estimator walks each block in chunks of at most ``_CHUNK_VALUES``
+numbers, and its memory depends on neither ``n`` nor ``count``.
+Sampling accepts at most ``MAX_N`` coordinates.
 
 scipy is imported by the two functions that use it, on their first call,
 so importing the package does not load it.
@@ -38,6 +40,7 @@ from .spaces import Space, SpacePoint, seq_point
 
 __all__ = [
     "MAX_N",
+    "MAX_TERMS",
     "GaussianSpec",
     "MeasureEstimate",
     "default_spec",
@@ -50,11 +53,16 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 65536
-# One block holds its uint64 draw and one float64 buffer of _BLOCK_ROWS * n
-# values, converted in place: about 0.27 GB at n = 256.
+# Numbers one chunk of rows holds: its uint64 draw and its float64 buffer
+# take 1 MB each.
+_CHUNK_VALUES = 2**17
+# A chunk holds _CHUNK_VALUES // n rows, so at the bound at least 512 rows
+# share the per-chunk costs of seeding, skipping and the column scan.
 MAX_N = 256
 # Series terms vakhania_check exponentiates at once, 0.5 MB of float64.
 _TERM_BLOCK = 65536
+# Series terms vakhania_check sums at most: about 0.5 us each, so about 5 s.
+MAX_TERMS = 10**7
 _LOG = logging.getLogger(__name__)
 
 
@@ -143,10 +151,11 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
     sequence is estimated between k = N/2 and k = N, and the tail counts
     as summable when that exponent beats 1 (a convergent p-series bound).
     Terms that underflow to zero count as summable outright.  Terms are
-    exponentiated in blocks of ``_TERM_BLOCK``, so memory stays bounded in N.
+    exponentiated in blocks of ``_TERM_BLOCK``, so memory stays bounded in
+    N, and N is at most ``MAX_TERMS``, which bounds the time.
     """
-    if N < 1:
-        raise PreconditionFailedError("N must be >= 1")
+    if not 1 <= N <= MAX_TERMS:
+        raise PreconditionFailedError(f"need 1 <= N <= {MAX_TERMS}", N=N)
     m = max(1, N // 2)
     marks = {}
 
@@ -171,21 +180,27 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
 
 
 def _sample_block(
-    spec: GaussianSpec, n: int, seed: int, block: int, rows: int = _BLOCK_ROWS
+    spec: GaussianSpec, n: int, seed: int, block: int, rows: int = _BLOCK_ROWS, start: int = 0
 ) -> np.ndarray:
-    """The first ``rows`` rows of one block of Gaussian rows.
+    """Rows ``[start, start + rows)`` of one block of Gaussian rows.
 
     A block depends only on (seed, block, n).  Its uniforms are
-    ``(k + 0.5) * 2**-53`` for 53-bit integers k drawn by Philox, which
-    never rejects a draw at this bound, so fewer rows are an exact prefix
-    of the full block.  The draw is converted into one float64 buffer and
-    then in place: uniforms, normals through ``ndtri``, and finally the
-    scaling by the coordinate standard deviations.  The buffer is laid out
-    column by column, so that ``_margins`` reads contiguous columns.
+    ``(k + 0.5) * 2**-53`` for 53-bit integers k drawn by Philox, one draw
+    per number with no rejection at this bound, so any window of rows is
+    an exact slice of the full block: the stream skips the ``start * n``
+    draws before it, whole Philox counter steps of four draws first and
+    the rest one by one.  The draw is converted into one float64 buffer
+    and then in place: uniforms, normals through ``ndtri``, and finally
+    the scaling by the coordinate standard deviations.  The buffer is laid
+    out column by column, so that ``_margins`` reads contiguous columns.
     """
     from scipy.special import ndtri
 
-    draw = philox_gen(seed, block).integers(0, 1 << 53, size=(rows, n), dtype=np.uint64)
+    gen = philox_gen(seed, block)
+    skip = start * n
+    gen.bit_generator.advance(skip // 4)
+    gen.bit_generator.random_raw(skip % 4)
+    draw = gen.integers(0, 1 << 53, size=(rows, n), dtype=np.uint64)
     a = draw.astype(np.float64, order="F")
     del draw
     a += 0.5
@@ -224,18 +239,26 @@ def _check_shape(n: int, count: int) -> None:
         raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
 
 
-def _blocks(count: int):
-    """(block, rows) for the blocks that hold ``count`` rows."""
+def _chunks(n: int, count: int):
+    """(block, start, rows) for consecutive chunks of the first ``count`` rows.
+
+    Each block is cut into chunks of ``_CHUNK_VALUES // n`` rows, the last
+    chunk of a block and of the sample being shorter.
+    """
+    step = min(_BLOCK_ROWS, _CHUNK_VALUES // n)
     for block in range(-(-count // _BLOCK_ROWS)):
-        yield block, min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
+        end = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
+        for start in range(0, end, step):
+            yield block, start, min(step, end - start)
 
 
 def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[SpacePoint]:
     """count independent draws of (X_1..X_n) as max-norm sequence points."""
     _check_shape(n, count)
     out: list[SpacePoint] = []
-    for block, take in _blocks(count):
-        out.extend(seq_point(Space.LINF_SEQ, row) for row in _sample_block(spec, n, seed, block, take))
+    for block, start, rows in _chunks(n, count):
+        a = _sample_block(spec, n, seed, block, rows, start)
+        out.extend(seq_point(Space.LINF_SEQ, row) for row in a)
     return out
 
 
@@ -262,6 +285,8 @@ def estimate_nondiff_measures(
     for bit what a call with that delta alone gives.  At delta = 0 that
     leaves exact ties, which have probability zero; every estimate carries
     their number as ``tie_hits``, and they are logged if they ever occur.
+    The samples are drawn and counted one chunk of rows at a time, so
+    memory stays within two arrays of ``_CHUNK_VALUES`` numbers.
     """
     _check_shape(n, count)
     deltas = tuple(deltas)
@@ -271,13 +296,13 @@ def estimate_nondiff_measures(
         raise PreconditionFailedError("delta must be finite and nonnegative", deltas=list(deltas))
     hits = [0] * len(deltas)
     ties = 0
-    for block, take in _blocks(count):
-        a = _sample_block(spec, n, seed, block, take)
+    for block, start, rows in _chunks(n, count):
+        a = _sample_block(spec, n, seed, block, rows, start)
         margin = _margins(np.abs(a, out=a))
         for i, d in enumerate(deltas):
             hits[i] += int(np.count_nonzero(margin <= d))
         ties += int(np.count_nonzero(margin == 0.0))
-        del a, margin  # the block is freed before the next one is drawn
+        del a, margin  # the chunk is freed before the next one is drawn
     if ties:
         _LOG.warning("exact floating-point ties observed: %d of %d samples", ties, count)
     return tuple(

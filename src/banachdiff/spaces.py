@@ -228,7 +228,10 @@ def _knot_point(space: Space | str, knots, values, lefts) -> SpacePoint:
     """Validated function point from knots, knot values and left limits.
 
     Where ``lefts`` equals ``values`` the point keeps one array for both;
-    C_AB requires that.  NBV_AB needs value exactly 0 at ``a``.
+    C_AB requires that.  NBV_AB needs value exactly 0 at ``a``.  Knots
+    increase strictly and the width ``b - a`` is a finite float, which
+    bounds every gap between knots, so that a segment can be read by
+    interpolation and the domain has a midpoint.
     """
     space = Space(space)
     if space not in FUNCTION_SPACES:
@@ -238,8 +241,8 @@ def _knot_point(space: Space | str, knots, values, lefts) -> SpacePoint:
         raise MalformedPointError("need equal-length knot/value vectors, at least 2 long")
     if not (np.isfinite(k).all() and np.isfinite(v).all() and np.isfinite(e).all()):
         raise MalformedPointError("knots and values must be finite")
-    if not (k[1:] > k[:-1]).all():
-        raise MalformedPointError("knots must be strictly increasing")
+    if not ((k[1:] > k[:-1]).all() and float(k[-1]) - float(k[0]) < math.inf):
+        raise MalformedPointError("knots must be strictly increasing, with b - a within the float range")
     if np.array_equal(v, e):
         e = v
     elif space is Space.C_AB:
@@ -286,8 +289,9 @@ def pw_point(space: Space | str, a: float, b: float, breakpoints, slopes, interc
 def pw_from_values(space: Space | str, knots, values) -> SpacePoint:
     """Continuous piecewise-linear interpolant through (knot, value) pairs.
 
-    Knots must be strictly increasing; the first and last knot become the
-    domain.  The values are stored as given.
+    Knots must be strictly increasing, with a finite width from first to
+    last; the first and last knot become the domain.  The values are stored
+    as given.
     """
     return _knot_point(space, knots, values, values)
 
@@ -428,6 +432,20 @@ def eval_norm(x: SpacePoint) -> NormValue:
     return norm
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two 1-d float arrays, the values ``np.union1d``
+    gives: a stable sort and one comparison with the predecessor, with
+    neither a hash table nor numpy's masked arrays.  Of entries that
+    compare equal (``-0.0`` and ``0.0``) the first in the order ``a, b``
+    is kept, where ``np.union1d`` keeps whichever its sort puts first."""
+    t = np.concatenate((a, b))
+    t.sort(kind="stable")
+    keep = np.empty(t.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(t[1:], t[:-1], out=keep[1:])
+    return t[keep]
+
+
 def _at_knots(x: SpacePoint, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and left limits of ``x`` at ``t``, an increasing superset of
     its knots with the same endpoints; for a stack (see :func:`rows_along`)
@@ -481,7 +499,7 @@ def _combined(alpha: float, x: SpacePoint, beta, y: SpacePoint) -> dict[str, np.
             raise SpaceMismatchError(
                 f"domain mismatch: [{x.a}, {x.b}] vs [{y.a}, {y.b}]"
             )
-        knots = x.knots if x.knots is y.knots else np.union1d(x.knots, y.knots)
+        knots = x.knots if x.knots is y.knots else _union(x.knots, y.knots)
         xv, xl = _at_knots(x, knots)
         yv, yl = _at_knots(y, knots)
         values = _scaled(alpha, xv) + beta * yv

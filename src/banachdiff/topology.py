@@ -30,6 +30,7 @@ from .spaces import (
     _abs_profile,
     _at_knots,
     _top_two,
+    _union,
     eval_norm,
     linear_combine,
     pw_from_values,
@@ -151,7 +152,7 @@ def _gap_outside(x: SpacePoint, t0: float, rho: float, norm: float) -> float:
     """
     k = x.knots
     lo, hi = t0 - rho, t0 + rho
-    t = np.union1d(k, np.clip((lo, hi), k[0], k[-1]))
+    t = _union(k, np.clip((lo, hi), k[0], k[-1]))
     outside = (t <= lo) | (t >= hi) if rho > 0.0 else t != t0
     if x.space is Space.LINF_R:
         outside[[0, -1]] = True

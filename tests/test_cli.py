@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import banachdiff
 from banachdiff import cli
 from banachdiff.errors import EvalFailureError
-from banachdiff.gaussmeasure import MAX_N
+from banachdiff.gaussmeasure import MAX_N, MAX_TERMS
 from banachdiff.oracles import witness_Linf, witness_nbv
 from banachdiff.spaces import Space, constant_fn, point_to_dict, point_to_json, pw_from_values, seq_point
 
@@ -398,6 +398,25 @@ def test_measure_rejects_n_above_the_bound(capsys):
         rc, doc = run_cli(capsys, argv)
         assert rc == 2
         assert doc["error"]["code"] == "PRECONDITION_FAILED"
+
+
+def test_vakhania_rejects_N_above_the_bound_before_summing(capsys):
+    rc, doc = run_cli(capsys, ["vakhania", "--N", str(MAX_TERMS + 1)])
+    assert rc == 2
+    assert doc["error"]["code"] == "PRECONDITION_FAILED"
+    assert doc["error"]["context"] == {"N": MAX_TERMS + 1}
+
+
+def test_classify_of_a_knot_gap_beyond_the_float_range_exits_2(capsys, tmp_path):
+    # b - a overflows: the point is refused, not classified with nan gaps
+    fpath = tmp_path / "wide.json"
+    fpath.write_text(json.dumps({
+        "space": "c_ab", "a": -1.5e308, "b": 1.5e308, "breakpoints": [],
+        "segments": [{"slope": 0.0, "intercept": 1.0}], "jumps": [],
+    }))
+    rc, doc = run_cli_strict(capsys, ["classify", "--file", str(fpath), "--eps", "1e308"])
+    assert rc == 2
+    assert doc["error"]["code"] == "MALFORMED_POINT"
 
 
 def test_far_field_grid_is_inconclusive_not_a_kink(capsys):

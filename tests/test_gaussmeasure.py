@@ -19,7 +19,9 @@ from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
 from banachdiff import gaussmeasure
 from banachdiff.gaussmeasure import (
     _BLOCK_ROWS,
+    _CHUNK_VALUES,
     MAX_N,
+    MAX_TERMS,
     GaussianSpec,
     _margins,
     _sample_block,
@@ -112,6 +114,12 @@ def test_summability_check_in_blocks_equals_one_array(spec):
     block = gaussmeasure._TERM_BLOCK
     for N in (1, 2, 1000, block - 1, block, block + 1, 2 * block + 1):
         assert vakhania_check(spec, N) == _vakhania_reference(spec, N)
+
+
+def test_summability_check_bounds_N_before_summing():
+    for N in (0, MAX_TERMS + 1, 10**9):
+        with pytest.raises(PreconditionFailedError):
+            vakhania_check(default_spec(), N)
 
 
 def test_summability_check_memory_is_bounded_in_N():
@@ -236,6 +244,28 @@ def test_sample_blocks_are_frozen_and_short_blocks_are_prefixes(n, block):
         assert np.array_equal(_sample_block(default_spec(), n, 11, block, rows), full[:rows])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 10, 64, MAX_N]),
+    start=st.integers(0, 3000),
+    rows=st.integers(1, 300),
+    block=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=10, start=2, rows=5, block=0, seed=11)
+@example(n=1, start=1, rows=5, block=0, seed=11)
+@example(n=1, start=2, rows=5, block=0, seed=11)
+@example(n=3, start=1, rows=7, block=1, seed=11)
+@example(n=2, start=_BLOCK_ROWS - 3, rows=3, block=2, seed=11)
+def test_any_window_of_a_block_is_an_exact_slice(n, start, rows, block, seed):
+    # start * n % 4 draws are left over after the whole Philox counter
+    # steps: the examples leave 0, 1, 2 and 3 of them
+    rows = min(rows, _BLOCK_ROWS - start)
+    full = _sample_block(default_spec(), n, seed, block, start + rows)
+    window = _sample_block(default_spec(), n, seed, block, rows, start)
+    assert window.tobytes() == full[start:].tobytes()
+
+
 def _partition_margins(a):
     """Top minus runner-up per row, as np.partition finds them."""
     n = a.shape[1]
@@ -279,9 +309,9 @@ def test_one_sample_for_every_delta_equals_one_call_per_delta(n):
 def test_exact_ties_are_counted_and_logged_alike_for_one_and_many_deltas(monkeypatch, caplog):
     real = gaussmeasure._sample_block
 
-    def coarse(spec, n, seed, block, rows=_BLOCK_ROWS):
+    def coarse(spec, n, seed, block, rows=_BLOCK_ROWS, start=0):
         # quarter-unit rows: ties at the top are frequent
-        return np.round(real(spec, n, seed, block, rows) * 4.0) / 4.0
+        return np.round(real(spec, n, seed, block, rows, start) * 4.0) / 4.0
 
     monkeypatch.setattr(gaussmeasure, "_sample_block", coarse)
     deltas = (0.0, 0.25)
@@ -296,17 +326,47 @@ def test_exact_ties_are_counted_and_logged_alike_for_one_and_many_deltas(monkeyp
     assert multi_logs and single_logs == multi_logs * len(deltas)
 
 
-def test_estimate_peaks_near_two_block_arrays():
-    n = 64
+def _whole_block_counts(spec, n, deltas, count, seed):
+    """Hits per delta and exact ties, one whole block at a time."""
+    hits, ties = [0] * len(deltas), 0
+    for block in range(-(-count // _BLOCK_ROWS)):
+        a = gaussmeasure._sample_block(spec, n, seed, block, min(_BLOCK_ROWS, count - block * _BLOCK_ROWS))
+        margin = _margins(np.abs(a))
+        hits = [h + int(np.count_nonzero(margin <= d)) for h, d in zip(hits, deltas)]
+        ties += int(np.count_nonzero(margin == 0.0))
+    return hits, ties
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+@pytest.mark.parametrize("n", [3, 10, 64])
+def test_chunked_counts_equal_the_whole_block_reference(monkeypatch, n, coarse):
+    if coarse:  # quarter-unit rows, so that exact ties are counted too
+        real = gaussmeasure._sample_block
+        monkeypatch.setattr(
+            gaussmeasure, "_sample_block",
+            lambda *args: np.round(real(*args) * 4.0) / 4.0,
+        )
+    spec, deltas = default_spec(), (0.0, 0.01, 0.25)
+    step = _CHUNK_VALUES // n
+    # each ends a few rows into the second chunk of the first or the second block
+    for count in (step + 7, _BLOCK_ROWS + step + 5):
+        ests = estimate_nondiff_measures(spec, n, deltas, count, seed=4)
+        hits, ties = _whole_block_counts(spec, n, deltas, count, seed=4)
+        assert [e.fraction for e in ests] == [h / count for h in hits]
+        assert all(e.tie_hits == ties for e in ests)
+        assert ties > 0 if coarse else ties == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, MAX_N])
+def test_estimate_peak_is_bounded_by_the_chunk(n):
     estimate_nondiff_measure(default_spec(), n, 0.1, 10, seed=1)  # import scipy first
-    block_bytes = _BLOCK_ROWS * n * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        estimate_nondiff_measure(default_spec(), n, 0.1, 2 * _BLOCK_ROWS, seed=1)
+        estimate_nondiff_measures(default_spec(), n, (0.1, 0.0), 2 * _BLOCK_ROWS + 1, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the uint64 draw and its float64 buffer, while one is converted to the
-    # other; the first block is gone before the second is drawn
-    assert peak <= 2.1 * block_bytes
+    # the uint64 draw and the float64 buffer of one chunk, while one is
+    # converted to the other, whatever n and however many blocks
+    assert peak <= 2.1 * _CHUNK_VALUES * 8

@@ -2,15 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import banachdiff
 from banachdiff.errors import EvalFailureError, MalformedPointError
 from banachdiff.spaces import (
     Space,
+    _union,
     constant_fn,
     eval_norm,
     linear_combine,
@@ -111,6 +117,21 @@ def test_pw_point_rejects_malformed_domains():
         pw_point(Space.C_AB, 0.0, 1.0, [0.75, 0.25], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     with pytest.raises(MalformedPointError):
         pw_point(Space.C_AB, 0.0, 1.0, [0.5], [0.0], [0.0])  # length mismatch
+
+
+@pytest.mark.parametrize("space", [Space.C_AB, Space.LINF_R, Space.NBV_AB])
+def test_domains_wider_than_the_float_range_are_malformed(space):
+    # b - a overflows to inf: a segment that wide could not be read by
+    # interpolation, and the domain would have no midpoint
+    for knots in ([-1.5e308, 1.5e308], [-1.5e308, 0.0, 1.5e308]):
+        with pytest.raises(MalformedPointError, match="b - a within the float range"):
+            pw_from_values(space, knots, [0.0] * len(knots))
+    with pytest.raises(MalformedPointError, match="b - a within the float range"):
+        pw_point(space, -1.5e308, 1.5e308, [], [0.0], [0.0])
+    # the widest domain is still a point, read exactly at both ends
+    top = np.finfo(float).max
+    f = pw_from_values(space, [-top / 2, top / 2], [0.0, 0.5])
+    assert value_at(f, f.a) == 0.0 and value_at(f, f.b) == 0.5
 
 
 def test_window_norm_sees_the_constant_tails():
@@ -322,3 +343,45 @@ def test_triangle_inequality(xs, ys):
     y = seq_point(Space.L1_SEQ, ys[:n])
     lhs = eval_norm(linear_combine(1.0, x, 1.0, y)).value
     assert lhs <= eval_norm(x).value + eval_norm(y).value + 1e-12
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# strictly increasing, like knots: at most one of 0.0 and -0.0
+knot_lists = st.lists(st.one_of(floats, st.sampled_from([0.0, -0.0, 1.0])), max_size=12, unique=True).map(sorted)
+
+
+@given(knot_lists, knot_lists)
+def test_union_equals_numpy_union1d_bit_for_bit(a, b):
+    # np.union1d's unstable sort may keep either of 0.0 and -0.0; the
+    # union keeps the first in a, b order and is otherwise the same bits
+    want = np.union1d(a, b)
+    zeros = [v for v in a + b if v == 0.0]
+    if zeros:
+        want[want == 0.0] = zeros[0]
+    got = _union(np.array(a, dtype=float), np.array(b, dtype=float))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_union_keeps_the_first_of_two_signed_zeros():
+    neg, pos = np.array([-1.0, -0.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    assert _union(neg, pos).tobytes() == neg.tobytes()
+    assert _union(pos, neg).tobytes() == pos.tobytes()
+
+
+def test_function_space_work_leaves_numpy_masked_arrays_unimported():
+    code = (
+        "import sys\n"
+        "from banachdiff.spaces import Space, linear_combine, pw_from_values\n"
+        "from banachdiff.topology import classify\n"
+        "tent = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])\n"
+        "assert classify(tent, 0.1).in_B\n"
+        "other = pw_from_values(Space.C_AB, [0.0, 0.25, 1.0], [0.0, 1.0, 0.0])\n"
+        "assert linear_combine(1.0, tent, 1.0, other).knots.tolist() == [0.0, 0.25, 0.5, 1.0]\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
