@@ -119,7 +119,7 @@ def _read_file(path: str, flag: str, error=MalformedPointError):
 
 def _load_point(args, *, flag: str = "point", file_flag: str = "file"):
     inline = getattr(args, flag, None)
-    path = getattr(args, file_flag, None)
+    path = getattr(args, file_flag.replace("-", "_"), None)
     if path:
         pt = point_from_dict(_read_file(path, file_flag))
         if getattr(args, "space", None):
@@ -264,7 +264,7 @@ def _cmd_norm(args, cfg):
 
 def _cmd_diff(args, cfg):
     x = _load_point(args)
-    h = _load_point(args, flag="dir", file_flag="dir_file")
+    h = _load_point(args, flag="dir", file_flag="dir-file")
     grid = _grid_of(args, cfg)
     tol = _tol_of(args, cfg)
     verdict = gateaux_verdict(norm_functional(x.space), x, [h], grid, tol)
@@ -337,7 +337,7 @@ def _cmd_cyl(args, cfg):
     x = _load_point(args)
     result = {"value": cyl_eval(cf, sys_, x)}
     if getattr(args, "dir", None) or getattr(args, "dir_file", None):
-        h = _load_point(args, flag="dir", file_flag="dir_file")
+        h = _load_point(args, flag="dir", file_flag="dir-file")
         verdict = cyl_gateaux(cf, sys_, x, h, _grid_of(args, cfg), _tol_of(args, cfg))
         result["verdict"] = verdict.to_dict()
     echo = {"dims": list(dims), "base": args.base, "t": args.t, "point": point_to_dict(x)}
@@ -353,7 +353,7 @@ def _cmd_compose(args, cfg):
     sys_ = make_truncation_system(dims)
     cf = make_cylinder(args.base, args.t)
     x = _load_point(args)
-    h = _load_point(args, flag="dir", file_flag="dir_file")
+    h = _load_point(args, flag="dir", file_flag="dir-file")
     verdict = compose_propagate(
         OUTER_MAPS[args.outer], cf, sys_, x, h, _grid_of(args, cfg), _tol_of(args, cfg)
     )

@@ -5,11 +5,12 @@ for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
 below the structural scale of the point.  Every quotient trace is built
-by :func:`_quotient_trace`, from an array of value rows, one per
-direction: :func:`gateaux_verdict` evaluates each stage's directions as
-stacks, one array evaluation per block, when the functional has a batch
-evaluator; :meth:`Functional.along` evaluates one direction, in one array
-evaluation with a batch and one point at a time without.  Each one-sided
+by :func:`_quotient_trace`, from an array of finite value rows, one per
+direction, and every evaluation of a functional along directions is made
+by :func:`_rows`: with a batch evaluator, one array evaluation per block
+of stacked directions; without one, or from a row whose batch evaluation
+fails, one point at a time, so that a failure raises its own error.
+:meth:`Functional.along` is its one-direction form.  Each one-sided
 limit is read off the earliest, tightest plateau of three consecutive
 grid quotients whose internal gaps stay under the tolerance, with no
 extrapolation, and only from a window whose last step t satisfies
@@ -117,9 +118,9 @@ class Functional:
     ``evaluator(linear_combine(1.0, x, steps[i], H[j]))``, checks what
     :func:`linear_combine` checks, and may return a non-finite entry, or
     raise :class:`EvalFailureError`, where that evaluation fails.
-    :meth:`along` is the one way to evaluate a functional along one line,
-    with or without a batch; :func:`gateaux_verdict` hands the batch the
-    directions of a stage as stacks.
+    :func:`_rows` is the one code that evaluates a functional along
+    directions, with or without a batch; :meth:`along` is its one-direction
+    form.
     """
 
     name: str
@@ -137,42 +138,18 @@ class Functional:
         self._expect(x)
         return _checked(f"functional {self.name!r}", self.evaluator, x, functional=self.name)
 
-    def _batched(self, x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray | None:
-        """The batch's values at ``x + s*H[j]`` for every row j of the stack
-        ``H`` and every signed step ``s = steps[i]``, indexed ``[j, i]``,
-        from calls of at most ``_BATCH_VALUES`` numbers each.  An entry
-        whose evaluation fails comes out non-finite, or the whole call None
-        when the batch raises :class:`EvalFailureError`."""
-        arr = H.coords if H.coords is not None else H.values
-        rows = arr.size // arr.shape[-1]
-        cols = max(1, _BATCH_VALUES // (rows * (_width(x) + _width(H))))
-        try:
-            if cols >= steps.shape[0]:
-                values = self.batch(x, H, steps)
-            else:
-                parts = [self.batch(x, H, steps[i : i + cols]) for i in range(0, steps.shape[0], cols)]
-                values = np.concatenate(parts, axis=1)
-        except EvalFailureError:
-            return None
-        return values
-
     def along(self, x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
-        """``f(x + s*h)`` for every signed step ``s`` in ``steps``.
-
-        With a ``batch`` h is evaluated as a stack of one row, in blocks of
-        at most ``_BATCH_VALUES`` numbers per array; without one, or when the
-        batch meets an evaluation that fails, each step is one call of
-        ``f`` on ``linear_combine(1.0, x, s, h)``, in order, so a failure
-        raises the error of the first step that fails.  Either way the
-        values are the same bit for bit, and no steps give an empty array.
-        """
+        """``f(x + s*h)`` for every signed step ``s`` in ``steps``: the one
+        row of :func:`_rows` along h, so with or without a batch a failure
+        raises the error of the first step that fails, and no steps give an
+        empty array."""
         steps = np.asarray(steps, dtype=float)
+        if not steps.shape[0]:
+            return np.empty(0)
         if self.batch is not None:
             self._expect(x)
-            values = self._batched(x, h, steps)
-            if values is not None and np.isfinite(values).all():
-                return values[0]
-        return np.array([self(linear_combine(1.0, x, float(s), h)) for s in steps])
+        ((_, values),) = _rows(self, x, [h], steps)
+        return values[0]
 
 
 def norm_functional(space: Space) -> Functional:
@@ -433,18 +410,14 @@ def _quotient_trace(
     Row j's forward quotients are ``(values[j, k] - f0) / t_k`` and its
     backward quotients ``(values[j, n + k] - f0) / -t_k``.  Both sides of
     every row are scored in one :func:`_plateaus` call, from the first
-    window whose last step is at most the row's reach on.  The traces come
-    out row by row, and a row with a quotient that overflows raises
-    :class:`EvalFailureError` when its turn comes, so the rows before it
-    are still judged first.  They stop before the first row that holds a
-    non-finite value, an evaluation that failed, which the caller makes
-    again on its own to raise its error.
+    window whose last step is at most the row's reach on.  Every value is
+    finite; the traces come out row by row, and a row with a quotient that
+    overflows raises :class:`EvalFailureError` when its turn comes, so the
+    rows before it are still judged first.
 
-    The rows come from the stack evaluations of a verdict stage (see
-    :func:`_traces`); a single direction, a perturbation family and the
-    outer map of a composition each pass one row, of values from
-    :meth:`Functional.along` or from a loop of single evaluations; the
-    quotients are the same bit for bit either way.
+    The rows come from :func:`_rows` (see :func:`_traces`), or, for a
+    perturbation family and the outer map of a composition, from a loop
+    of single evaluations, each of which raises where it fails.
     """
     signed, t = grid._signed, grid._ticks
     n = len(t)
@@ -455,8 +428,6 @@ def _quotient_trace(
     q, best, score, finite = _plateaus(values, f0, signed, start)
     for j, row in enumerate(q.tolist()):
         if not finite and not all(map(math.isfinite, row)):
-            if not np.isfinite(values[j]).all():
-                return
             k = next(k for k, v in enumerate(row) if not math.isfinite(v))
             raise EvalFailureError("difference quotient overflows", step=float(signed[k]))
         fq, bq = row[:n], row[n:]
@@ -557,6 +528,50 @@ def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]
         yield block
 
 
+def _rows(
+    f: Functional, x: SpacePoint, dirs: Sequence[_Dir], steps: np.ndarray
+) -> Iterator[tuple[SpacePoint, np.ndarray]]:
+    """f along each direction of ``dirs`` at the signed steps ``steps``, in
+    order, as pairs ``(H, values)``: ``values[j, i]`` is f at
+    ``x + steps[i]*H[j]`` for the first ``len(values)`` rows of the stack
+    H, or for H itself when it is a single point.  Every value is finite.
+    x is already checked against the space of f, by ``f(x)`` or
+    :meth:`Functional.along`.
+
+    With a batch, each block of :func:`_blocks` is one stack, evaluated
+    once the pairs before it are taken, in batch calls of at most
+    ``_BATCH_VALUES`` numbers each.  From the first row of a block that
+    holds a non-finite value on, from its first row when the batch raises
+    :class:`EvalFailureError`, and along every direction of a functional
+    without a batch, each step is one call of f on
+    ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
+    error of the first step that fails, after the rows before it.
+    """
+    n, batched = steps.shape[0], f.batch is not None
+    for block in _blocks(x, dirs, n) if batched else ([d] for d in dirs):
+        if batched:
+            H = _stack(x, block)
+            cols = max(1, _BATCH_VALUES // (len(block) * (_width(x) + _width(H))))
+            try:
+                if cols >= n:
+                    values = f.batch(x, H, steps)
+                else:
+                    values = np.concatenate([f.batch(x, H, steps[i : i + cols]) for i in range(0, n, cols)], axis=1)
+            except EvalFailureError:
+                good = 0
+            else:
+                if np.isfinite(values).all():
+                    yield H, values
+                    continue
+                good = int(np.isfinite(values).all(axis=1).argmin())
+                if good:
+                    yield H, values[:good]
+            block = block[good:]
+        for d in block:
+            h = d if isinstance(d, SpacePoint) else _fit_point(x, d)
+            yield h, np.array([[f(linear_combine(1.0, x, float(s), h)) for s in steps]])
+
+
 def _traces(
     f: Functional,
     x: SpacePoint,
@@ -568,32 +583,15 @@ def _traces(
 ) -> Iterator[QuotientTrace]:
     """The quotient traces of f at x along each direction of ``dirs`` over
     the grid, in order, given fx = f(x) and nx = ‖x‖ (inf when it
-    overflows).
-
-    With a batch, each block of :func:`_blocks` is one stack evaluation at
-    all ±steps, made once the traces of the blocks before it are taken.
-    The directions of a block from the first one whose evaluation fails on
-    are evaluated again one at a time through :meth:`Functional.along`, as
-    is every direction of a functional without a batch, so a failure
-    raises the error of the first direction that fails, after the traces
-    of the directions before it.
+    overflows): the rows of :func:`_rows` at all ±steps, each pair scored
+    before the next is evaluated, so a failure raises the error of the
+    first direction that fails, after the traces of the directions before
+    it.
     """
-    signed, batched = grid._signed, f.batch is not None
-    for block in _blocks(x, dirs, signed.shape[0]) if batched else ([d] for d in dirs):
-        if batched:
-            H = _stack(x, block)
-            values = f._batched(x, H, signed)
-            if values is not None:
-                norms = [_size(H)] if H is block[0] else _norms(H.space, H.coords, H.values, H.lefts).tolist()
-                done = 0
-                for trace in _quotient_trace(values, fx, grid, tol, _reach(nx, norms)):
-                    yield trace
-                    done += 1
-                block = block[done:]
-        for d in block:
-            h = d if isinstance(d, SpacePoint) else _fit_point(x, d)
-            values = f.along(x, h, signed)[None]
-            yield from _quotient_trace(values, fx, grid, tol, _reach(nx, [_size(h)]))
+    for H, values in _rows(f, x, dirs, grid._signed):
+        arr = H.coords if H.coords is not None else H.values
+        norms = [_size(H)] if arr.ndim == 1 else _norms(H.space, H.coords, H.values, H.lefts)[: len(values)].tolist()
+        yield from _quotient_trace(values, fx, grid, tol, _reach(nx, norms))
 
 
 def one_sided_derivatives(
@@ -606,7 +604,7 @@ def one_sided_derivatives(
     """Difference quotients of f at x along +h and -h over the grid.
 
     f is evaluated at x once and at every ``x ± t_k·h`` through
-    :meth:`Functional.along`: in one array evaluation when f has a batch
+    :func:`_rows`: in one array evaluation when f has a batch
     evaluator (the norms and the cylinder bases), one point at a time
     otherwise.  The trace is the same either way, bit for bit.
     """
@@ -717,7 +715,7 @@ def gateaux_verdict(
 
     # linearity spot-checks: additivity on the first pair, doubling on the first
     lin_pairs: list[tuple[SpacePoint, float, str]] = []
-    if len(dirs) >= 2 and dirs[0].space is dirs[1].space:
+    if len(dirs) >= 2:
         lin_pairs.append(
             (linear_combine(1.0, dirs[0], 1.0, dirs[1]), responses[0] + responses[1], "probe 0 + probe 1")
         )
@@ -781,7 +779,7 @@ def hadamard_verdict(
         raise PreconditionFailedError("need at least one perturbation family")
     if not 0.0 < tol < math.inf:
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)
-    fx, steps = f(x), grid.steps()
+    fx = f(x)
     (base,) = _traces(f, x, [h], grid, tol, fx, _size(x))
     traces = [base]
 
@@ -816,10 +814,9 @@ def hadamard_verdict(
                 final_distance=dists[-1],
             )
         # one direction per step: no array form, so one evaluation at a time
-        padded = fam + [h] * max(0, len(steps) - len(fam))
-        ahead = [f(linear_combine(1.0, x, float(t), k)) for t, k in zip(steps, padded)]
-        behind = [f(linear_combine(1.0, x, -float(t), k)) for t, k in zip(steps, padded)]
-        (tr,) = _quotient_trace(np.array([ahead + behind]), fx, grid, tol, [base.reach])
+        padded = fam[: grid.count] + [h] * max(0, grid.count - len(fam))
+        values = [f(linear_combine(1.0, x, float(s), k)) for s, k in zip(grid._signed, padded + padded)]
+        (tr,) = _quotient_trace(np.array([values]), fx, grid, tol, [base.reach])
         traces.append(tr)
         if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
             return verdict(

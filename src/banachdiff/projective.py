@@ -372,8 +372,8 @@ def compose_propagate(
     inner_verdict = cyl_gateaux(inner, sys_, x, h, grid, tol)
     y0 = cyl_eval(inner, sys_, x)
     # the outer map steps along the unit direction of R, so the scale is |y0|
-    g0, steps = outer(y0), grid.steps()
-    values = [outer(y0 + t) for t in steps] + [outer(y0 - t) for t in steps]
+    g0 = outer(y0)
+    values = [outer(y0 + s) for s in grid._signed]
     (gtrace,) = _quotient_trace(np.array([values]), g0, grid, tol, [abs(y0) or math.inf])
     f_comp = Functional(
         f"{outer.name}_of_{inner.name}",

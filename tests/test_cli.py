@@ -713,6 +713,67 @@ def test_malformed_config_value_exits_2(capsys, tmp_path, config, argv):
     assert json.loads(out, parse_constant=_reject_constant)["error"]["code"] == "PRECONDITION_FAILED"
 
 
+def _error_of(capsys, argv):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    return error["code"], error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["diff", "--space", "l1", "--point", "[1, 2]"], "--dir-file"),
+        (CYL_ARGV, "--dir-file"),
+        (["norm", "--space", "l1"], "--file"),
+    ],
+    ids=["diff", "cyl", "norm"],
+)
+def test_file_flag_errors_name_the_flag_as_typed(capsys, tmp_path, argv, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    missing = tmp_path / "missing.json"
+    code, message = _error_of(capsys, argv + [flag, str(bad)])
+    assert code == "MALFORMED_POINT" and message.startswith(f"{flag} {bad} is not valid JSON")
+    code, message = _error_of(capsys, argv + [flag, str(missing)])
+    assert code == "PRECONDITION_FAILED" and message.startswith(f"cannot read {flag} {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diff", "--space", "l1", "--point", "[1, 2]"], "provide --dir or --dir-file"),
+        (["compose", "--outer", "abs"] + CYL_ARGV[1:], "provide --dir or --dir-file"),
+        (["norm", "--space", "l1"], "provide --point or --file"),
+        (["norm", "--point", "[1, 2]"], "--point needs --space to interpret the coordinates"),
+        (["witness", "--space", "l1", "--point", "[1, 2]"], "no witness construction for L1_SEQ"),
+        (
+            ["compose", "--outer", "nosuch"] + CYL_ARGV[1:] + ["--dir", "[1, 0, 0]"],
+            "unknown outer map 'nosuch'; available: "
+            "['abs', 'cube_plus_u', 'exp', 'identity', 'relu', 'sin', 'square']",
+        ),
+    ],
+    ids=["diff-no-dir", "compose-no-dir", "norm-no-point", "point-without-space", "witness-l1", "unknown-outer"],
+)
+def test_missing_or_unknown_input_exits_2_as_a_failed_precondition(capsys, argv, message):
+    assert _error_of(capsys, argv) == ("PRECONDITION_FAILED", message)
+
+
+def test_an_inline_point_that_is_not_an_array_exits_2(capsys):
+    assert _error_of(capsys, ["norm", "--space", "l1", "--point", '{"a": 1}']) == (
+        "MALFORMED_POINT",
+        "--point must be a JSON array of numbers",
+    )
+
+
+def test_a_config_that_is_not_an_object_exits_2(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = ["norm", "--space", "l1", "--point", "[1]", "--config", str(path)]
+    assert _error_of(capsys, argv) == ("PRECONDITION_FAILED", "--config must contain a JSON object")
+
+
 def test_integral_config_values_still_convert(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 20.0, "dims": [2.0, 3]}))

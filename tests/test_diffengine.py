@@ -65,6 +65,7 @@ from banachdiff.spaces import (
     pw_point,
     seq_point,
     step_fn,
+    value_at,
 )
 
 from conftest import GRID, lattice, midpoint_knots
@@ -885,6 +886,101 @@ def test_fit_reports_zero_and_gives_up_on_non_unit_point_evaluations():
     v = gateaux_verdict(twice, tent, probes)
     assert v.status is VerdictStatus.INCONCLUSIVE
     assert v.detail == "directional limits exist but no sparse representation reproduces them"
+
+
+def test_a_fit_that_misses_a_probe_is_inconclusive():
+    # the fit reads coefficients (1, 1) off the coordinate vectors, which
+    # predict 2 along (1, 1); the probe reads the cube root of 2
+    f = Functional("cbrt_of_cubes", lambda p: float(np.cbrt(p.coords[0] ** 3 + p.coords[1] ** 3)))
+    x, probes = seq_point(Space.L1_SEQ, [0.0, 0.0]), [seq_point(Space.L1_SEQ, [1.0, 1.0])]
+    _assert_same_verdict(f, x, probes)
+    v = gateaux_verdict(f, x, probes)
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == f"fitted representation disagrees with probe 0: 2.0 vs {float(np.cbrt(2.0))}"
+
+
+def test_a_linearity_pair_that_splits_ends_the_verdict():
+    # both probes read 0, but along their sum min(|p1|, |p2|) = |t| splits
+    f = Functional("min_abs", lambda p: min(abs(p.coords[0]), abs(p.coords[1])))
+    x = seq_point(Space.L1_SEQ, [0.0, 0.0])
+    probes = [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [0.0, 1.0])]
+    _assert_same_verdict(f, x, probes)
+    v = gateaux_verdict(f, x, probes)
+    assert v.status is VerdictStatus.NOT_GATEAUX
+    assert v.detail == "one-sided limits disagree along probe 0 + probe 1: d_plus=1.0, d_minus=-1.0"
+    assert v.failure_witness == seq_point(Space.L1_SEQ, [1.0, 1.0]) and len(v.traces) == 3
+
+
+@pytest.mark.parametrize(
+    "f, x, probe",
+    [
+        # NBV_AB identifies only the zero functional; along itself its norm reads 2
+        (
+            norm_functional(Space.NBV_AB),
+            pw_from_values(Space.NBV_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+            pw_from_values(Space.NBV_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+        ),
+        # the fit reads a unit point evaluation at t0 = 2, outside [0, 1]
+        (
+            Functional("two_ends", lambda p: 2.0 * value_at(p, 1.0) - value_at(p, 0.0)),
+            pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+            constant_fn(Space.C_AB, 0.0, 1.0, 1.0),
+        ),
+    ],
+    ids=["nbv-along-itself", "c_ab-mass-outside"],
+)
+def test_no_sparse_representation_is_inconclusive(f, x, probe):
+    _assert_same_verdict(f, x, [probe])
+    v = gateaux_verdict(f, x, [probe])
+    assert v.status is VerdictStatus.INCONCLUSIVE
+    assert v.detail == "directional limits exist but no sparse representation reproduces them"
+
+
+def _cases(test):
+    """The argument tuples of a test's one parametrize mark."""
+    (mark,) = test.pytestmark
+    return mark.args[1]
+
+
+# the overflowing inputs of the two tests that compare errors with one direction at a time
+_OVERFLOWS = [
+    (x, [h], grid)
+    for x, h, grid, error in _cases(test_batch_raises_what_the_scalar_path_raises)
+    if error is EvalFailureError
+] + [
+    (x, probes, grid)
+    for x, probes, grid, _ in _cases(test_a_stack_that_overflows_raises_what_one_direction_at_a_time_raises)
+]
+
+
+@pytest.mark.parametrize("x, probes, grid", _OVERFLOWS)
+def test_the_plateau_scorer_only_sees_finite_values(monkeypatch, x, probes, grid):
+    seen = []
+
+    def recording(values, *args):
+        seen.append(bool(np.isfinite(values).all()))
+        return _quotient_trace(values, *args)
+
+    monkeypatch.setattr("banachdiff.diffengine._quotient_trace", recording)
+    with pytest.raises(EvalFailureError):
+        gateaux_verdict(norm_functional(x.space), x, probes, grid)
+    assert all(seen)
+
+
+def test_a_failing_row_is_evaluated_once_by_the_batch():
+    f = norm_functional(Space.L1_SEQ)
+    calls = []
+
+    def counting(x, H, steps):
+        calls.append(steps.shape[0])
+        return f.batch(x, H, steps)
+
+    g = dataclasses.replace(f, batch=counting)
+    x, h = seq_point(Space.L1_SEQ, [1e308, 0.0]), seq_point(Space.L1_SEQ, [0.0, 1e308])
+    with pytest.raises(EvalFailureError) as info:
+        gateaux_verdict(g, x, [h], TGrid(t0=1.0, count=3))
+    assert str(info.value) == "norm evaluates to inf, not a finite number"
+    assert calls == [6]
 
 
 def test_quotient_overflow_is_an_eval_failure():

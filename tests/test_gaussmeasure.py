@@ -107,13 +107,30 @@ def _vakhania_reference(spec, N):
 
 @pytest.mark.parametrize(
     "spec",
-    [default_spec(), GaussianSpec(r=1.5), GaussianSpec(r=60.0), GaussianSpec(variances=(0.5, 1.0, 2.0))],
-    ids=["default", "r-1.5", "underflowing", "explicit"],
+    [
+        default_spec(),
+        GaussianSpec(r=1.5),
+        GaussianSpec(r=60.0),  # (k+2)**-60 stays nonzero up to k of about 2.4e5
+        GaussianSpec(r=400.0),  # (k+2)**-400 is 0.0 from k = 5 on
+        GaussianSpec(variances=(0.5, 1.0, 2.0)),
+    ],
+    ids=["default", "r-1.5", "r-60", "underflowing", "explicit"],
 )
 def test_summability_check_in_blocks_equals_one_array(spec):
     block = gaussmeasure._TERM_BLOCK
     for N in (1, 2, 1000, block - 1, block, block + 1, 2 * block + 1):
         assert vakhania_check(spec, N) == _vakhania_reference(spec, N)
+
+
+def test_terms_that_underflow_count_as_summable():
+    spec = GaussianSpec(r=400.0)
+    assert math.exp(-spec.r / spec.variance_at(4)) > 0.0 == math.exp(-spec.r / spec.variance_at(5))
+    for N in (5, 1000, 2 * gaussmeasure._TERM_BLOCK + 1):
+        assert vakhania_check(spec, N)[0] is True
+
+
+def test_tie_probability_at_zero_delta_is_zero():
+    assert b2_tie_probability_oracle(default_spec(), 0.0) == 0.0
 
 
 def test_summability_check_bounds_N_before_summing():

@@ -55,6 +55,12 @@ def test_classify_function_spaces_want_a_unique_peak():
     assert not classify(edge).in_B
 
 
+def test_classify_of_the_zero_function_names_why_it_has_no_peak():
+    rep = classify(constant_fn(Space.C_AB, 0.0, 1.0, 0.0))
+    assert not rep.in_B and rep.p_or_t0 is None and rep.gap is None
+    assert rep.certificate == "the zero function peaks everywhere"
+
+
 def test_classify_variation_norm_is_always_negative():
     f = constant_fn(Space.NBV_AB, 0.0, 1.0, 0.0)
     rep = classify(f)
