@@ -17,8 +17,8 @@ The ``BS_SEED`` environment variable supplies the seed when neither a
 flag nor the config does.  Seeds are non-negative integers, and an
 integer setting (``count``, ``seed``, the ``dims`` entries) that is a
 bool or not integral exits 2 rather than being truncated.  ``--threads``
-is accepted for interface stability and ignored: nothing runs in
-parallel.  It is deliberately left out of the echoed inputs.
+is accepted for interface stability and ignored: ``measure`` counts on
+its own threads whatever it says.  It is left out of the echoed inputs.
 
 The parser is built once per process, on the first call of :func:`main`;
 the config, ``BS_SEED`` and the help width are still read on every call,

@@ -12,9 +12,9 @@ Sampling is counter-based (Philox) in fixed blocks of rows, so results
 are bit-identical across platforms and independent of how many blocks
 run in parallel; the block stream depends only on (seed, block, n).
 Any window of rows of a block can be drawn on its own, bit for bit, so
-the estimator walks each block in chunks of at most ``_CHUNK_VALUES``
-numbers, and its memory depends on neither ``n`` nor ``count``.
-Sampling accepts at most ``MAX_N`` coordinates.
+the estimator counts each block in chunks on up to ``_WORKERS`` threads
+that share one ``_CHUNK_VALUES`` budget; memory depends on neither ``n``
+nor ``count``.  Sampling accepts at most ``MAX_N`` coordinates.
 
 scipy is imported by the two functions that use it, on their first call,
 so importing the package does not load it.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,8 +57,10 @@ _BLOCK_ROWS = 65536
 # Numbers one chunk of rows holds: its uint64 draw and its float64 buffer
 # take 1 MB each.
 _CHUNK_VALUES = 2**17
-# A chunk holds _CHUNK_VALUES // n rows, so at the bound at least 512 rows
-# share the per-chunk costs of seeding, skipping and the column scan.
+# Threads that count chunks at once, each on _CHUNK_VALUES // _WORKERS numbers.
+_WORKERS = 2
+# A worker's chunk holds _CHUNK_VALUES // _WORKERS // n rows, so at the bound
+# at least 256 rows share the per-chunk costs of seeding, skipping and the scan.
 MAX_N = 256
 # Series terms vakhania_check exponentiates at once, 0.5 MB of float64.
 _TERM_BLOCK = 65536
@@ -234,18 +237,23 @@ def _margins(a: np.ndarray) -> np.ndarray:
     return top
 
 
-def _check_shape(n: int, count: int) -> None:
+def _check_shape(n: int, count: int, seed: int) -> tuple[int, int, int]:
+    """n, count and seed as ints, or refused if any is a bool or not integral."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, count, seed)):
+        raise PreconditionFailedError("n, count and seed must be integers", n=n, count=count, seed=seed)
     if not (1 <= n <= MAX_N and count >= 1):
         raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
+    philox_gen(seed)  # refuses a negative seed
+    return int(n), int(count), int(seed)
 
 
-def _chunks(n: int, count: int):
+def _chunks(n: int, count: int, values: int = _CHUNK_VALUES):
     """(block, start, rows) for consecutive chunks of the first ``count`` rows.
 
-    Each block is cut into chunks of ``_CHUNK_VALUES // n`` rows, the last
-    chunk of a block and of the sample being shorter.
+    Each block is cut into chunks of ``values // n`` rows, the last chunk
+    of a block and of the sample being shorter.
     """
-    step = min(_BLOCK_ROWS, _CHUNK_VALUES // n)
+    step = min(_BLOCK_ROWS, values // n)
     for block in range(-(-count // _BLOCK_ROWS)):
         end = min(_BLOCK_ROWS, count - block * _BLOCK_ROWS)
         for start in range(0, end, step):
@@ -254,7 +262,7 @@ def _chunks(n: int, count: int):
 
 def gaussian_sample(spec: GaussianSpec, n: int, count: int, seed: int) -> list[SpacePoint]:
     """count independent draws of (X_1..X_n) as max-norm sequence points."""
-    _check_shape(n, count)
+    n, count, seed = _check_shape(n, count, seed)
     out: list[SpacePoint] = []
     for block, start, rows in _chunks(n, count):
         a = _sample_block(spec, n, seed, block, rows, start)
@@ -285,24 +293,40 @@ def estimate_nondiff_measures(
     for bit what a call with that delta alone gives.  At delta = 0 that
     leaves exact ties, which have probability zero; every estimate carries
     their number as ``tie_hits``, and they are logged if they ever occur.
-    The samples are drawn and counted one chunk of rows at a time, so
-    memory stays within two arrays of ``_CHUNK_VALUES`` numbers.
+    W = min(``_WORKERS``, usable CPUs, chunks needed) threads count the
+    samples, worker w drawing chunks w, w + W, ... of ``_CHUNK_VALUES // W``
+    numbers, so memory stays within two arrays of ``_CHUNK_VALUES`` numbers;
+    integer counts make the sums the same for every W.
     """
-    _check_shape(n, count)
+    n, count, seed = _check_shape(n, count, seed)
     deltas = tuple(deltas)
     if not deltas:
         raise PreconditionFailedError("need at least one delta")
     if not all(0.0 <= d < math.inf for d in deltas):
         raise PreconditionFailedError("delta must be finite and nonnegative", deltas=list(deltas))
-    hits = [0] * len(deltas)
-    ties = 0
-    for block, start, rows in _chunks(n, count):
-        a = _sample_block(spec, n, seed, block, rows, start)
-        margin = _margins(np.abs(a, out=a))
-        for i, d in enumerate(deltas):
-            hits[i] += int(np.count_nonzero(margin <= d))
-        ties += int(np.count_nonzero(margin == 0.0))
-        del a, margin  # the chunk is freed before the next one is drawn
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w = min(_WORKERS, cpus or 1, len(list(itertools.islice(_chunks(n, count), _WORKERS))))
+
+    def count_part(first: int) -> tuple[list[int], int]:
+        hits, ties, chunks = [0] * len(deltas), 0, _chunks(n, count, _CHUNK_VALUES // w)
+        for block, start, rows in itertools.islice(chunks, first, None, w):
+            a = _sample_block(spec, n, seed, block, rows, start)
+            margin = _margins(np.abs(a, out=a))
+            for i, d in enumerate(deltas):
+                hits[i] += int(np.count_nonzero(margin <= d))
+            ties += int(np.count_nonzero(margin == 0.0))
+            del a, margin  # the chunk is freed before the worker draws its next one
+        return hits, ties
+
+    if w == 1:
+        parts = [count_part(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(w) as pool:
+            parts = list(pool.map(count_part, range(w)))
+    hits = [sum(col) for col in zip(*(h for h, _ in parts))]
+    ties = sum(t for _, t in parts)
     if ties:
         _LOG.warning("exact floating-point ties observed: %d of %d samples", ties, count)
     return tuple(

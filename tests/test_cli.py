@@ -123,6 +123,17 @@ def test_densify_repairs_within_budget(capsys):
     assert doc["result"]["report"]["in_B"] is True
 
 
+def test_densify_repairs_an_l1_point_within_budget(capsys):
+    rc, doc = run_cli(
+        capsys,
+        ["densify", "--space", "l1", "--point", "[1.0, 0.0, -0.5]", "--eps", "0.25"],
+    )
+    assert rc == 0
+    assert doc["result"]["point"]["coords"] == [1.0, 0.03125, -0.5]
+    assert doc["result"]["distance"] == 0.03125
+    assert doc["result"]["report"]["in_B"] is True
+
+
 def test_measure_includes_quadrature_oracle_for_two_coordinates(capsys):
     rc, doc = run_cli(
         capsys,

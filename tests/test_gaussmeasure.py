@@ -1,11 +1,13 @@
 """Gaussian product laws: sampling, tie-set mass, and summability."""
 
 import hashlib
+import itertools
 import logging
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -62,6 +64,43 @@ def test_spec_validation():
 def test_negative_seed_is_a_precondition_failure():
     with pytest.raises(PreconditionFailedError):
         estimate_nondiff_measure(standard_normal_spec(2), 2, 0.1, 10, seed=-1)
+
+
+_MALFORMED = {
+    "n-float": (2.0, 100, 1),
+    "n-bool": (True, 100, 1),
+    "count-float": (2, 10.0, 1),
+    "count-bool": (2, True, 1),
+    "seed-fraction": (2, 100, 1.5),
+    "seed-bool": (2, 100, True),
+    "seed-negative": (2, 100, -1),
+}
+
+
+@pytest.mark.parametrize("n, count, seed", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_arguments_are_refused_before_any_sampling(monkeypatch, n, count, seed):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(gaussmeasure, "_sample_block", no_sampling)
+    spec = standard_normal_spec(2)
+    calls = (
+        lambda: estimate_nondiff_measure(spec, n, 0.1, count, seed),
+        lambda: estimate_nondiff_measures(spec, n, (0.1, 0.0), count, seed),
+        lambda: gaussian_sample(spec, n, count, seed),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionFailedError) as err:
+            call()
+        if seed == -1:
+            assert str(err.value) == "seed -1 is negative; seeds are non-negative integers"
+
+
+def test_numpy_integer_arguments_are_integers():
+    spec = standard_normal_spec(2)
+    want = estimate_nondiff_measure(spec, 2, 0.1, 100, seed=1)
+    got = estimate_nondiff_measure(spec, np.int64(2), 0.1, np.int32(100), np.uint64(1))
+    assert got == want and (type(got.n), type(got.sample_count), type(got.seed)) == (int, int, int)
 
 
 def test_default_law_variances_decay():
@@ -387,3 +426,77 @@ def test_estimate_peak_is_bounded_by_the_chunk(n):
     # the uint64 draw and the float64 buffer of one chunk, while one is
     # converted to the other, whatever n and however many blocks
     assert peak <= 2.1 * _CHUNK_VALUES * 8
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+@pytest.mark.parametrize("n", [1, 2, 10, 64, MAX_N])
+def test_the_worker_count_changes_no_count(monkeypatch, caplog, n, coarse):
+    if coarse:  # quarter-unit rows, so that exact ties are counted and logged too
+        real = gaussmeasure._sample_block
+        monkeypatch.setattr(
+            gaussmeasure, "_sample_block", lambda *args: np.round(real(*args) * 4.0) / 4.0
+        )
+    # enough usable CPUs that the cap alone decides the worker count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    spec, deltas = default_spec(), (0.0, 0.01, 0.25)
+    step = min(_BLOCK_ROWS, _CHUNK_VALUES // n)
+    # one chunk, a few rows into a later chunk, and a few rows into the second
+    # block; at MAX_N the reference's whole block would take 134 MB, so a few
+    # rows into the fourth chunk instead
+    last = _BLOCK_ROWS + step // 3 + 5 if n <= 64 else 3 * step + 5
+    for count in (10, step // 2 + step // 3 + 7, last):
+        hits, ties = _whole_block_counts(spec, n, deltas, count, seed=6)
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(gaussmeasure, "_WORKERS", cap)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger=gaussmeasure.__name__):
+                ests = estimate_nondiff_measures(spec, n, deltas, count, seed=6)
+            assert [e.fraction for e in ests] == [h / count for h in hits]
+            assert all(e.tie_hits == ties for e in ests)
+            assert len(caplog.records) == (1 if ties else 0)
+    assert ties > 0 if coarse else ties == 0
+
+
+def _recording_sampler(monkeypatch, fail_at=None):
+    """Wrap the sampler to record each caller's thread, failing on one call."""
+    real, idents, calls = gaussmeasure._sample_block, set(), itertools.count()
+
+    def recording(*args):
+        idents.add(threading.get_ident())
+        if next(calls) == fail_at:
+            raise RuntimeError("sampler refused this chunk")
+        return real(*args)
+
+    monkeypatch.setattr(gaussmeasure, "_WORKERS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(gaussmeasure, "_sample_block", recording)
+    return idents
+
+
+def test_multi_chunk_requests_count_on_two_threads_and_leave_none(monkeypatch):
+    idents = _recording_sampler(monkeypatch)
+    before = threading.active_count()
+    estimate_nondiff_measures(default_spec(), 10, (0.1, 0.01), 6 * 2**16, seed=3)
+    assert len(idents) == 2 and threading.get_ident() not in idents
+    assert threading.active_count() == before
+
+
+def test_a_single_chunk_request_counts_on_the_calling_thread(monkeypatch):
+    idents = _recording_sampler(monkeypatch)
+    before = threading.active_count()
+    # the README's `measure --n 2 --delta 0.01 --count 20000 --seed 7 --law std`
+    est = estimate_nondiff_measure(standard_normal_spec(2), 2, 0.01, 20000, seed=7)
+    assert idents == {threading.get_ident()}
+    assert threading.active_count() == before
+    assert est.fraction == 0.01135  # as test_tie_band_estimate_is_frozen_for_a_fixed_seed
+
+
+@pytest.mark.parametrize(
+    "n, count, fail_at", [(2, 20000, 0), (10, 6 * 2**16, 2)], ids=["one-chunk", "many-chunks"]
+)
+def test_a_failing_chunk_reaches_the_caller_and_leaves_no_worker(monkeypatch, n, count, fail_at):
+    _recording_sampler(monkeypatch, fail_at)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^sampler refused this chunk$"):
+        estimate_nondiff_measures(default_spec(), n, (0.1,), count, seed=3)
+    assert threading.active_count() == before
