@@ -164,13 +164,12 @@ def _pl_knots(rng, splits: int) -> np.ndarray:
 
     Every knot gap is a power of two (>= 2**-6), so slopes derived from
     lattice values divide exactly and piecewise evaluation at any knot
-    reproduces the assigned value bitwise.
+    reproduces the assigned value bitwise.  Callers split at most 5 times,
+    so one of the at most 5 gaps, which sum to 1, is always wide enough.
     """
     knots = [0.0, 1.0]
     for _ in range(splits):
         wide = [i for i in range(len(knots) - 1) if knots[i + 1] - knots[i] > 2.0 * _GRID]
-        if not wide:
-            break
         i = int(wide[int(rng.integers(0, len(wide)))])
         knots.insert(i + 1, (knots[i] + knots[i + 1]) / 2.0)
     return np.asarray(knots)

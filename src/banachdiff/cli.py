@@ -38,8 +38,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .acceptance import BASE_SEED, run_all
 from .diffengine import DEFAULT_GRID, DEFAULT_TOL, TGrid, gateaux_verdict, norm_functional
@@ -204,25 +202,17 @@ def _dims_of(args, cfg: dict) -> tuple[int, ...]:
     return _setting(args, cfg, "dims", "dims", _int_tuple, _DEFAULT_DIMS)
 
 
-def _np_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _render(doc: dict) -> str:
     """The report as strict JSON (RFC 8259: no NaN or Infinity)."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, default=_np_default, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise EvalFailureError(f"the report holds a non-finite number: {exc}") from exc
 
 
 def _error_doc(exc: ToolkitError) -> dict:
     # a context may carry a non-finite float; it is reported as its name
-    context = json.loads(json.dumps(exc.context, default=_np_default), parse_constant=str)
+    context = json.loads(json.dumps(exc.context), parse_constant=str)
     return {
         "error": {"code": exc.code, "message": str(exc), "context": context},
         "version": __version__,
@@ -330,11 +320,13 @@ def _cmd_vakhania(args, cfg):
     return {"N": args.N, "r": spec.r}, {"flag": flag, "partial_sum": partial}
 
 
-def _cmd_cyl(args, cfg):
+def _cylinder_request(args, cfg):
     dims = _dims_of(args, cfg)
-    sys_ = make_truncation_system(dims)
-    cf = make_cylinder(args.base, args.t)
-    x = _load_point(args)
+    return dims, make_truncation_system(dims), make_cylinder(args.base, args.t), _load_point(args)
+
+
+def _cmd_cyl(args, cfg):
+    dims, sys_, cf, x = _cylinder_request(args, cfg)
     result = {"value": cyl_eval(cf, sys_, x)}
     if getattr(args, "dir", None) or getattr(args, "dir_file", None):
         h = _load_point(args, flag="dir", file_flag="dir-file")
@@ -349,10 +341,7 @@ def _cmd_compose(args, cfg):
         raise PreconditionFailedError(
             f"unknown outer map {args.outer!r}; available: {sorted(OUTER_MAPS)}"
         )
-    dims = _dims_of(args, cfg)
-    sys_ = make_truncation_system(dims)
-    cf = make_cylinder(args.base, args.t)
-    x = _load_point(args)
+    dims, sys_, cf, x = _cylinder_request(args, cfg)
     h = _load_point(args, flag="dir", file_flag="dir-file")
     verdict = compose_propagate(
         OUTER_MAPS[args.outer], cf, sys_, x, h, _grid_of(args, cfg), _tol_of(args, cfg)
@@ -396,6 +385,13 @@ def _add_grid_flags(sub):
     sub.add_argument("--tol", type=float, help="convergence/agreement tolerance")
 
 
+def _add_cylinder_flags(sub):
+    sub.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
+    sub.add_argument("--t", type=int, required=True, help="truncation dimension")
+    sub.add_argument("--dims", type=_comma_list,
+                     help="comma-separated truncation chain (default 2,3,5,8,13)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Global flags live on a parent parser attached to the main parser and
     # every subparser, so they may appear before or after the subcommand.
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the JSON report here instead of stdout")
     shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="accepted and ignored; nothing runs in parallel")
+                        help="accepted and ignored; it sets no thread count")
     parser = argparse.ArgumentParser(
         prog="banachdiff",
         description="Differentiability toolkit: norms, derivative verdicts, "
@@ -457,19 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("cyl", "evaluate/differentiate a cylindrical function")
     _add_point_flags(p, with_dir=True)
     _add_grid_flags(p)
-    p.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
-    p.add_argument("--t", type=int, required=True, help="truncation dimension")
-    p.add_argument("--dims", type=_comma_list,
-                   help="comma-separated truncation chain (default 2,3,5,8,13)")
+    _add_cylinder_flags(p)
 
     p = add_parser("compose", "chain-rule verdict for outer ∘ cylindrical")
     _add_point_flags(p, with_dir=True)
     _add_grid_flags(p)
     p.add_argument("--outer", required=True, help=f"outer map: one of {sorted(OUTER_MAPS)}")
-    p.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
-    p.add_argument("--t", type=int, required=True, help="truncation dimension")
-    p.add_argument("--dims", type=_comma_list,
-                   help="comma-separated truncation chain (default 2,3,5,8,13)")
+    _add_cylinder_flags(p)
 
     p = add_parser("suite", "run the acceptance suite")
     p.add_argument("--seed", type=int, help="base seed (default: BS_SEED or built-in)")

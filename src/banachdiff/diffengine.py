@@ -41,6 +41,7 @@ from .errors import (
     EvalFailureError,
     NonconvergentPerturbationError,
     PreconditionFailedError,
+    _integral,
 )
 from .oracles import LinearFunctionalRep, apply_rep, coeff_rep, point_mass_rep, signed_index_rep, zero_rep
 from .spaces import (
@@ -51,6 +52,7 @@ from .spaces import (
     eval_norm,
     linear_combine,
     norms_along,
+    point_to_dict,
     pw_from_values,
     seq_point,
     subtract,
@@ -146,8 +148,7 @@ class Functional:
         steps = np.asarray(steps, dtype=float)
         if not steps.shape[0]:
             return np.empty(0)
-        if self.batch is not None:
-            self._expect(x)
+        self._expect(x)
         ((_, values),) = _rows(self, x, [h], steps)
         return values[0]
 
@@ -311,8 +312,6 @@ class DiffVerdict:
             raise ValueError("NOT_GATEAUX verdict needs a failure witness")
 
     def to_dict(self) -> dict:
-        from .spaces import point_to_dict
-
         doc: dict = {
             "status": self.status.value,
             "derivative": self.derivative.to_dict() if self.derivative else None,
@@ -514,7 +513,8 @@ def _stackable(p: SpacePoint, q: SpacePoint) -> bool:
 def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]:
     """``dirs`` in order, cut into blocks of consecutive directions that
     share one stack (one space and coordinate count, or one knots array)
-    and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps."""
+    and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps;
+    every caller passes at least one direction."""
     block: list[_Dir] = []
     for d in dirs:
         p = d if isinstance(d, SpacePoint) else x
@@ -524,8 +524,7 @@ def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]
         if not block:
             head, cap = p, max(1, _BATCH_VALUES // (n * (_width(x) + _width(p))))
         block.append(d)
-    if block:
-        yield block
+    yield block
 
 
 def _rows(
@@ -904,8 +903,6 @@ def _unit_ball_directions(x: SpacePoint, rng: np.random.Generator, count: int) -
         vals = rng.uniform(-1.0, 1.0, size=x.knots.shape[0])
         if x.space is Space.NBV_AB:
             vals[0] = 0.0
-        if not np.any(vals):
-            continue
         d = pw_from_values(x.space, x.knots, vals)
         nd = eval_norm(d).value
         if nd == 0.0:
@@ -931,8 +928,8 @@ def local_lipschitz_estimate(
     """
     if not 0.0 < radius < math.inf:
         raise PreconditionFailedError("radius must be finite and positive", radius=radius)
-    if pair_count < 1:
-        raise PreconditionFailedError("pair_count must be >= 1")
+    if not _integral(pair_count) or pair_count < 1:
+        raise PreconditionFailedError("pair_count must be an integer >= 1")
     rng = philox_gen(seed)
     dirs = _unit_ball_directions(x, rng, pair_count)
     c = radius / 2.0

@@ -6,6 +6,13 @@ failures onto its JSON error report and exit codes without string matching.
 
 from __future__ import annotations
 
+import numbers
+
+
+def _integral(value) -> bool:
+    """The rule for integer arguments: an int or a numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 class ToolkitError(Exception):
     """Base class for all package errors."""
@@ -74,9 +81,9 @@ class QuadratureNonconvergedError(ToolkitError):
 class BadDimsError(ToolkitError):
     """A truncation system or a use of it names unusable dimensions.
 
-    Raised for a dimension list that is empty, holds a dimension below 1
-    or is not strictly increasing, for a dimension that is not listed in
-    the system, and for ``connect(s, t)`` with s > t.
+    Raised for a dimension list that is empty, holds a dimension that is
+    not an integer >= 1 or is not strictly increasing, for a dimension that
+    is not listed in the system, and for ``connect(s, t)`` with s > t.
     """
 
     code = "BAD_DIMS"

@@ -36,6 +36,7 @@ from .errors import (
     NonpositiveVarianceError,
     PreconditionFailedError,
     QuadratureNonconvergedError,
+    _integral,
 )
 from .spaces import Space, SpacePoint, seq_point
 
@@ -239,11 +240,9 @@ def _margins(a: np.ndarray) -> np.ndarray:
 
 def _check_shape(n: int, count: int, seed: int) -> tuple[int, int, int]:
     """n, count and seed as ints, or refused if any is a bool or not integral."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, count, seed)):
-        raise PreconditionFailedError("n, count and seed must be integers", n=n, count=count, seed=seed)
-    if not (1 <= n <= MAX_N and count >= 1):
-        raise PreconditionFailedError(f"need 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
-    philox_gen(seed)  # refuses a negative seed
+    if not (_integral(n) and _integral(count) and 1 <= n <= MAX_N and count >= 1):
+        raise PreconditionFailedError(f"need integers 1 <= n <= {MAX_N} and count >= 1", n=n, count=count)
+    philox_gen(seed)  # refuses a seed that is not a non-negative integer
     return int(n), int(count), int(seed)
 
 

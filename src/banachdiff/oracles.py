@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    MalformedPointError,
     NoDoubleMaxError,
     NotInComplementError,
     PreconditionFailedError,
@@ -317,7 +316,9 @@ def witness_nbv(f: SpacePoint) -> SpacePoint:
     differentiable nowhere in this model.  The step is placed at the
     midpoint between the locations of the minimal and maximal one-sided
     values of f when that point is jump-free, otherwise at the first
-    jump-free midpoint of the breakpoint partition.
+    jump-free midpoint of the breakpoint partition.  When every float
+    strictly inside [a, b] is a breakpoint of f (on [1, 1 + 2**-52] there
+    is none) the step has nowhere to go: :class:`PreconditionFailedError`.
     """
     _expect(f, Space.NBV_AB)
     k = f.knots
@@ -330,7 +331,7 @@ def witness_nbv(f: SpacePoint) -> SpacePoint:
     for mid in candidates:
         if f.a < mid < f.b and mid not in bset:
             return step_fn(Space.NBV_AB, f.a, f.b, mid, 0.0, 1.0)
-    raise MalformedPointError("no jump-free interior point found")  # unreachable for valid f
+    raise PreconditionFailedError(f"every float strictly inside [{f.a}, {f.b}] is a breakpoint of f")
 
 
 def _expect(x: SpacePoint, *spaces: Space) -> None:

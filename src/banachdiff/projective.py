@@ -42,6 +42,7 @@ from .errors import (
     DimTooSmallError,
     NonconstancyUnverifiedError,
     PreconditionFailedError,
+    _integral,
 )
 from .oracles import LinearFunctionalRep, RepKind, apply_rep, coeff_rep, signed_index_rep, zero_rep
 from .spaces import (
@@ -83,11 +84,11 @@ class ProjectiveSystem:
     ``connect(s, t, v)`` truncates a length-t coordinate list to its
     first s entries (s <= t, both listed); ``project(t, x)`` truncates a
     sequence-space point to the finite model of dimension t; both raise
-    :class:`BadDimsError` for a dimension that is not listed.  Construction
-    checks only the dimensions themselves.  The composition identity
-    connect(s,t) ∘ connect(t,w) = connect(s,w) holds by construction,
-    because each connecting map is a slice; ``test_connectors_compose_exactly``
-    and acceptance criterion 10 test it.
+    :class:`BadDimsError` for a dimension that is not one of the listed
+    integers.  Construction checks only the dimensions themselves.  The
+    composition identity connect(s,t) ∘ connect(t,w) = connect(s,w) holds
+    by construction, because each connecting map is a slice;
+    ``test_connectors_compose_exactly`` and acceptance criterion 10 test it.
     """
 
     dims: tuple[int, ...]
@@ -95,13 +96,13 @@ class ProjectiveSystem:
     def __post_init__(self):
         if not self.dims:
             raise BadDimsError("need at least one dimension")
-        if any(d < 1 for d in self.dims):
-            raise BadDimsError("dimensions must be >= 1", dims=self.dims)
+        if not all(_integral(d) and d >= 1 for d in self.dims):
+            raise BadDimsError("dimensions must be integers >= 1", dims=self.dims)
         if any(b <= a for a, b in zip(self.dims, self.dims[1:])):
             raise BadDimsError("dimensions must be strictly increasing", dims=self.dims)
 
     def _require(self, d: int) -> None:
-        if d not in self.dims:
+        if not (_integral(d) and d in self.dims):
             raise BadDimsError(f"dimension {d} is not part of the system", dims=self.dims)
 
     def connect(self, s: int, t: int, coords) -> np.ndarray:
@@ -124,9 +125,9 @@ class ProjectiveSystem:
 
 
 def make_truncation_system(dims) -> ProjectiveSystem:
-    """The truncation chain over ``dims``; see :class:`ProjectiveSystem` for
-    why its connecting maps compose with no check."""
-    return ProjectiveSystem(dims=tuple(int(d) for d in dims))
+    """The truncation chain over ``dims``, integers never truncated; see
+    :class:`ProjectiveSystem` for why its connecting maps compose unchecked."""
+    return ProjectiveSystem(dims=tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ class CylindricalFunction:
     base: Functional
 
     def __post_init__(self):
-        if self.base_dim < 1:
-            raise PreconditionFailedError("base_dim must be >= 1")
+        if not _integral(self.base_dim) or self.base_dim < 1:
+            raise PreconditionFailedError("base_dim must be an integer >= 1")
 
 
 def _require_sequence(x: SpacePoint) -> None:
@@ -277,8 +278,8 @@ def lipschitz_factor_check(
     """
     if not 0.0 < radius < math.inf:
         raise PreconditionFailedError("radius must be finite and positive", radius=radius)
-    if pair_count < 1:
-        raise PreconditionFailedError("pair_count must be >= 1")
+    if not _integral(pair_count) or pair_count < 1:
+        raise PreconditionFailedError("pair_count must be an integer >= 1")
     f_full = full_functional(cf, sys_)
     t = cf.base_dim
     c = radius / 2.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import philox_gen
-from .errors import PreconditionFailedError
+from .errors import PreconditionFailedError, _integral
 from .spaces import (
     SEQUENCE_SPACES,
     Space,
@@ -185,7 +185,8 @@ def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
         )
     return MembershipReport(
         x.space, False, None, None,
-        f"|f| returns to within {-gap} of its sup outside the radius-{eps} neighborhood of {t0}",
+        f"|f| peaks only at t0={t0} (value {norm}), but off a radius-{eps} neighborhood it "
+        f"reads {norm - gap} once rounded: eps is too small to certify a gap at this float resolution",
     )
 
 
@@ -231,7 +232,8 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     Otherwise a continuous bump of height eps/2, sign-aligned with f at
     its first peak and supported on a neighborhood short of the adjacent
     knots, lifts that peak above all others; the result is verified to
-    classify as a member before being returned.
+    classify as a member before being returned; an eps too small for the
+    float spacing at the sup of |f| fails that, as :class:`PreconditionFailedError`.
     """
     if f.space is not Space.C_AB:
         raise PreconditionFailedError("densify_csup needs a C_AB point")
@@ -239,7 +241,7 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     if classify(f, 0.0).in_B:
         return f
-    _, sites, signed = _peak_sites(f)
+    norm, sites, signed = _peak_sites(f)
     t1, sigma = sites[0], sig(signed[0]) or 1.0  # the first peak
 
     k = f.knots
@@ -255,7 +257,7 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
 
     g = linear_combine(1.0, f, 1.0, bump)
     if not classify(g, 0.0).in_B:
-        raise PreconditionFailedError("bump construction failed to isolate the peak, which should be impossible")
+        raise PreconditionFailedError(f"eps {eps} is too small for the float spacing at the sup {norm} of |f|")
     return g
 
 
@@ -273,8 +275,8 @@ def ball_check_linf(x: SpacePoint, eps: float, trial_count: int, seed: int) -> b
     report = classify(x, eps)
     if not report.in_B:
         raise PreconditionFailedError(f"point is not eps-dominant: {report.certificate}")
-    if trial_count < 1:
-        raise PreconditionFailedError("trial_count must be >= 1")
+    if not _integral(trial_count) or trial_count < 1:
+        raise PreconditionFailedError("trial_count must be an integer >= 1")
     p = int(report.p_or_t0) - 1
     rng = philox_gen(seed)
     u = rng.uniform(-1.0, 1.0, size=(trial_count, x.dim))

@@ -931,3 +931,34 @@ def test_help_matches_a_freshly_built_parser(capsys, monkeypatch, argv):
     if argv[0] == "diff":
         fresh = _subparsers(fresh)["diff"]
     assert capsys.readouterr().out == fresh.format_help()
+
+
+def test_densify_refuses_an_eps_below_the_float_spacing_at_the_sup(capsys, tmp_path):
+    tie = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [1e20, 0.0, 1e20])
+    rc, doc = run_cli_strict(capsys, ["densify", "--file", _point_file(tmp_path, tie), "--eps", "0.25"])
+    assert rc == 2 and doc["error"]["code"] == "PRECONDITION_FAILED"
+    assert doc["error"]["message"] == "eps 0.25 is too small for the float spacing at the sup 1e+20 of |f|"
+
+
+def test_nbv_witness_on_a_domain_without_interior_floats_exits_2(capsys, tmp_path):
+    f = pw_from_values(Space.NBV_AB, [1.0, 1.0000000000000002], [0.0, 0.0])
+    rc, doc = run_cli_strict(capsys, ["witness", "--file", _point_file(tmp_path, f)])
+    assert rc == 2 and doc["error"]["code"] == "PRECONDITION_FAILED"
+
+
+def test_a_point_file_that_is_not_an_object_is_malformed(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1.0, 2.0]")
+    rc, doc = run_cli_strict(capsys, ["norm", "--file", str(path)])
+    assert rc == 2 and doc["error"]["code"] == "MALFORMED_POINT"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_report_holding_a_non_finite_number_is_an_eval_failure(value):
+    with pytest.raises(EvalFailureError, match="the report holds a non-finite number"):
+        cli._render({"result": {"value": value}})
+
+
+def test_threads_help_says_the_flag_sets_no_thread_count():
+    threads = next(a for a in cli.build_parser()._actions if "--threads" in a.option_strings)
+    assert threads.help == "accepted and ignored; it sets no thread count"

@@ -1058,3 +1058,71 @@ def test_lipschitz_memory_is_bounded_in_the_dimension():
         tracemalloc.stop()
     assert 0.0 < est <= 1.0 + 1e-12
     assert peak < 2**20
+
+
+def test_a_functional_refuses_a_point_of_another_space():
+    f = norm_functional(Space.L1_SEQ)
+    x = seq_point(Space.LINF_SEQ, [1.0])
+    with pytest.raises(PreconditionFailedError, match="expects L1_SEQ, got LINF_SEQ"):
+        f(x)
+    with pytest.raises(PreconditionFailedError, match="expects L1_SEQ, got LINF_SEQ"):
+        f.along(x, x, [0.5])
+
+
+@pytest.mark.parametrize(
+    "status, fields",
+    [
+        (VerdictStatus.GATEAUX, {}),
+        (VerdictStatus.FRECHET, {"value": 1.0}),
+        (VerdictStatus.HADAMARD, {}),
+        (VerdictStatus.NOT_GATEAUX, {}),
+    ],
+    ids=["gateaux-without-derivative", "frechet-without-derivative", "hadamard-without-value", "not-gateaux-without-witness"],
+)
+def test_a_verdict_without_its_evidence_cannot_be_built(status, fields):
+    with pytest.raises(ValueError):
+        DiffVerdict(status=status, **fields)
+
+
+def test_a_frechet_report_carries_its_remainder_profile():
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [2.0, 0.5])
+    unit = seq_point(Space.LINF_SEQ, [1.0, 0.0])
+    v = frechet_verdict(f, x, oracle_linf(x, 1.0), [unit], [0.25, 0.125])
+    assert v.status is VerdictStatus.FRECHET
+    assert v.to_dict()["remainder_profile"] == [[0.25, 0.0], [0.125, 0.0]]
+
+
+_x1 = seq_point(Space.L1_SEQ, [1.0, 1.0])
+_f1 = norm_functional(Space.L1_SEQ)
+_REFUSED_VERDICTS = {
+    "one-sided-zero-tol": lambda: one_sided_derivatives(_f1, _x1, _x1, EXACT, 0.0),
+    "gateaux-no-probes": lambda: gateaux_verdict(_f1, _x1, [], EXACT),
+    "gateaux-nan-tol": lambda: gateaux_verdict(_f1, _x1, [_x1], EXACT, math.nan),
+    "hadamard-negative-tol": lambda: hadamard_verdict(_f1, _x1, _x1, [[_x1]], EXACT, -1.0),
+    "lipschitz-fractional-pair-count": lambda: local_lipschitz_estimate(_f1, _x1, 0.5, 2.5, seed=1),
+    "lipschitz-fractional-seed": lambda: local_lipschitz_estimate(_f1, _x1, 0.5, 8, 1.5),
+    "lipschitz-bool-seed": lambda: local_lipschitz_estimate(_f1, _x1, 0.5, 8, True),
+}
+
+
+@pytest.mark.parametrize("call", list(_REFUSED_VERDICTS.values()), ids=list(_REFUSED_VERDICTS))
+def test_unusable_verdict_arguments_are_precondition_failures(call):
+    with pytest.raises(PreconditionFailedError):
+        call()
+
+
+def test_an_empty_perturbation_family_is_nonconvergent():
+    with pytest.raises(NonconvergentPerturbationError, match="empty perturbation family") as err:
+        hadamard_verdict(_f1, _x1, _x1, [[_x1], []], EXACT)
+    assert err.value.context == {"family": 1}
+
+
+def test_lipschitz_pairs_that_round_to_one_point_are_skipped():
+    # at a radius far below the spacing of floats at x, x ± c*d rounds to x
+    assert local_lipschitz_estimate(_f1, _x1, 1e-300, 8, seed=1) == 0.0
+
+
+def test_numpy_integer_lipschitz_arguments_are_integers():
+    want = local_lipschitz_estimate(_f1, _x1, 0.5, 8, seed=3)
+    assert local_lipschitz_estimate(_f1, _x1, 0.5, np.int32(8), np.uint64(3)) == want

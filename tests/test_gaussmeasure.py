@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import banachdiff
-from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
+from banachdiff._rng import philox_gen
+from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError, QuadratureNonconvergedError
 from banachdiff import gaussmeasure
 from banachdiff.gaussmeasure import (
     _BLOCK_ROWS,
@@ -500,3 +501,29 @@ def test_a_failing_chunk_reaches_the_caller_and_leaves_no_worker(monkeypatch, n,
     with pytest.raises(RuntimeError, match="^sampler refused this chunk$"):
         estimate_nondiff_measures(default_spec(), n, (0.1,), count, seed=3)
     assert threading.active_count() == before
+
+
+def test_a_spec_needs_variances_or_a_law_and_one_based_coordinates():
+    with pytest.raises(PreconditionFailedError, match="need an explicit variance list or a law"):
+        GaussianSpec(law=None)
+    with pytest.raises(PreconditionFailedError, match="1-based"):
+        default_spec().variance_at(0)
+
+
+# quad warns that the integral may diverge, and then the error bound decides
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_a_quadrature_that_does_not_converge_is_a_typed_failure():
+    spec = GaussianSpec(variances=(7e8, 1e270), law=None)
+    with pytest.raises(QuadratureNonconvergedError) as err:
+        b2_tie_probability_oracle(spec, 1e282)
+    assert err.value.context["abserr"] > 1e-6
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1"], ids=repr)
+def test_the_stream_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(PreconditionFailedError, match="is not an integer; seeds are non-negative integers"):
+        philox_gen(seed)
+
+
+def test_the_stream_of_a_numpy_integer_seed_is_that_of_the_int():
+    assert philox_gen(np.uint16(7), 2).random() == philox_gen(7, 2).random()

@@ -18,6 +18,7 @@ from banachdiff.errors import (
     PreconditionFailedError,
 )
 from banachdiff.oracles import (
+    LinearFunctionalRep,
     RepKind,
     apply_rep,
     coeff_rep,
@@ -247,3 +248,36 @@ def test_witnesses_enforce_their_space(rng):
         witness_linf(seq_point(Space.L1_SEQ, lattice(rng, -1.0, 1.0, 4)))
     with pytest.raises(PreconditionFailedError):
         witness_nbv(constant_fn(Space.C_AB, 0.0, 1.0, 0.0))
+
+
+def test_representations_refuse_fields_their_kind_does_not_carry():
+    with pytest.raises(ValueError, match="does not carry 'p'"):
+        LinearFunctionalRep(RepKind.ZERO, p=1)
+    with pytest.raises(ValueError, match="POINT_MASS needs a location"):
+        LinearFunctionalRep(RepKind.POINT_MASS, sigma=1.0)
+
+
+def test_a_certified_representation_reports_its_gap():
+    x = seq_point(Space.LINF_SEQ, [2.0, -0.5])
+    assert oracle_linf(x, 0.5).to_dict() == {"kind": "SIGNED_INDEX", "p": 1, "sigma": 1.0, "gap": 0.5}
+
+
+def test_a_coordinate_representation_refuses_a_function_direction():
+    with pytest.raises(PreconditionFailedError, match="applies to sequence directions"):
+        apply_rep(signed_index_rep(1, 1.0), constant_fn(Space.C_AB, 0.0, 1.0, 1.0))
+
+
+def test_oracle_and_witness_tolerances_must_be_usable():
+    peak = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    with pytest.raises(PreconditionFailedError, match="rho must be finite and positive"):
+        oracle_csup(peak, 0.0)
+    with pytest.raises(PreconditionFailedError, match="tie_tol must be finite and nonnegative"):
+        witness_linf(seq_point(Space.LINF_SEQ, [1.0, 1.0]), -1.0)
+
+
+def test_nbv_witness_refuses_a_domain_with_no_float_off_its_breakpoints():
+    # a valid point: no float lies strictly inside [1, nextafter(1, 2)], so
+    # there is nowhere to place the step
+    f = pw_from_values(Space.NBV_AB, [1.0, np.nextafter(1.0, 2.0)], [0.0, 0.0])
+    with pytest.raises(PreconditionFailedError, match="every float strictly inside"):
+        witness_nbv(f)

@@ -30,7 +30,7 @@ from banachdiff.projective import (
     wseries_functional,
     wseries_gateaux,
 )
-from banachdiff.spaces import Space, seq_point
+from banachdiff.spaces import Space, constant_fn, seq_point
 
 from conftest import lattice
 
@@ -425,3 +425,49 @@ def test_unknown_outer_names_are_rejected():
     for name, g in OUTER_MAPS.items():
         assert g.name == name
         assert isinstance(g(0.5), float)
+
+
+def test_a_zero_inner_derivative_propagates_as_zero():
+    # a tolerance above every response fits the zero functional downstairs
+    sys_ = make_truncation_system((2,))
+    x = seq_point(Space.LINF_SEQ, [1.0, 1.0])
+    h = seq_point(Space.LINF_SEQ, [1.0, 0.0])
+    v = compose_propagate(OUTER_MAPS["identity"], make_cylinder("wseries_partial", 2), sys_, x, h, SMOOTH, 10.0)
+    assert v.status is VerdictStatus.GATEAUX and v.derivative.kind is RepKind.ZERO and v.value == 0.0
+
+
+_sys = make_truncation_system(DIMS)
+_x13 = seq_point(Space.LINF_SEQ, np.arange(1.0, 14.0))
+_cf = make_cylinder("supnorm", 2)
+_REFUSED = {
+    "connect-wrong-length": (PreconditionFailedError, lambda: _sys.connect(2, 3, [1.0, 2.0])),
+    "project-a-function": (PreconditionFailedError, lambda: _sys.project(2, constant_fn(Space.C_AB, 0.0, 1.0, 1.0))),
+    "cylinder-dimension-zero": (PreconditionFailedError, lambda: make_cylinder("supnorm", 0)),
+    "wseries-of-a-function": (PreconditionFailedError, lambda: wseries_eval(constant_fn(Space.C_AB, 0.0, 1.0, 1.0))),
+    "wseries-gateaux-mismatch": (PreconditionFailedError, lambda: wseries_gateaux(_x13, seq_point(Space.LINF_SEQ, [1.0]))),
+    "lipschitz-no-pairs": (PreconditionFailedError, lambda: lipschitz_factor_check(_cf, _sys, _x13, 0.5, 0, 1)),
+    "lipschitz-fractional-pairs": (PreconditionFailedError, lambda: lipschitz_factor_check(_cf, _sys, _x13, 0.5, 2.5, 1)),
+    "lipschitz-fractional-seed": (PreconditionFailedError, lambda: lipschitz_factor_check(_cf, _sys, _x13, 0.5, 8, seed=1.5)),
+    "lipschitz-bool-seed": (PreconditionFailedError, lambda: lipschitz_factor_check(_cf, _sys, _x13, 0.5, 8, seed=True)),
+    "fractional-dims": (BadDimsError, lambda: make_truncation_system([2.7, 5])),
+    "bool-dims": (BadDimsError, lambda: make_truncation_system([True, 5])),
+    "fractional-connect": (BadDimsError, lambda: _sys.connect(2.0, 3, [1.0, 2.0, 3.0])),
+    "fractional-project": (BadDimsError, lambda: _sys.project(2.0, _x13)),
+    "fractional-cylinder-evaluation": (
+        PreconditionFailedError,
+        lambda: cyl_eval(make_cylinder("supnorm", 2.0), make_truncation_system([2, 3]), _x13),
+    ),
+}
+
+
+@pytest.mark.parametrize("error, call", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_unusable_projective_arguments_are_typed_refusals(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_integer_dimensions_are_integers():
+    sys_ = make_truncation_system(np.array([2, 3, 5]))
+    cf = make_cylinder("supnorm", np.int64(3))
+    assert cyl_eval(cf, sys_, _x13) == 3.0
+    assert sys_.connect(np.int32(2), np.int64(3), [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0]

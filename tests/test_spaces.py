@@ -385,3 +385,38 @@ def test_function_space_work_leaves_numpy_masked_arrays_unimported():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+_REFUSED_CONSTRUCTIONS = {
+    "two-dimensional-coords": lambda: seq_point(Space.L1_SEQ, [[1.0, 2.0]]),
+    "dim-of-a-function": lambda: constant_fn(Space.C_AB, 0.0, 1.0, 1.0).dim,
+    "segments-for-a-sequence-space": lambda: pw_from_values(Space.L1_SEQ, [0.0, 1.0], [0.0, 0.0]),
+    "fewer-values-than-knots": lambda: pw_from_values(Space.C_AB, [0.0, 1.0], [0.0]),
+    "domain-ends-not-numbers": lambda: pw_point(Space.C_AB, [0.0], [1.0], [], [0.0], [0.0]),
+    "document-without-space": lambda: point_from_dict({"coords": [1.0]}),
+}
+
+
+@pytest.mark.parametrize("build", list(_REFUSED_CONSTRUCTIONS.values()), ids=list(_REFUSED_CONSTRUCTIONS))
+def test_structurally_invalid_points_are_malformed(build):
+    with pytest.raises(MalformedPointError):
+        build()
+
+
+def test_value_at_refuses_a_sequence_point():
+    with pytest.raises(EvalFailureError, match="function-space points"):
+        value_at(seq_point(Space.L1_SEQ, [1.0]), 0.0)
+
+
+def test_points_compare_by_space_and_have_short_reprs():
+    x = seq_point(Space.L1_SEQ, [1.0, -0.5])
+    assert x != "L1_SEQ" and x != seq_point(Space.LINF_SEQ, [1.0, -0.5])
+    assert repr(x) == "SpacePoint(L1_SEQ, [1.0, -0.5])"
+    f = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    assert repr(f) == "SpacePoint(C_AB, [0.0, 1.0], bp=[0.5])"
+
+
+@pytest.mark.parametrize("space", [Space.C_AB, Space.LINF_R, Space.NBV_AB])
+def test_zeros_like_a_function_point_is_the_zero_function_on_its_domain(space):
+    z = zeros_like(pw_from_values(space, [-1.0, 0.5, 2.0], [0.0, 1.0, 0.0]))
+    assert z == constant_fn(space, -1.0, 2.0, 0.0) and eval_norm(z).value == 0.0

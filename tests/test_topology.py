@@ -13,6 +13,7 @@ from banachdiff.spaces import (
     subtract,
 )
 from banachdiff.topology import (
+    MembershipReport,
     ball_check_linf,
     classify,
     densify_csup,
@@ -157,3 +158,52 @@ def test_ball_check_needs_membership():
     tie = seq_point(Space.LINF_SEQ, [1.0, -1.0])
     with pytest.raises(PreconditionFailedError):
         ball_check_linf(tie, 0.25, 10, seed=1)
+
+
+def test_membership_needs_its_certificate():
+    with pytest.raises(ValueError, match="membership requires"):
+        MembershipReport(Space.L1_SEQ, True, None, None, "")
+
+
+def test_a_radius_below_the_float_spacing_at_the_peak_certifies_no_gap():
+    # the peak is unique, but |f| at t0 ± 1e-17 rounds to the sup itself
+    f = pw_from_values(Space.C_AB, [0.0, 0.48583536, 1.0], [0.77897567, 0.86808703, -0.28440961])
+    assert classify(f, 1e-12).in_B
+    report = classify(f, 1e-17)
+    assert not report.in_B
+    assert report.certificate == (
+        "|f| peaks only at t0=0.48583536 (value 0.86808703), but off a radius-1e-17 neighborhood "
+        "it reads 0.86808703 once rounded: eps is too small to certify a gap at this float resolution"
+    )
+
+
+def test_densify_csup_refuses_an_eps_below_the_float_spacing_at_the_sup():
+    tie = pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [1e20, 0.0, 1e20])
+    assert classify(densify_csup(tie, 2.0**20), 0.0).in_B
+    with pytest.raises(PreconditionFailedError, match="eps 0.25 is too small for the float spacing at the sup 1e"):
+        densify_csup(tie, 0.25)
+
+
+_l1 = seq_point(Space.L1_SEQ, [1.0])
+_dominant = seq_point(Space.LINF_SEQ, [2.0, 0.5])
+_REFUSED = {
+    "densify-l1-of-linf": lambda: densify_l1(_dominant, 0.5),
+    "densify-linf-of-l1": lambda: densify_linf(_l1, 0.5),
+    "densify-csup-of-linf-r": lambda: densify_csup(constant_fn(Space.LINF_R, 0.0, 1.0, 1.0), 0.5),
+    "densify-csup-zero-eps": lambda: densify_csup(pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), 0.0),
+    "ball-check-of-l1": lambda: ball_check_linf(_l1, 0.25, 10, seed=1),
+    "ball-check-no-trials": lambda: ball_check_linf(_dominant, 0.25, 0, seed=1),
+    "ball-check-fractional-trials": lambda: ball_check_linf(_dominant, 0.25, 2.5, seed=1),
+    "ball-check-fractional-seed": lambda: ball_check_linf(_dominant, 0.25, 10, seed=1.5),
+    "ball-check-bool-seed": lambda: ball_check_linf(_dominant, 0.25, 10, seed=True),
+}
+
+
+@pytest.mark.parametrize("call", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_unusable_densify_and_ball_arguments_are_precondition_failures(call):
+    with pytest.raises(PreconditionFailedError):
+        call()
+
+
+def test_ball_check_takes_numpy_integer_counts_and_seeds():
+    assert ball_check_linf(_dominant, 0.25, np.int64(10), seed=np.uint32(1))
