@@ -41,6 +41,7 @@ from .errors import (
     EvalFailureError,
     NonconvergentPerturbationError,
     PreconditionFailedError,
+    ToolkitError,
     _integral,
 )
 from .oracles import LinearFunctionalRep, apply_rep, coeff_rep, point_mass_rep, signed_index_rep, zero_rep
@@ -468,10 +469,18 @@ def _fit_point(x: SpacePoint, k: int) -> SpacePoint:
     return pw_from_values(x.space, x.knots, np.ones_like(x.knots) if k == 0 else x.knots)
 
 
-# A direction of a verdict stage: a point, or the index k of the canonical
-# fit direction ``_fit_point(x, k)``, whose arrays are made only inside the
-# stack that holds it.
-_Dir = SpacePoint | int
+# A direction of a verdict: a point; the index k of the canonical fit
+# direction ``_fit_point(x, k)``, whose arrays are made only inside the stack
+# that holds it; or a deferred point, a callable that builds it (a linearity
+# pair), called only when the evaluation reaches it.
+_Dir = SpacePoint | int | Callable[[], SpacePoint]
+
+
+def _point(x: SpacePoint, d: _Dir) -> SpacePoint:
+    """Direction d at x as a point."""
+    if isinstance(d, SpacePoint):
+        return d
+    return d() if callable(d) else _fit_point(x, d)
 
 
 def _stack(x: SpacePoint, block: Sequence[_Dir]) -> SpacePoint:
@@ -514,9 +523,20 @@ def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]
     """``dirs`` in order, cut into blocks of consecutive directions that
     share one stack (one space and coordinate count, or one knots array)
     and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps;
-    every caller passes at least one direction."""
+    every caller passes at least one direction, and a point first.
+
+    A deferred direction is built when it is reached, and its point joins
+    the block.  If building it raises, the block before it is yielded
+    first, and the error is raised only when the next block is asked for,
+    so a caller that stops within that block never sees it."""
     block: list[_Dir] = []
     for d in dirs:
+        if callable(d):
+            try:
+                d = d()
+            except ToolkitError:
+                yield block
+                raise
         p = d if isinstance(d, SpacePoint) else x
         if block and (len(block) == cap or not _stackable(head, p)):
             yield block
@@ -544,7 +564,10 @@ def _rows(
     :class:`EvalFailureError`, and along every direction of a functional
     without a batch, each step is one call of f on
     ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
-    error of the first step that fails, after the rows before it.
+    error of the first step that fails, after the rows before it.  A
+    deferred direction is built as :func:`_blocks` reaches it, or, without
+    a batch, when its turn comes; an error in building it is raised once
+    the rows of every direction before it are taken.
     """
     n, batched = steps.shape[0], f.batch is not None
     for block in _blocks(x, dirs, n) if batched else ([d] for d in dirs):
@@ -567,7 +590,7 @@ def _rows(
                     yield H, values[:good]
             block = block[good:]
         for d in block:
-            h = d if isinstance(d, SpacePoint) else _fit_point(x, d)
+            h = _point(x, d)
             yield h, np.array([[f(linear_combine(1.0, x, float(s), h)) for s in steps]])
 
 
@@ -671,15 +694,16 @@ def gateaux_verdict(
     verdict that stops short of GATEAUX names the stage and the direction
     that decided it.
 
-    The directions are evaluated in two stages, the probes and then the
-    combinations with the fit directions, each as stacks of one array
-    evaluation per block (see :func:`_traces`) when f has a batch
-    evaluator; no stage is evaluated before the one ahead of it has been
-    judged.  A fit direction becomes a point only as a failure witness.
-    Directions are judged in the order above, ``traces`` ends at the
-    deciding one, and verdict, traces and errors are those of evaluating
-    one direction at a time.  f(x) and ``‖x‖`` are evaluated once per
-    verdict.
+    All directions are evaluated in one pass through :func:`_traces`: the
+    probes, then the combinations, then the fit directions, as stacks of
+    one array evaluation per block when f has a batch evaluator.  A
+    combination is built only when its block is reached, and a fit
+    direction becomes a point only as a failure witness.  Directions are
+    judged in the order above, ``traces`` ends at the deciding one, and
+    verdict, traces and errors are those of evaluating one direction at a
+    time; a verdict that ends early has still evaluated the directions
+    stacked with the deciding one.  f(x) and ``‖x‖`` are evaluated once
+    per verdict.
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
@@ -687,56 +711,53 @@ def gateaux_verdict(
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)
     fx, nx = f(x), _size(x)
     traces: list[QuotientTrace] = []
-    dirs = list(probe_dirs)
+    probes = list(probe_dirs)
+    m = len(probes)
+    # linearity spot-checks linear_combine(a, probe 0, b, probe j), whose
+    # limit must be a*r0 + b*rj: additivity on the first pair, doubling on
+    # the first
+    pairs = [(1.0, 1.0, 1, "probe 0 + probe 1")] if m >= 2 else []
+    pairs.append((2.0, 0.0, 0, "2 * probe 0"))
+    fit = m + len(pairs)
+    dirs: list[_Dir] = [
+        *probes,
+        *(functools.partial(linear_combine, a, probes[0], b, probes[j]) for a, b, j, _ in pairs),
+        *range(_fit_count(x)),
+    ]
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
         return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
 
-    def judge(tr: QuotientTrace, h: _Dir, stage: str) -> DiffVerdict | None:
-        """Keep the trace along h; the verdict it ends with, if any."""
+    def stage(i: int) -> str:
+        if i < m:
+            return f"probe {i}"
+        return pairs[i - m][3] if i < fit else f"canonical fit direction {i - fit}"
+
+    responses: list[float] = []
+    fit_resp: list[float] = []
+    for i, tr in enumerate(_traces(f, x, dirs, grid, tol, fx, nx)):
         traces.append(tr)
         if tr.split(tol):
             return verdict(
                 VerdictStatus.NOT_GATEAUX,
-                f"one-sided limits disagree along {stage}: "
+                f"one-sided limits disagree along {stage(i)}: "
                 f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}",
-                failure_witness=h if isinstance(h, SpacePoint) else _fit_point(x, h),
+                failure_witness=_point(x, dirs[i]),
             )
         if tr.d_plus is None or tr.d_minus is None:
-            return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage))
-        return None
-
-    responses: list[float] = []
-    for i, tr in enumerate(_traces(f, x, dirs, grid, tol, fx, nx)):
-        if (end := judge(tr, dirs[i], f"probe {i}")) is not None:
-            return end
-        responses.append(tr.d_plus)
-
-    # linearity spot-checks: additivity on the first pair, doubling on the first
-    lin_pairs: list[tuple[SpacePoint, float, str]] = []
-    if len(dirs) >= 2:
-        lin_pairs.append(
-            (linear_combine(1.0, dirs[0], 1.0, dirs[1]), responses[0] + responses[1], "probe 0 + probe 1")
-        )
-    lin_pairs.append((linear_combine(2.0, dirs[0], 0.0, dirs[0]), 2.0 * responses[0], "2 * probe 0"))
-    second: list[_Dir] = [h for h, _, _ in lin_pairs]
-    second.extend(range(_fit_count(x)))
-    fit_resp: list[float] = []
-    for j, tr in enumerate(_traces(f, x, second, grid, tol, fx, nx)):
-        if j < len(lin_pairs):
-            h, expected, stage = lin_pairs[j]
-            if (end := judge(tr, h, stage)) is not None:
-                return end
+            return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage(i)))
+        if i < m:
+            responses.append(tr.d_plus)
+        elif i < fit:
+            a, b, j, _ = pairs[i - m]
+            expected = a * responses[0] + b * responses[j]
             if abs(tr.d_plus - expected) > tol * max(1.0, abs(expected)):
                 return verdict(
                     VerdictStatus.INCONCLUSIVE,
                     f"directional limits exist on the probes but are not linear across them: "
-                    f"{float(tr.d_plus)} along {stage}, expected {float(expected)}",
+                    f"{float(tr.d_plus)} along {stage(i)}, expected {float(expected)}",
                 )
         else:
-            k = j - len(lin_pairs)
-            if (end := judge(tr, k, f"canonical fit direction {k}")) is not None:
-                return end
             fit_resp.append(tr.d_plus)
 
     rep = _fit_rep(x, fit_resp, responses, tol)
@@ -745,7 +766,7 @@ def gateaux_verdict(
             VerdictStatus.INCONCLUSIVE,
             "directional limits exist but no sparse representation reproduces them",
         )
-    for i, h in enumerate(dirs):
+    for i, h in enumerate(probes):
         want = responses[i]
         got = apply_rep(rep, h)
         if abs(got - want) > tol * max(1.0, abs(want)):

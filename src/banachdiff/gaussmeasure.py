@@ -340,7 +340,10 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     Reduces the two-dimensional event to one dimension by conditioning
     on |X_1|: the answer is the integral over u >= 0 of the folded-normal
     density of |X_1| times the probability that |X_2| lands within delta
-    of u.  Entirely independent of the Monte-Carlo sampler.
+    of u.  Entirely independent of the Monte-Carlo sampler.  A quadrature
+    that scipy flags as not converged, or whose error estimate stays above
+    1e-6, raises :class:`QuadratureNonconvergedError` with the error
+    estimate in its context.
     """
     if not 0.0 <= delta < math.inf:
         raise PreconditionFailedError("delta must be finite and nonnegative", delta=delta)
@@ -364,7 +367,11 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     def integrand(u: float) -> float:
         return folded_pdf(u) * (folded_cdf(u + delta) - folded_cdf(u - delta))
 
-    value, abserr = quad(integrand, 0.0, np.inf, limit=200)
+    value, abserr, _, *message = quad(integrand, 0.0, np.inf, limit=200, full_output=1)
+    if message:
+        raise QuadratureNonconvergedError(
+            f"quadrature did not converge: {' '.join(message[0].split())}", abserr=abserr
+        )
     if abserr > 1e-6:
         raise QuadratureNonconvergedError(
             "quadrature error estimate stayed above 1e-6", abserr=abserr

@@ -117,14 +117,15 @@ _SIGNS = {(v, math.copysign(1.0, v)): v for v in (1.0, -1.0, 0.0, -0.0)}
 
 
 def coeff_rep(coeffs) -> LinearFunctionalRep:
-    """A COEFF_SEQ representation.  Coefficients equal bit for bit share one
-    float, and signs and zeros share the module's, so the sign vector that
-    is the derivative of the sum norm holds no float of its own."""
-    seen = dict(_SIGNS)
-    return LinearFunctionalRep(
-        RepKind.COEFF_SEQ,
-        coeffs=tuple(seen.setdefault((c, math.copysign(1.0, c)), c) for c in map(float, coeffs)),
-    )
+    """A COEFF_SEQ representation.  Equal coefficient sequences, bit for
+    bit, share one representation (see :func:`_shared`); within one,
+    coefficients equal bit for bit share one float, and signs and zeros
+    share the module's, so the sign vector that is the derivative of the
+    sum norm holds no float of its own."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError("COEFF_SEQ needs a one-dimensional coefficient sequence")
+    return _shared(RepKind.COEFF_SEQ, coeffs.tobytes(), None)
 
 
 def signed_index_rep(p: int, sigma: float, gap: float | None = None) -> LinearFunctionalRep:
@@ -141,11 +142,18 @@ def point_mass_rep(t0: float, sigma: float, gap: float | None = None) -> LinearF
 
 
 @functools.lru_cache(maxsize=1024)
-def _shared(kind: RepKind, at, sigma: float, sign: float = 1.0) -> LinearFunctionalRep:
-    """The representation ``sigma * h_at`` (a coordinate) or ``sigma *
-    h(at)`` (a point) without a gap.  Representations are immutable, so one
-    object serves every caller that asks for the same one; ``sign`` keeps
-    the points 0.0 and -0.0 apart."""
+def _shared(kind: RepKind, at, sigma: float | None, sign: float = 1.0) -> LinearFunctionalRep:
+    """The representation ``sigma * h_at`` (a coordinate), ``sigma *
+    h(at)`` (a point) or, for COEFF_SEQ, ``sum_k c_k * h_k`` whose
+    coefficients c are the float64 bytes ``at``, without a gap.
+    Representations are immutable, so one object serves every caller that
+    asks for the same one; ``sign``, and the bytes of a coefficient, keep
+    0.0 and -0.0 apart."""
+    if kind is RepKind.COEFF_SEQ:
+        seen = dict(_SIGNS)
+        return LinearFunctionalRep(
+            kind, coeffs=tuple(seen.setdefault((c, math.copysign(1.0, c)), c) for c in np.frombuffer(at).tolist())
+        )
     if kind is RepKind.SIGNED_INDEX:
         return LinearFunctionalRep(kind, p=at, sigma=sigma)
     return LinearFunctionalRep(kind, t0=at, sigma=sigma)

@@ -911,6 +911,21 @@ def test_a_linearity_pair_that_splits_ends_the_verdict():
     assert v.failure_witness == seq_point(Space.L1_SEQ, [1.0, 1.0]) and len(v.traces) == 3
 
 
+def test_limits_that_are_not_additive_across_the_probes_are_inconclusive():
+    # x1^3 / (x1^2 + x2^2) has every directional derivative at 0, two-sided
+    # and exact on the grid, but they are not linear: 1 along e1, 0 along
+    # e2, and 1/2 along their sum
+    f = Functional("x1_cubed_over_r2", lambda p: p.coords[0] ** 3 / (p.coords @ p.coords) if p.coords.any() else 0.0)
+    x = seq_point(Space.L1_SEQ, [0.0, 0.0])
+    probes = [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [0.0, 1.0])]
+    _assert_same_verdict(f, x, probes)
+    v = gateaux_verdict(f, x, probes)
+    assert v.status is VerdictStatus.INCONCLUSIVE and len(v.traces) == 3
+    assert v.detail == (
+        "directional limits exist on the probes but are not linear across them: 0.5 along probe 0 + probe 1, expected 1.0"
+    )
+
+
 @pytest.mark.parametrize(
     "f, x, probe",
     [
@@ -981,6 +996,75 @@ def test_a_failing_row_is_evaluated_once_by_the_batch():
         gateaux_verdict(g, x, [h], TGrid(t0=1.0, count=3))
     assert str(info.value) == "norm evaluates to inf, not a finite number"
     assert calls == [6]
+
+
+def _counting_norm(space):
+    """The norm of ``space``, and the list its batch appends to per call."""
+    f = norm_functional(space)
+    calls = []
+
+    def counting(x, H, steps):
+        calls.append(steps.shape[0])
+        return f.batch(x, H, steps)
+
+    return dataclasses.replace(f, batch=counting), calls
+
+
+_TENT = [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "x, probe, status, batches",
+    [
+        # probe, 2 * probe 0 and every coordinate vector: one stack
+        (seq_point(Space.L1_SEQ, [1.0, -2.0, 0.5, 0.25]), seq_point(Space.L1_SEQ, [1.0, 1.0, -1.0, 0.5]), "GATEAUX", 1),
+        (seq_point(Space.LINF_SEQ, [3.0, -2.0, 0.5]), seq_point(Space.LINF_SEQ, [1.0, 1.0, 1.0]), "GATEAUX", 1),
+        (seq_point(Space.RT, [0.5, -3.0]), seq_point(Space.RT, [0.25, 1.0]), "GATEAUX", 1),
+        # the probe and 2 * probe 0 share the probe's knots, the constant and the ramp x's
+        (
+            pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], _TENT),
+            pw_from_values(Space.C_AB, [0.0, 0.25, 1.0], [1.0, 0.0, 1.0]),
+            "GATEAUX",
+            2,
+        ),
+        (
+            pw_from_values(Space.LINF_R, [0.0, 0.5, 1.0], _TENT),
+            pw_from_values(Space.LINF_R, [0.0, 0.25, 1.0], [1.0, 0.0, 1.0]),
+            "GATEAUX",
+            2,
+        ),
+        # no fit directions: the probe and 2 * probe 0
+        (
+            pw_from_values(Space.NBV_AB, [0.0, 0.5, 1.0], [0.0, 1.0, 0.5]),
+            pw_from_values(Space.NBV_AB, [0.0, 0.25, 1.0], [0.0, 0.25, 0.5]),
+            "INCONCLUSIVE",
+            1,
+        ),
+        # a split at probe 0 ends the verdict within its one stack
+        (seq_point(Space.LINF_SEQ, [2.0, -2.0, 0.5]), seq_point(Space.LINF_SEQ, [1.0, 1.0, 0.0]), "NOT_GATEAUX", 1),
+    ],
+    ids=["l1", "linf", "rt", "c_ab", "linf_r", "nbv", "split-at-probe-0"],
+)
+def test_a_verdict_evaluates_its_directions_in_one_pass(x, probe, status, batches):
+    f, calls = _counting_norm(x.space)
+    v = gateaux_verdict(f, x, [probe], EXACT)
+    assert v.status.value == status
+    assert calls == [2 * EXACT.count] * batches
+    _assert_same_verdict(f, x, [probe], EXACT)
+
+
+def test_a_linearity_pair_that_cannot_be_built_raises_only_once_it_is_asked_for():
+    f = norm_functional(Space.LINF_SEQ)
+    # probe 0 has a limit, and 2 * probe 0 overflows when it is built
+    x = h = seq_point(Space.LINF_SEQ, [1e308, 0.0])
+    outcome = _assert_same_verdict(f, x, [h])
+    assert outcome[:2] == ("EvalFailureError", "linear combination overflows")
+    # probe 0 splits: the verdict ends before 2 * probe 0 is asked for
+    x, h = seq_point(Space.LINF_SEQ, [1e308, 1e308]), seq_point(Space.LINF_SEQ, [1e308, -1e308])
+    _assert_same_verdict(f, x, [h])
+    v = gateaux_verdict(f, x, [h])
+    assert v.status is VerdictStatus.NOT_GATEAUX and len(v.traces) == 1
+    assert v.detail.startswith("one-sided limits disagree along probe 0:")
 
 
 def test_quotient_overflow_is_an_eval_failure():

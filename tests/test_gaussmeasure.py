@@ -511,12 +511,36 @@ def test_a_spec_needs_variances_or_a_law_and_one_based_coordinates():
 
 
 # quad warns that the integral may diverge, and then the error bound decides
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_a_quadrature_that_does_not_converge_is_a_typed_failure():
     spec = GaussianSpec(variances=(7e8, 1e270), law=None)
     with pytest.raises(QuadratureNonconvergedError) as err:
         b2_tie_probability_oracle(spec, 1e282)
     assert err.value.context["abserr"] > 1e-6
+
+
+@pytest.mark.parametrize(
+    "variances, delta",
+    [
+        # both read a small negative probability, with an error estimate far below 1e-6
+        ((115036705859712.56, 2.298180565681397e-247), 1.4642521690062373e289),
+        ((1.978263256295969e19, 8.840100828383552e187), 1.607592026604068e298),
+    ],
+)
+def test_a_quadrature_that_scipy_flags_is_a_typed_failure_whatever_its_error_estimate(variances, delta):
+    with pytest.raises(QuadratureNonconvergedError) as err:
+        b2_tie_probability_oracle(GaussianSpec(variances=variances, law=None), delta)
+    assert str(err.value) == "quadrature did not converge: The integral is probably divergent, or slowly convergent."
+    assert 0.0 < err.value.context["abserr"] < 1e-6
+
+
+def test_an_unflagged_quadrature_with_a_large_error_estimate_is_a_typed_failure(monkeypatch):
+    # scipy returns no message only when its error estimate meets its own
+    # tolerance, max(1.49e-8, 1.49e-8 * |value|), which stays below 1e-6
+    # for any value a probability can take; the guard refuses the rest
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.5, 2e-6, {}))
+    with pytest.raises(QuadratureNonconvergedError, match="error estimate stayed above 1e-6") as err:
+        b2_tie_probability_oracle(default_spec(), 0.01)
+    assert err.value.context["abserr"] == 2e-6
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1"], ids=repr)

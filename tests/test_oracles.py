@@ -89,6 +89,12 @@ def test_representations_are_compact_and_shared():
     # equal but differently signed zeros stay apart, bit for bit
     zeros = coeff_rep([0.0, -0.0, 0.0])
     assert [str(c) for c in zeros.coeffs] == ["0.0", "-0.0", "0.0"]
+    # equal coefficient sequences are one object; a zero of the other sign is another
+    assert coeff_rep(signs) is rep is coeff_rep(signs.tolist())
+    assert coeff_rep((0.0, -0.0, 0.0)) is zeros
+    assert coeff_rep([0.0, 0.0, 0.0]) is not zeros and coeff_rep([-0.0, -0.0, 0.0]) is not zeros
+    with pytest.raises(ValueError, match="one-dimensional"):
+        coeff_rep([[1.0, 0.5]])
     # immutable coordinates and point masses without a gap are one object each
     assert signed_index_rep(3, -1.0) is signed_index_rep(3, -1)
     assert point_mass_rep(0.25, 1.0) is point_mass_rep(0.25, 1)
