@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -14,12 +15,14 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import banachdiff
 from banachdiff import cli
+from banachdiff.diffengine import VerdictStatus
 from banachdiff.errors import EvalFailureError
 from banachdiff.gaussmeasure import MAX_N, MAX_TERMS
 from banachdiff.oracles import witness_Linf, witness_nbv
@@ -391,6 +394,49 @@ def test_readme_measure_report_is_unchanged_byte_for_byte(capsys):
     argv = ["measure", "--n", "2", "--delta", "0.01", "--count", "20000", "--seed", "7", "--law", "std"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == README_MEASURE_SHA256
+
+
+# sha256 of the reports of the other README examples, frozen from the
+# json.dumps writer (suite is left out: its report holds elapsed times)
+_LINF_5 = ["--space", "linf", "--point", "[1.0, -1.0, 2.0, 0.25, 0.125]", "--dir", "[1, 1, 1, 0, 0]"]
+README_REPORT_SHA256 = {
+    "norm": (
+        ["norm", "--space", "l1", "--point", "[1.0, -2.0, 0.5]"],
+        "5028785680c9197868aa27b9da66c201a06451f0ee945a9b1d1e29aa4ef5308d",
+    ),
+    "classify": (
+        ["classify", "--space", "linf", "--point", "[3.0, 1.0, 0.5]"],
+        "b1686e2d52d3e0cb20d6097c21d2e4121b8ad53a16175e4095cf2f60bb4b4173",
+    ),
+    "witness": (
+        ["witness", "--space", "linf", "--point", "[2.0, -2.0, 1.0]"],
+        "c2185d0aef3394c3cb305d4668e73b468f289e5a9f66812e79eb3b0570fa5fb7",
+    ),
+    "densify": (
+        ["densify", "--space", "linf", "--point", "[1.0, 0.0125, 0.5]", "--eps", "0.25"],
+        "9793b877960c7d5be753946349be0d2de53df27597b346104a542252bff73bf1",
+    ),
+    "vakhania": (
+        ["vakhania", "--N", "1000"],
+        "e1a7a9554a5041164d06ab0145b9d3558058e99ddfd08b676a119b4aa06822c7",
+    ),
+    "cyl": (
+        ["cyl", "--base", "wseries_partial", "--t", "3", *_LINF_5],
+        "51b1f15454d9f22ec6bb5cf19cf249f0e7773c48511191229f9284f4c8f9eed9",
+    ),
+    "compose": (
+        ["compose", "--outer", "square", "--base", "wseries_partial", "--t", "3", *_LINF_5,
+         "--t0", "0.0078125", "--count-steps", "20", "--tol", "1e-6"],
+        "e38f8e0cea3cb387ccc88b21d6a31b3a441d936391dd6bdcb73744f8fd4bd804",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_REPORT_SHA256))
+def test_readme_report_is_unchanged_byte_for_byte(capsys, command):
+    argv, digest = README_REPORT_SHA256[command]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_function_combination_overflow_exits_3(capsys, tmp_path):
@@ -953,10 +999,62 @@ def test_a_point_file_that_is_not_an_object_is_malformed(capsys, tmp_path):
     assert rc == 2 and doc["error"]["code"] == "MALFORMED_POINT"
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_a_report_holding_a_non_finite_number_is_an_eval_failure(value):
-    with pytest.raises(EvalFailureError, match="the report holds a non-finite number"):
-        cli._render({"result": {"value": value}})
+    for doc in (
+        {"result": {"value": value}},
+        {"t": [0.5, value, -0.0]},
+        {"mixed": [1, "a", value]},
+        {"a": {"b": [{"c": value}]}},
+    ):
+        with pytest.raises(EvalFailureError, match="the report holds a non-finite number"):
+            cli._render(doc)
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_REPR_EDGES = [5e-324, 1e16, 1e-7, -0.0, 0.0, 1e-5, 1e15, 2.0**53 + 2, -1.7976931348623157e308]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_REPR_EDGES)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _FLOATS | st.text()
+)
+_FLOAT_LISTS = st.lists(_FLOATS) | st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5]), min_size=1)
+_DOCS = st.recursive(
+    _LEAVES | _FLOAT_LISTS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _DOCS))
+@example({})
+@example({"": {}, "\u00e9\n\"\\\x00\x1f\u2028\U0001f600": [[], (), {}]})
+@example({"t": [0.0, -0.0, 0.0], "u": (-0.0, 0.0), "v": [1.0, 1, True, None, "x", 1.0]})
+def test_a_report_is_written_as_json_dumps_writes_it(doc):
+    assert cli._render(doc) == _dumps(doc)
+
+
+def test_enum_members_and_numpy_floats_are_written_as_json_dumps_writes_them():
+    level = enum.IntEnum("Level", "LOW HIGH")
+    for doc in (
+        {"status": VerdictStatus.GATEAUX, VerdictStatus.FRECHET: [VerdictStatus.HADAMARD]},
+        {"level": level.HIGH, "levels": [level.LOW, level.HIGH]},
+        {"x": np.float64(0.1), "xs": [np.float64(-0.0), 0.0, np.float64(2.5), 2.5]},
+    ):
+        assert cli._render(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: "a"}, {"a": {(1, 2): 0.5}}, {"a": {1.5}}, {"a": [np.int64(3)]}],
+    ids=["int-key", "tuple-key", "set", "numpy-int"],
+)
+def test_a_non_str_key_or_an_unsupported_value_is_a_type_error(doc):
+    with pytest.raises(TypeError):
+        cli._render(doc)
 
 
 def test_threads_help_says_the_flag_sets_no_thread_count():

@@ -551,3 +551,9 @@ def test_the_stream_refuses_a_seed_that_is_not_an_integer(seed):
 
 def test_the_stream_of_a_numpy_integer_seed_is_that_of_the_int():
     assert philox_gen(np.uint16(7), 2).random() == philox_gen(7, 2).random()
+
+
+def test_a_quadrature_that_reads_above_one_is_clamped_to_a_probability():
+    # unclamped, this unflagged quadrature read 1.000000000139278
+    spec = GaussianSpec(variances=(108120.13613732133, 4.786378570475434e+89), law=None)
+    assert b2_tie_probability_oracle(spec, 8.837364770598271e+296) == 1.0
