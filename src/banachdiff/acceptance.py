@@ -175,21 +175,17 @@ def _pl_knots(rng, splits: int) -> np.ndarray:
     return np.asarray(knots)
 
 
-def _peak_fn(rng, space: Space, gap: float = 0.25) -> tuple[SpacePoint, float, float, float]:
+def _peak_fn(rng, space: Space, gap: float = 0.25) -> tuple[SpacePoint, float]:
     """Piecewise-linear function with a strict interior peak on the lattice.
 
-    Returns (f, rho, peak site, peak sign) with rho half the smallest
-    knot spacing, small enough that the peak is the unique sup on its
-    closed rho-ball complement.
+    Returns (f, rho) with rho half the smallest knot spacing, small enough
+    that the peak is the unique sup on its closed rho-ball complement.
     """
     knots = _pl_knots(rng, int(rng.integers(3, 6)))
     vals = _lattice(rng, -1.0, 1.0, knots.shape[0])
     j = int(rng.integers(1, knots.shape[0] - 1))
-    s = float(rng.choice([-1.0, 1.0]))
-    vals[j] = s * (float(np.abs(np.delete(vals, j)).max()) + gap)
-    f = pw_from_values(space, knots, vals)
-    rho = float(np.diff(knots).min()) / 2.0
-    return f, rho, float(knots[j]), s
+    vals[j] = float(rng.choice([-1.0, 1.0])) * (float(np.abs(np.delete(vals, j)).max()) + gap)
+    return pw_from_values(space, knots, vals), float(np.diff(knots).min()) / 2.0
 
 
 def _double_peak_fn(rng, space: Space = Space.LINF_R, gap: float = 0.25) -> SpacePoint:
@@ -256,55 +252,34 @@ def _criterion(number: int, name: str, bound: float | None = None):
 @_criterion(1, "closed-form agreement", bound=30.0)
 def criterion_1(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Closed-form agreement: fitted derivatives match the oracles."""
-    mismatches = 0
-    checked = 0
-
-    def run_case(space: Space, x: SpacePoint, oracle, probe, dirs) -> None:
-        nonlocal mismatches, checked
-        verdict = gateaux_verdict(norm_functional(space), x, [probe], GRID_EXACT, 1e-9)
-        ok = verdict.status is VerdictStatus.GATEAUX
-        if ok:
-            for d in dirs:
-                if abs(apply_rep(verdict.derivative, d) - apply_rep(oracle, d)) > 1e-9:
-                    ok = False
-                    break
-        if not ok:
-            mismatches += 1
-        checked += 1
-
     rng = philox_gen(seed, 1)
-    for _ in range(1000):
-        x = seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 8))
-        rep = oracle_l1(x)
-        run_case(Space.L1_SEQ, x, rep, _seq_direction(rng, Space.L1_SEQ, 8),
-                 [_seq_direction(rng, Space.L1_SEQ, 8) for _ in range(20)])
-    for _ in range(1000):
-        x, _p = _dominant_linf(rng, 8)
-        rep = oracle_linf(x, 2.0**-4)
-        run_case(Space.LINF_SEQ, x, rep, _seq_direction(rng, Space.LINF_SEQ, 8),
-                 [_seq_direction(rng, Space.LINF_SEQ, 8) for _ in range(20)])
-    for _ in range(1000):
-        f, rho, _site, _sign = _peak_fn(rng, Space.C_AB)
-        rep = oracle_csup(f, rho)
-        run_case(Space.C_AB, f, rep, _pl_direction(rng, Space.C_AB),
-                 [_pl_direction(rng, Space.C_AB) for _ in range(20)])
-    for _ in range(1000):
-        f, rho, _site, _sign = _peak_fn(rng, Space.LINF_R)
-        rep = oracle_Linf(f, rho)
-        run_case(Space.LINF_R, f, rep, _pl_direction(rng, Space.LINF_R),
-                 [_pl_direction(rng, Space.LINF_R) for _ in range(20)])
-    # spot-check a larger sequence dimension
-    for _ in range(25):
-        x = seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 64))
-        run_case(Space.L1_SEQ, x, oracle_l1(x), _seq_direction(rng, Space.L1_SEQ, 64),
-                 [_seq_direction(rng, Space.L1_SEQ, 64) for _ in range(20)])
-    for _ in range(25):
-        x, _p = _dominant_linf(rng, 64)
-        run_case(Space.LINF_SEQ, x, oracle_linf(x, 2.0**-4),
-                 _seq_direction(rng, Space.LINF_SEQ, 64),
-                 [_seq_direction(rng, Space.LINF_SEQ, 64) for _ in range(20)])
 
-    return mismatches == 0, f"{checked} certified points, {mismatches} oracle mismatches"
+    def direction(x: SpacePoint) -> SpacePoint:
+        return _seq_direction(rng, x.space, x.dim) if x.coords is not None else _pl_direction(rng, x.space)
+
+    # (point with the oracle's other arguments, oracle, count) per family;
+    # the last two spot-check a larger sequence dimension.  Each case draws
+    # the point, then the probe, then 20 check directions.
+    families = [
+        (lambda: (seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 8)),), oracle_l1, 1000),
+        (lambda: (_dominant_linf(rng, 8)[0], 2.0**-4), oracle_linf, 1000),
+        (lambda: _peak_fn(rng, Space.C_AB), oracle_csup, 1000),
+        (lambda: _peak_fn(rng, Space.LINF_R), oracle_Linf, 1000),
+        (lambda: (seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 64)),), oracle_l1, 25),
+        (lambda: (_dominant_linf(rng, 64)[0], 2.0**-4), oracle_linf, 25),
+    ]
+    mismatches = 0
+    for point, oracle, count in families:
+        for _ in range(count):
+            x, *args = point()
+            rep = oracle(x, *args)
+            probe, *dirs = [direction(x) for _ in range(21)]
+            verdict = gateaux_verdict(norm_functional(x.space), x, [probe], GRID_EXACT, 1e-9)
+            if verdict.status is not VerdictStatus.GATEAUX or any(
+                abs(apply_rep(verdict.derivative, d) - apply_rep(rep, d)) > 1e-9 for d in dirs
+            ):
+                mismatches += 1
+    return mismatches == 0, f"{sum(n for *_, n in families)} certified points, {mismatches} oracle mismatches"
 
 
 @_criterion(2, "first-order exactness")
@@ -342,29 +317,24 @@ def criterion_2(seed: int = BASE_SEED) -> tuple[bool, str]:
 def criterion_3(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Witness directions give one-sided quotients exactly +1 / -1."""
     rng = philox_gen(seed, 3)
+
+    def nbv(i: int) -> SpacePoint:  # every tenth point is the constant case
+        return pw_point(Space.NBV_AB, 0.0, 1.0, [], [0.0], [0.0]) if i % 10 == 0 else _nbv_fn(rng)
+
+    # (point of draw i, witness, count) per family
+    families = [
+        (lambda i: _tied_linf(rng, 8), witness_linf, 100),
+        (lambda i: _double_peak_fn(rng), witness_Linf, 100),
+        (nbv, witness_nbv, 100),
+    ]
     bad = 0
-    checked = 0
-
-    def check(space: Space, x: SpacePoint, w: SpacePoint) -> None:
-        nonlocal bad, checked
-        tr = one_sided_derivatives(norm_functional(space), x, w, GRID_EXACT, 1e-9)
-        checked += 1
-        if not (tr.d_plus == 1.0 and tr.d_minus == -1.0):
-            bad += 1
-
-    for _ in range(100):
-        x = _tied_linf(rng, 8)
-        check(Space.LINF_SEQ, x, witness_linf(x))
-    for _ in range(100):
-        f = _double_peak_fn(rng)
-        check(Space.LINF_R, f, witness_Linf(f))
-    for i in range(100):
-        if i % 10 == 0:
-            f = pw_point(Space.NBV_AB, 0.0, 1.0, [], [0.0], [0.0])  # constant case
-        else:
-            f = _nbv_fn(rng)
-        check(Space.NBV_AB, f, witness_nbv(f))
-    return bad == 0, f"{checked} witnesses, {bad} with inexact quotients"
+    for point, witness, count in families:
+        for i in range(count):
+            x = point(i)
+            tr = one_sided_derivatives(norm_functional(x.space), x, witness(x), GRID_EXACT, 1e-9)
+            if not (tr.d_plus == 1.0 and tr.d_minus == -1.0):
+                bad += 1
+    return bad == 0, f"{sum(n for *_, n in families)} witnesses, {bad} with inexact quotients"
 
 
 @_criterion(4, "weighted-series failure at 0")
@@ -395,35 +365,33 @@ def criterion_4(seed: int = BASE_SEED) -> tuple[bool, str]:
 def criterion_5(seed: int = BASE_SEED) -> tuple[bool, str]:
     """Density: repaired points certify membership within distance eps."""
     rng = philox_gen(seed, 5)
-    failures = 0
-    checked = 0
 
-    def verify(x: SpacePoint, y: SpacePoint, eps: float) -> None:
-        nonlocal failures, checked
-        checked += 1
-        if not classify(y).in_B or not eval_norm(subtract(y, x)).value < eps:
-            failures += 1
-
-    for _ in range(1000):
-        eps = float(rng.integers(1, 33)) * _GRID
+    def sparse_l1(i: int) -> SpacePoint:
         c = _lattice(rng, -2.0, 2.0, 8)
-        zero_out = rng.random(8) < 0.3
-        c[zero_out] = 0.0
-        x = seq_point(Space.L1_SEQ, c)
-        verify(x, densify_l1(x, eps), eps)
-    for _ in range(1000):
-        eps = float(rng.integers(1, 33)) * _GRID
-        x = _tied_linf(rng, 8) if rng.random() < 0.5 else seq_point(Space.LINF_SEQ, _lattice(rng, -2.0, 2.0, 8))
-        verify(x, densify_linf(x, eps), eps)
-    for i in range(1000):
-        eps = float(rng.integers(1, 33)) * _GRID
+        c[rng.random(8) < 0.3] = 0.0
+        return seq_point(Space.L1_SEQ, c)
+
+    def linf(i: int) -> SpacePoint:
+        return _tied_linf(rng, 8) if rng.random() < 0.5 else seq_point(Space.LINF_SEQ, _lattice(rng, -2.0, 2.0, 8))
+
+    def csup(i: int) -> SpacePoint:
         if i % 3 == 0:
-            f = _double_peak_fn(rng, Space.C_AB)
-        else:
-            knots = _pl_knots(rng, int(rng.integers(3, 6)))
-            f = pw_from_values(Space.C_AB, knots, _lattice(rng, -1.0, 1.0, knots.shape[0]))
-        verify(f, densify_csup(f, eps), eps)
-    return failures == 0, f"{checked} (x, eps) pairs, {failures} failures"
+            return _double_peak_fn(rng, Space.C_AB)
+        knots = _pl_knots(rng, int(rng.integers(3, 6)))
+        return pw_from_values(Space.C_AB, knots, _lattice(rng, -1.0, 1.0, knots.shape[0]))
+
+    # (point of draw i, densifier, count) per family; each draw takes eps,
+    # then the point
+    families = [(sparse_l1, densify_l1, 1000), (linf, densify_linf, 1000), (csup, densify_csup, 1000)]
+    failures = 0
+    for point, densify, count in families:
+        for i in range(count):
+            eps = float(rng.integers(1, 33)) * _GRID
+            x = point(i)
+            y = densify(x, eps)
+            if not classify(y).in_B or not eval_norm(subtract(y, x)).value < eps:
+                failures += 1
+    return failures == 0, f"{sum(n for *_, n in families)} (x, eps) pairs, {failures} failures"
 
 
 @_criterion(6, "openness of the dominated set")

@@ -180,10 +180,10 @@ class TGrid:
     count: int = 20
 
     def __post_init__(self):
+        if not _integral(self.count) or self.count > MAX_STEPS:
+            raise PreconditionFailedError(f"count must be an integer from 3 to {MAX_STEPS}", count=self.count)
         if not (0.0 < self.t0 < math.inf and 0.0 < self.rho < 1.0 and self.count >= 3):
             raise PreconditionFailedError("need finite t0 > 0, rho in (0,1), count >= 3")
-        if self.count > MAX_STEPS or self.count != int(self.count):
-            raise PreconditionFailedError(f"count must be an integer from 3 to {MAX_STEPS}", count=self.count)
         smallest = self.t0 * self.rho ** (self.count - 1)
         if not smallest >= sys.float_info.min:
             raise PreconditionFailedError(
@@ -469,18 +469,15 @@ def _fit_point(x: SpacePoint, k: int) -> SpacePoint:
     return pw_from_values(x.space, x.knots, np.ones_like(x.knots) if k == 0 else x.knots)
 
 
-# A direction of a verdict: a point; the index k of the canonical fit
+# A direction of a verdict: a point, or the index k of the canonical fit
 # direction ``_fit_point(x, k)``, whose arrays are made only inside the stack
-# that holds it; or a deferred point, a callable that builds it (a linearity
-# pair), called only when the evaluation reaches it.
-_Dir = SpacePoint | int | Callable[[], SpacePoint]
+# that holds it.
+_Dir = SpacePoint | int
 
 
 def _point(x: SpacePoint, d: _Dir) -> SpacePoint:
     """Direction d at x as a point."""
-    if isinstance(d, SpacePoint):
-        return d
-    return d() if callable(d) else _fit_point(x, d)
+    return d if isinstance(d, SpacePoint) else _fit_point(x, d)
 
 
 def _stack(x: SpacePoint, block: Sequence[_Dir]) -> SpacePoint:
@@ -523,20 +520,9 @@ def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]
     """``dirs`` in order, cut into blocks of consecutive directions that
     share one stack (one space and coordinate count, or one knots array)
     and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps;
-    every caller passes at least one direction, and a point first.
-
-    A deferred direction is built when it is reached, and its point joins
-    the block.  If building it raises, the block before it is yielded
-    first, and the error is raised only when the next block is asked for,
-    so a caller that stops within that block never sees it."""
+    every caller passes at least one direction, and a point first."""
     block: list[_Dir] = []
     for d in dirs:
-        if callable(d):
-            try:
-                d = d()
-            except ToolkitError:
-                yield block
-                raise
         p = d if isinstance(d, SpacePoint) else x
         if block and (len(block) == cap or not _stackable(head, p)):
             yield block
@@ -564,10 +550,7 @@ def _rows(
     :class:`EvalFailureError`, and along every direction of a functional
     without a batch, each step is one call of f on
     ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
-    error of the first step that fails, after the rows before it.  A
-    deferred direction is built as :func:`_blocks` reaches it, or, without
-    a batch, when its turn comes; an error in building it is raised once
-    the rows of every direction before it are taken.
+    error of the first step that fails, after the rows before it.
     """
     n, batched = steps.shape[0], f.batch is not None
     for block in _blocks(x, dirs, n) if batched else ([d] for d in dirs):
@@ -696,14 +679,15 @@ def gateaux_verdict(
 
     All directions are evaluated in one pass through :func:`_traces`: the
     probes, then the combinations, then the fit directions, as stacks of
-    one array evaluation per block when f has a batch evaluator.  A
-    combination is built only when its block is reached, and a fit
-    direction becomes a point only as a failure witness.  Directions are
-    judged in the order above, ``traces`` ends at the deciding one, and
-    verdict, traces and errors are those of evaluating one direction at a
-    time; a verdict that ends early has still evaluated the directions
-    stacked with the deciding one.  f(x) and ``‖x‖`` are evaluated once
-    per verdict.
+    one array evaluation per block when f has a batch evaluator.  The
+    combinations are built first; if one cannot be built, the directions
+    end before it, and its error is raised only if the directions before
+    it leave the verdict undecided.  A fit direction becomes a point only
+    as a failure witness.  Directions are judged in the order above,
+    ``traces`` ends at the deciding one, and verdict, traces and errors are
+    those of evaluating one direction at a time; a verdict that ends early
+    has still evaluated the directions stacked with the deciding one.  f(x)
+    and ``‖x‖`` are evaluated once per verdict.
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
@@ -719,11 +703,16 @@ def gateaux_verdict(
     pairs = [(1.0, 1.0, 1, "probe 0 + probe 1")] if m >= 2 else []
     pairs.append((2.0, 0.0, 0, "2 * probe 0"))
     fit = m + len(pairs)
-    dirs: list[_Dir] = [
-        *probes,
-        *(functools.partial(linear_combine, a, probes[0], b, probes[j]) for a, b, j, _ in pairs),
-        *range(_fit_count(x)),
-    ]
+    dirs: list[_Dir] = list(probes)
+    unbuilt: ToolkitError | None = None
+    for a, b, j, _ in pairs:
+        try:
+            dirs.append(linear_combine(a, probes[0], b, probes[j]))
+        except ToolkitError as err:
+            unbuilt = err
+            break
+    else:
+        dirs.extend(range(_fit_count(x)))
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
         return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
@@ -759,6 +748,8 @@ def gateaux_verdict(
                 )
         else:
             fit_resp.append(tr.d_plus)
+    if unbuilt is not None:
+        raise unbuilt
 
     rep = _fit_rep(x, fit_resp, responses, tol)
     if rep is None:
@@ -855,15 +846,19 @@ def frechet_verdict(
     radii: Sequence[float],
     tol: float = DEFAULT_TOL,
 ) -> DiffVerdict:
-    """Uniform first-order remainder check for a candidate derivative u.
+    """First-order remainder check for a candidate derivative u over the
+    caller's unit samples.
 
     For each radius s the profile records max over unit samples h of
     |f(x + s*h) - f(x) - s*u(h)| / s.  Each sample is evaluated at every
     radius in one :meth:`Functional.along`, so an evaluation that fails
     raises the error of the first sample that fails, at its largest
-    failing radius.  FRECHET requires the profile at the smallest radius
-    to sit below tol; on the piecewise-linear functionals in scope the
-    certified cases come out exactly 0.0.
+    failing radius.  FRECHET means only that the profile at the smallest
+    radius sits below tol: it bounds the remainder on these samples, not
+    on the whole sphere.  At the C_AB tent ``pw_from_values(C_AB, [-1, 0,
+    1], [0, 1, 0])``, where the sup norm is not Fréchet differentiable,
+    four unit samples on its knots read 0.0 at every radius and give
+    FRECHET; one narrow unit spike beside the peak reads remainders near 2.
     """
     if not sphere_samples:
         raise PreconditionFailedError("need at least one unit-sphere sample")

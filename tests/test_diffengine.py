@@ -111,7 +111,7 @@ def test_grid_accepts_a_smallest_step_at_the_least_normal_float():
 def test_grid_refuses_a_fractional_or_oversized_count_before_building_steps():
     tracemalloc.start()
     try:
-        for count in (3.5, MAX_STEPS + 1, 10**7, math.inf):
+        for count in (3.5, 20.0, np.float64(20.0), "20", None, MAX_STEPS + 1, 10**7, math.inf):
             with pytest.raises(PreconditionFailedError, match="count must be an integer"):
                 TGrid(t0=1.0, rho=1.0 - 1e-7, count=count)
         peak = tracemalloc.get_traced_memory()[1]
