@@ -141,13 +141,13 @@ def _seq_direction(rng, space: Space, dim: int) -> SpacePoint:
     return seq_point(space, d)
 
 
-def _dominant_linf(rng, dim: int, gap: float = 0.25) -> tuple[SpacePoint, int]:
+def _dominant_linf(rng, dim: int, gap: float = 0.25) -> SpacePoint:
     c = _lattice(rng, -2.0, 2.0, dim)
     p = int(rng.integers(0, dim))
     rest = np.abs(np.delete(c, p))
     top = float(rest.max()) if rest.size else 0.0
     c[p] = float(rng.choice([-1.0, 1.0])) * (top + gap)
-    return seq_point(Space.LINF_SEQ, c), p
+    return seq_point(Space.LINF_SEQ, c)
 
 
 def _tied_linf(rng, dim: int) -> SpacePoint:
@@ -159,20 +159,22 @@ def _tied_linf(rng, dim: int) -> SpacePoint:
     return seq_point(Space.LINF_SEQ, c)
 
 
-def _pl_knots(rng, splits: int) -> np.ndarray:
-    """Knot set on [0, 1] by repeated midpoint splitting.
+def _pl_lattice(rng, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """Knots on [0, 1] and a lattice value in [-1, 1] at each knot.
 
-    Every knot gap is a power of two (>= 2**-6), so slopes derived from
-    lattice values divide exactly and piecewise evaluation at any knot
-    reproduces the assigned value bitwise.  Callers split at most 5 times,
-    so one of the at most 5 gaps, which sum to 1, is always wide enough.
+    The knots come from ``least`` to ``least + 2`` (drawn first) repeated
+    midpoint splits.  Every knot gap is a power of two (>= 2**-6), so
+    slopes derived from lattice values divide exactly and piecewise
+    evaluation at any knot reproduces the assigned value bitwise.  Callers
+    split at most 5 times, so one of the at most 5 gaps, which sum to 1,
+    is always wide enough.
     """
     knots = [0.0, 1.0]
-    for _ in range(splits):
+    for _ in range(int(rng.integers(least, least + 3))):
         wide = [i for i in range(len(knots) - 1) if knots[i + 1] - knots[i] > 2.0 * _GRID]
         i = int(wide[int(rng.integers(0, len(wide)))])
         knots.insert(i + 1, (knots[i] + knots[i + 1]) / 2.0)
-    return np.asarray(knots)
+    return np.asarray(knots), _lattice(rng, -1.0, 1.0, len(knots))
 
 
 def _peak_fn(rng, space: Space, gap: float = 0.25) -> tuple[SpacePoint, float]:
@@ -181,17 +183,15 @@ def _peak_fn(rng, space: Space, gap: float = 0.25) -> tuple[SpacePoint, float]:
     Returns (f, rho) with rho half the smallest knot spacing, small enough
     that the peak is the unique sup on its closed rho-ball complement.
     """
-    knots = _pl_knots(rng, int(rng.integers(3, 6)))
-    vals = _lattice(rng, -1.0, 1.0, knots.shape[0])
+    knots, vals = _pl_lattice(rng, 3)
     j = int(rng.integers(1, knots.shape[0] - 1))
     vals[j] = float(rng.choice([-1.0, 1.0])) * (float(np.abs(np.delete(vals, j)).max()) + gap)
     return pw_from_values(space, knots, vals), float(np.diff(knots).min()) / 2.0
 
 
 def _double_peak_fn(rng, space: Space = Space.LINF_R, gap: float = 0.25) -> SpacePoint:
-    knots = _pl_knots(rng, int(rng.integers(3, 6)))
+    knots, vals = _pl_lattice(rng, 3)
     m = knots.shape[0]
-    vals = _lattice(rng, -1.0, 1.0, m)
     i, j = sorted(int(q) for q in rng.choice(np.arange(1, m - 1), size=2, replace=False))
     top = float(np.abs(vals).max()) + gap
     vals[i] = float(rng.choice([-1.0, 1.0])) * top
@@ -200,16 +200,13 @@ def _double_peak_fn(rng, space: Space = Space.LINF_R, gap: float = 0.25) -> Spac
 
 
 def _pl_direction(rng, space: Space) -> SpacePoint:
-    knots = _pl_knots(rng, int(rng.integers(2, 5)))
-    vals = _lattice(rng, -1.0, 1.0, knots.shape[0])
-    return pw_from_values(space, knots, vals)
+    return pw_from_values(space, *_pl_lattice(rng, 2))
 
 
 def _nbv_fn(rng) -> SpacePoint:
     """Random lattice NBV element: piecewise-linear with genuine jumps."""
-    knots = _pl_knots(rng, int(rng.integers(2, 5)))
+    knots, vals = _pl_lattice(rng, 2)
     m = knots.shape[0]
-    vals = _lattice(rng, -1.0, 1.0, m)
     vals[0] = 0.0
     slopes = _lattice(rng, -2.0, 2.0, m - 1)
     intercepts = vals[:-1] - slopes * knots[:-1]
@@ -262,11 +259,11 @@ def criterion_1(seed: int = BASE_SEED) -> tuple[bool, str]:
     # the point, then the probe, then 20 check directions.
     families = [
         (lambda: (seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 8)),), oracle_l1, 1000),
-        (lambda: (_dominant_linf(rng, 8)[0], 2.0**-4), oracle_linf, 1000),
+        (lambda: (_dominant_linf(rng, 8), 2.0**-4), oracle_linf, 1000),
         (lambda: _peak_fn(rng, Space.C_AB), oracle_csup, 1000),
         (lambda: _peak_fn(rng, Space.LINF_R), oracle_Linf, 1000),
         (lambda: (seq_point(Space.L1_SEQ, _lattice_nonzero(rng, 64)),), oracle_l1, 25),
-        (lambda: (_dominant_linf(rng, 64)[0], 2.0**-4), oracle_linf, 25),
+        (lambda: (_dominant_linf(rng, 64), 2.0**-4), oracle_linf, 25),
     ]
     mismatches = 0
     for point, oracle, count in families:
@@ -291,7 +288,7 @@ def criterion_2(seed: int = BASE_SEED) -> tuple[bool, str]:
     checked = 0
     for i in range(200):
         gap = float(rng.choice([2.0**-4, 2.0**-3, 2.0**-2]))
-        x, _p = _dominant_linf(rng, 8, gap=gap)
+        x = _dominant_linf(rng, 8, gap=gap)
         rep = oracle_linf(x, gap / 2.0)
         fx = norm(x)
         for _ in range(10):
@@ -377,8 +374,7 @@ def criterion_5(seed: int = BASE_SEED) -> tuple[bool, str]:
     def csup(i: int) -> SpacePoint:
         if i % 3 == 0:
             return _double_peak_fn(rng, Space.C_AB)
-        knots = _pl_knots(rng, int(rng.integers(3, 6)))
-        return pw_from_values(Space.C_AB, knots, _lattice(rng, -1.0, 1.0, knots.shape[0]))
+        return pw_from_values(Space.C_AB, *_pl_lattice(rng, 3))
 
     # (point of draw i, densifier, count) per family; each draw takes eps,
     # then the point
@@ -401,7 +397,7 @@ def criterion_6(seed: int = BASE_SEED) -> tuple[bool, str]:
     escapes = 0
     for i in range(100):
         gap = float(rng.choice([2.0**-3, 2.0**-2, 2.0**-1]))
-        x, _p = _dominant_linf(rng, 8, gap=gap)
+        x = _dominant_linf(rng, 8, gap=gap)
         if not ball_check_linf(x, gap / 2.0, 1000, seed + i):
             escapes += 1
     return escapes == 0, f"100 points x 1000 perturbations, {escapes} escapes"

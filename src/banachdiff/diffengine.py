@@ -610,8 +610,10 @@ def one_sided_derivatives(
 
     f is evaluated at x once and at every ``x ± t_k·h`` through
     :func:`_rows`: in one array evaluation when f has a batch
-    evaluator (the norms and the cylinder bases), one point at a time
-    otherwise.  The trace is the same either way, bit for bit.
+    evaluator (the norms, the cylinder bases, and the cylinders and
+    compositions of :mod:`~banachdiff.projective` over a base with a
+    batch), one point at a time otherwise.  The trace is the same either
+    way, bit for bit.
     """
     if not 0.0 < tol < math.inf:
         raise PreconditionFailedError("tol must be finite and positive", tol=tol)

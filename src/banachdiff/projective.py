@@ -216,9 +216,35 @@ def cyl_eval(cf: CylindricalFunction, sys_: ProjectiveSystem, x: SpacePoint) -> 
     return cf.base(sys_.project(cf.base_dim, x))
 
 
+def _cylinder_batch(cf: CylindricalFunction, sys_: ProjectiveSystem):
+    """A batch of the cylindrical function on full sequence points (see
+    :class:`~banachdiff.diffengine.Functional`), or None when its base has
+    none.
+
+    The combinations are made on the full points first, so an overflow in
+    any coordinate raises, also in one the projection drops.  The base's
+    batch then evaluates the projected point along the stack's first
+    ``base_dim`` columns: each of those rows is bitwise the projection of
+    the full row, so each value is bitwise the base at
+    ``project(linear_combine(1.0, x, s, H[j]))``.
+    """
+    base, t = cf.base, cf.base_dim
+    if base.batch is None:
+        return None
+
+    def batch(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray:
+        rows_along(x, H, steps)
+        xt = sys_.project(t, x)
+        base._expect(xt)
+        return base.batch(xt, SpacePoint(Space.RT, coords=H.coords[..., :t]), steps)
+
+    return batch
+
+
 def full_functional(cf: CylindricalFunction, sys_: ProjectiveSystem) -> Functional:
-    """The cylindrical function as a Functional on full sequence points."""
-    return Functional(cf.name, lambda x: cyl_eval(cf, sys_, x))
+    """The cylindrical function as a Functional on full sequence points,
+    with a batch when its base has one (see :func:`_cylinder_batch`)."""
+    return Functional(cf.name, lambda x: cyl_eval(cf, sys_, x), batch=_cylinder_batch(cf, sys_))
 
 
 def _lift_direction(w: SpacePoint, template: SpacePoint) -> SpacePoint:
@@ -349,6 +375,29 @@ def _scale_rep(rep: LinearFunctionalRep, factor: float, tol: float) -> LinearFun
     return coeff_rep([factor * c for c in rep.coeffs])
 
 
+def _composition(outer: ScalarMap, inner: CylindricalFunction, sys_: ProjectiveSystem) -> Functional:
+    """outer ∘ inner as a Functional on full sequence points.
+
+    When the inner base has a batch, so has the composition: outer, through
+    :meth:`ScalarMap.__call__`, at each finite value of the cylinder's
+    batch.  A non-finite inner value stays as it is, and an outer value
+    that overflows or is not finite raises :class:`EvalFailureError`; either
+    way :func:`~banachdiff.diffengine._rows` evaluates from there one point
+    at a time, so the first failing step raises its own error.
+    """
+    inner_batch = _cylinder_batch(inner, sys_)
+
+    def batch(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray:
+        values = inner_batch(x, H, steps).tolist()
+        return np.array([[outer(v) if math.isfinite(v) else v for v in row] for row in values])
+
+    return Functional(
+        f"{outer.name}_of_{inner.name}",
+        lambda pt: outer(cyl_eval(inner, sys_, pt)),
+        batch=None if inner_batch is None else batch,
+    )
+
+
 def compose_propagate(
     outer: ScalarMap,
     inner: CylindricalFunction,
@@ -364,9 +413,10 @@ def compose_propagate(
     h) and the outer map differentiable at y0 = inner(x) with slope g',
     the composition is differentiable with value g'·v — which is then
     cross-checked against direct difference quotients of the composition
-    before being returned.  A genuine outer kink at exactly y0 combined
-    with a nonzero inner derivative defeats the composition; the verdict
-    is NOT_GATEAUX with a verified witness.  An outer kink under a zero
+    (see :func:`_composition`: one array pass per direction when the
+    inner base has a batch) before being returned.  A genuine outer kink
+    at exactly y0 combined with a nonzero inner derivative defeats the
+    composition; the verdict is NOT_GATEAUX with a verified witness.  An outer kink under a zero
     inner derivative, or any unverifiable configuration, is INCONCLUSIVE
     rather than guessed.
     """
@@ -376,10 +426,7 @@ def compose_propagate(
     g0 = outer(y0)
     values = [outer(y0 + s) for s in grid._signed]
     (gtrace,) = _quotient_trace(np.array([values]), g0, grid, tol, [abs(y0) or math.inf])
-    f_comp = Functional(
-        f"{outer.name}_of_{inner.name}",
-        lambda pt: outer(cyl_eval(inner, sys_, pt)),
-    )
+    f_comp = _composition(outer, inner, sys_)
     traces = list(inner_verdict.traces) + [gtrace]
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:

@@ -307,6 +307,16 @@ def test_non_finite_evaluation_exits_3_with_strict_json(capsys, argv):
     assert doc["error"]["code"] == "EVAL_FAILURE"
 
 
+def test_compose_exp_overflow_reports_the_outer_value_it_failed_at(capsys):
+    argv = ["compose", "--outer", "exp", "--base", "wseries_partial", "--t", "3",
+            "--space", "linf", "--point", "[1000.0, -1.0, 2.0, 0.25, 0.125]", "--dir", "[1, 1, 1, 0, 0]"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "error": {\n    "code": "EVAL_FAILURE",\n    "context": {\n      "outer": "exp"\n    },\n'
+        '    "message": "outer map \'exp\' at 1000.4722222222222 overflows"\n  },\n  "version": "0.1.0"\n}\n'
+    )
+
+
 def _fresh_run(argv, bs_seed=None):
     """The CLI in a fresh interpreter, so that stderr shows what a user would see.
     ``BS_SEED`` is set to ``bs_seed``, or unset when it is None."""

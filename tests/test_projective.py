@@ -1,17 +1,26 @@
 """Truncation systems, cylindrical functions, and chain-rule propagation."""
 
+import dataclasses
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from banachdiff.diffengine import Functional, TGrid, VerdictStatus, one_sided_derivatives
+from banachdiff.diffengine import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
+    Functional,
+    TGrid,
+    VerdictStatus,
+    one_sided_derivatives,
+)
 from banachdiff.errors import (
     BadDimsError,
     DimTooSmallError,
     NonconstancyUnverifiedError,
     PreconditionFailedError,
+    ToolkitError,
 )
 from banachdiff.oracles import RepKind, apply_rep
 from banachdiff.projective import (
@@ -29,6 +38,7 @@ from banachdiff.projective import (
     wseries_eval,
     wseries_functional,
     wseries_gateaux,
+    _composition,
 )
 from banachdiff.spaces import Space, constant_fn, seq_point
 
@@ -471,3 +481,167 @@ def test_numpy_integer_dimensions_are_integers():
     cf = make_cylinder("supnorm", np.int64(3))
     assert cyl_eval(cf, sys_, _x13) == 3.0
     assert sys_.connect(np.int32(2), np.int64(3), [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0]
+
+
+# -- batches of cylinders and compositions -----------------------------------
+
+
+def _batchless(cf):
+    """cf over a copy of its base without a batch: every evaluation of the
+    cylinder, and of a composition with it, is then one point at a time."""
+    return CylindricalFunction(cf.name, cf.base_dim, dataclasses.replace(cf.base, batch=None))
+
+
+def _parity_cases(rng):
+    """A lattice point, a lattice point whose first coordinate is 0 (where the
+    series kinks) and an off-lattice point, each with a direction."""
+    kinked = lattice(rng, -2.0, 2.0, 13)
+    kinked[0] = 0.0
+    for c, d in (
+        (lattice(rng, -2.0, 2.0, 13), lattice(rng, -1.0, 1.0, 13)),
+        (kinked, lattice(rng, -1.0, 1.0, 13)),
+        (rng.standard_normal(13), rng.standard_normal(13)),
+    ):
+        yield seq_point(Space.LINF_SEQ, c), seq_point(Space.LINF_SEQ, d)
+
+
+@pytest.mark.parametrize("outer", sorted(OUTER_MAPS))
+def test_cylinder_and_composition_batches_match_their_batchless_twins(rng, outer):
+    sys_ = make_truncation_system(DIMS)
+    g = OUTER_MAPS[outer]
+    for base in sorted(CYL_BASES):
+        for t in DIMS:
+            cf = make_cylinder(base, t)
+            twin = _batchless(cf)
+            for grid, tol in ((SMOOTH, 1e-6), (DEFAULT_GRID, DEFAULT_TOL)):
+                for x, h in _parity_cases(rng):
+                    got = compose_propagate(g, cf, sys_, x, h, grid, tol)
+                    want = compose_propagate(g, twin, sys_, x, h, grid, tol)
+                    assert repr(got.to_dict()) == repr(want.to_dict())
+                    assert got.detail == want.detail
+                    for make in (full_functional, lambda c, s: _composition(g, c, s)):
+                        along = make(cf, sys_).along(x, h, grid._signed)
+                        assert along.tobytes() == make(twin, sys_).along(x, h, grid._signed).tobytes()
+
+
+def _raised(call):
+    """Type, message and context of the ToolkitError that ``call()`` raises."""
+    with pytest.raises(ToolkitError) as info:
+        call()
+    return type(info.value), str(info.value), repr(info.value.context)
+
+
+@pytest.mark.parametrize("outer", sorted(OUTER_MAPS))
+@pytest.mark.parametrize(
+    "t, point, direction, message",
+    [
+        # coordinate 4 is dropped by the projection, and overflows at step 2.5
+        (3, [1.0, -1.0, 2.0, 1.5e308, 0.125], [1.0, 1.0, 1.0, 1e308, 0.0], "linear combination overflows"),
+        # every coordinate stays finite, the series sum overflows at step 2.5
+        (2, [1.5e308, 4e307, 1.0], [1e307, 0.0, 0.0], "functional 'wseries_partial' returned inf, not a finite number"),
+    ],
+    ids=["dropped-coordinate", "inner-sum"],
+)
+def test_a_failing_step_raises_the_error_of_the_batchless_twin(outer, t, point, direction, message):
+    sys_ = make_truncation_system(DIMS)
+    cf = make_cylinder("wseries_partial", t)
+    x, h = seq_point(Space.LINF_SEQ, point), seq_point(Space.LINF_SEQ, direction)
+    steps = np.array([0.125, -0.125, 2.5, -0.25])
+    cyl = _raised(lambda: full_functional(cf, sys_).along(x, h, steps))
+    assert cyl == _raised(lambda: full_functional(_batchless(cf), sys_).along(x, h, steps))
+    assert cyl[1] == message
+    # the outer map may fail at an earlier step than the cylinder
+    comp = _raised(lambda: _composition(OUTER_MAPS[outer], cf, sys_).along(x, h, steps))
+    assert comp == _raised(lambda: _composition(OUTER_MAPS[outer], _batchless(cf), sys_).along(x, h, steps))
+
+
+def test_a_base_of_another_space_is_refused_as_without_a_batch():
+    sys_ = make_truncation_system(DIMS)
+    base = dataclasses.replace(CYL_BASES["supnorm"](), space_tag=Space.L1_SEQ)
+    cf = CylindricalFunction("l1_tagged", 3, base)
+    x, h = _x13, seq_point(Space.LINF_SEQ, np.ones(13))
+    got = _raised(lambda: full_functional(cf, sys_).along(x, h, SMOOTH._signed))
+    assert got == _raised(lambda: full_functional(_batchless(cf), sys_).along(x, h, SMOOTH._signed))
+    assert got[:2] == (PreconditionFailedError, "functional 'supnorm' expects L1_SEQ, got RT")
+
+
+def test_an_outer_overflow_in_the_direct_check_raises_the_error_of_the_batchless_twin():
+    sys_ = make_truncation_system(DIMS)
+    cf = make_cylinder("wseries_partial", 3)
+    x = seq_point(Space.LINF_SEQ, [700.0, 4.0, 9.0, 0.25, 0.125])  # inner value 702
+    h = seq_point(Space.LINF_SEQ, [20.0, 0.0, 0.0, 0.0, 0.0])
+    steps = np.array([0.125, -0.125, 0.5, -0.5])
+    f = _composition(OUTER_MAPS["exp"], cf, sys_)
+    got = _raised(lambda: f.along(x, h, steps))
+    assert got == _raised(lambda: _composition(OUTER_MAPS["exp"], _batchless(cf), sys_).along(x, h, steps))
+    assert got[1:] == ("outer map 'exp' at 712.0 overflows", "{'outer': 'exp'}")
+
+
+def test_compose_fails_in_a_dropped_coordinate_as_without_a_batch():
+    sys_ = make_truncation_system(DIMS)
+    cf = make_cylinder("wseries_partial", 3)
+    x = seq_point(Space.LINF_SEQ, [1.0, -1.0, 2.0, 1.5e308, 0.125])
+    h = seq_point(Space.LINF_SEQ, [1.0, 1.0, 1.0, 1e308, 0.0])
+    grid = TGrid(t0=0.5, rho=0.5, count=20)
+
+    def outcome(inner, outer):
+        try:
+            return repr(compose_propagate(OUTER_MAPS[outer], inner, sys_, x, h, grid, 1e-6).to_dict())
+        except ToolkitError as exc:
+            return type(exc), str(exc), repr(exc.context)
+
+    for outer in OUTER_MAPS:
+        assert outcome(cf, outer) == outcome(_batchless(cf), outer)
+    assert outcome(cf, "identity")[1] == "linear combination overflows"
+
+
+def _counted(base):
+    """A copy of ``base`` whose evaluator and batch count their calls, and the
+    counter, keyed "point" and "batch"."""
+    calls = {"point": 0, "batch": 0}
+
+    def evaluator(p):
+        calls["point"] += 1
+        return base.evaluator(p)
+
+    def batch(x, H, steps):
+        calls["batch"] += 1
+        return base.batch(x, H, steps)
+
+    return dataclasses.replace(base, evaluator=evaluator, batch=base.batch and batch), calls
+
+
+@pytest.mark.parametrize(
+    "point, status",
+    [([1.0, -1.0, 2.0, 9.0, 9.0], VerdictStatus.GATEAUX), ([1.0, 0.0, 2.0, 9.0, 9.0], VerdictStatus.NOT_GATEAUX)],
+    ids=["gateaux", "inner-failure"],
+)
+def test_compose_checks_each_direction_in_one_batch_call(point, status):
+    sys_ = make_truncation_system(DIMS)
+    base, calls = _counted(CYL_BASES["wseries_partial"]())
+    cf = CylindricalFunction("counted", 3, base)
+    x = seq_point(Space.LINF_SEQ, point)
+    h = seq_point(Space.LINF_SEQ, [1.0, 1.0, 1.0, 0.0, 0.0])
+    cyl_gateaux(cf, sys_, x, h, SMOOTH, 1e-6)
+    inner = dict(calls)
+    v = compose_propagate(OUTER_MAPS["square"], cf, sys_, x, h, SMOOTH, 1e-6)
+    assert v.status is status
+    # past the inner verdict: one batch call for the one direction checked
+    # directly, and two points, the inner value and the direct check's f(x)
+    assert calls == {"batch": 2 * inner["batch"] + 1, "point": 2 * inner["point"] + 2}
+
+
+def test_a_base_without_a_batch_is_evaluated_one_point_at_a_time():
+    sys_ = make_truncation_system(DIMS)
+    base, calls = _counted(Functional("first", lambda p: 2.0 * float(p.coords[0]), Space.RT))
+    cf = CylindricalFunction("first", 3, base)
+    assert full_functional(cf, sys_).batch is None
+    assert _composition(OUTER_MAPS["square"], cf, sys_).batch is None
+    x = seq_point(Space.LINF_SEQ, [1.0, 1.0, 0.5, 0.25, 2.0])
+    h = seq_point(Space.LINF_SEQ, [1.0, 0.0, 0.0, 0.0, 0.0])
+    cyl_gateaux(cf, sys_, x, h, SMOOTH, 1e-6)
+    inner = calls["point"]
+    v = compose_propagate(OUTER_MAPS["square"], cf, sys_, x, h, SMOOTH, 1e-6)
+    assert v.status is VerdictStatus.GATEAUX
+    # the direct check takes f(x) and one point per signed step
+    assert calls == {"batch": 0, "point": 2 * inner + 2 + 2 * 20}
