@@ -84,17 +84,22 @@ DEFAULT_TOL = 1e-9
 MAX_STEPS = 2048
 
 
-def _checked(what: str, fn: Callable[..., float], arg, **context) -> float:
+def _checked(what: Callable[[], str], fn: Callable[..., float], arg, **context) -> float:
     """``float(fn(arg))``, where an overflow or a non-finite value raises
-    :class:`EvalFailureError` that names ``what`` was evaluated."""
+    :class:`EvalFailureError` that names what was evaluated, ``what()``:
+    the name is built only for the error."""
     try:
         value = float(fn(arg))
     except OverflowError as exc:
-        raise EvalFailureError(f"{what} overflows", **context) from exc
+        raise EvalFailureError(f"{what()} overflows", **context) from exc
     if not math.isfinite(value):
-        raise EvalFailureError(f"{what} returned {value}, not a finite number", **context)
+        raise EvalFailureError(f"{what()} returned {value}, not a finite number", **context)
     return value
 
+
+# The sequence spaces with a max norm, whose rows along coordinate vectors
+# :func:`~banachdiff.spaces.norms_along` reads locally.
+_MAX_SEQUENCES = frozenset({Space.LINF_SEQ, Space.RT})
 
 # Numbers a batch evaluation holds per combined array, counting both
 # operands' widths per step and direction: bounds its memory for any grid
@@ -124,6 +129,13 @@ class Functional:
     :func:`_rows` is the one code that evaluates a functional along
     directions, with or without a batch; :meth:`along` is its one-direction
     form.
+
+    The batch contract also has a coordinate form: ``batch(x, ks, steps)``,
+    where ``ks`` is an integer array of coordinate indices of a sequence
+    point x and row j stands for the coordinate vector ``e_{ks[j]}``.  Only
+    :func:`~banachdiff.spaces.norms_along` is handed that form, and only for
+    the max norms (LINF_SEQ, RT), whose rows along e_k it reads from
+    coordinate k alone; every other batch gets dense stacks.
     """
 
     name: str
@@ -139,7 +151,7 @@ class Functional:
 
     def __call__(self, x: SpacePoint) -> float:
         self._expect(x)
-        return _checked(f"functional {self.name!r}", self.evaluator, x, functional=self.name)
+        return _checked(lambda: f"functional {self.name!r}", self.evaluator, x, functional=self.name)
 
     def along(self, x: SpacePoint, h: SpacePoint, steps: np.ndarray) -> np.ndarray:
         """``f(x + s*h)`` for every signed step ``s`` in ``steps``: the one
@@ -154,7 +166,11 @@ class Functional:
         return values[0]
 
 
+@functools.cache
 def norm_functional(space: Space) -> Functional:
+    """The norm of ``space`` as a :class:`Functional` whose batch is
+    :func:`~banachdiff.spaces.norms_along`; a Functional is frozen, so
+    each space has one."""
     return Functional(f"{space.value.lower()}_norm", lambda p: eval_norm(p).value, space, norms_along)
 
 
@@ -480,11 +496,15 @@ def _point(x: SpacePoint, d: _Dir) -> SpacePoint:
     return d if isinstance(d, SpacePoint) else _fit_point(x, d)
 
 
-def _stack(x: SpacePoint, block: Sequence[_Dir]) -> SpacePoint:
+def _stack(x: SpacePoint, block: Sequence[_Dir], coordinate: bool) -> SpacePoint | np.ndarray:
     """The directions of ``block`` as one stack of rows (see
     :func:`~banachdiff.spaces.rows_along`); a single point is its own
     stack.  The points among them share one space and coordinate count, or
-    one knots array, with x's when the block holds fit directions."""
+    one knots array, with x's when the block holds fit directions.  With
+    ``coordinate``, a block of fit indices alone is the coordinate stack of
+    the indices (see :class:`Functional`)."""
+    if coordinate and not isinstance(block[0], SpacePoint):
+        return np.array(block)
     if len(block) == 1 and isinstance(block[0], SpacePoint):
         return block[0]
     like = next((d for d in block if isinstance(d, SpacePoint)), x)
@@ -516,26 +536,35 @@ def _stackable(p: SpacePoint, q: SpacePoint) -> bool:
     return p.knots is q.knots or np.array_equal(p.knots, q.knots)
 
 
-def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int) -> Iterator[list[_Dir]]:
+def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int, coordinate: bool) -> Iterator[tuple[list[_Dir], int]]:
     """``dirs`` in order, cut into blocks of consecutive directions that
     share one stack (one space and coordinate count, or one knots array)
-    and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps;
-    every caller passes at least one direction, and a point first."""
+    and hold at most ``_BATCH_VALUES`` numbers along ``n`` signed steps,
+    each with the numbers one of its rows holds per step; every caller
+    passes at least one direction, and a point first.
+
+    A row of a dense stack holds the widths of x and of the row.  With
+    ``coordinate``, a block that starts with a fit index holds fit indices
+    alone, the fit directions coming last, and becomes a coordinate stack
+    (see :func:`_stack`), whose rows hold one number per step whatever the
+    width; fit indices after a point still join its dense block while they
+    fit, which saves a batch call at small dimensions."""
     block: list[_Dir] = []
     for d in dirs:
         p = d if isinstance(d, SpacePoint) else x
         if block and (len(block) == cap or not _stackable(head, p)):
-            yield block
+            yield block, width
             block = []
         if not block:
-            head, cap = p, max(1, _BATCH_VALUES // (n * (_width(x) + _width(p))))
+            width = 1 if coordinate and p is not d else _width(x) + _width(p)
+            head, cap = p, max(1, _BATCH_VALUES // (n * width))
         block.append(d)
-    yield block
+    yield block, width
 
 
 def _rows(
     f: Functional, x: SpacePoint, dirs: Sequence[_Dir], steps: np.ndarray
-) -> Iterator[tuple[SpacePoint, np.ndarray]]:
+) -> Iterator[tuple[SpacePoint | np.ndarray, np.ndarray]]:
     """f along each direction of ``dirs`` at the signed steps ``steps``, in
     order, as pairs ``(H, values)``: ``values[j, i]`` is f at
     ``x + steps[i]*H[j]`` for the first ``len(values)`` rows of the stack
@@ -545,7 +574,11 @@ def _rows(
 
     With a batch, each block of :func:`_blocks` is one stack, evaluated
     once the pairs before it are taken, in batch calls of at most
-    ``_BATCH_VALUES`` numbers each.  From the first row of a block that
+    ``_BATCH_VALUES`` numbers each.  When the batch is
+    :func:`~banachdiff.spaces.norms_along` and x is a LINF_SEQ or RT point,
+    a run of fit indices alone is a coordinate stack: H is then the integer
+    array of the indices (see :class:`Functional`), and each row is
+    O(steps) numbers.  From the first row of a block that
     holds a non-finite value on, from its first row when the batch raises
     :class:`EvalFailureError`, and along every direction of a functional
     without a batch, each step is one call of f on
@@ -553,10 +586,11 @@ def _rows(
     error of the first step that fails, after the rows before it.
     """
     n, batched = steps.shape[0], f.batch is not None
-    for block in _blocks(x, dirs, n) if batched else ([d] for d in dirs):
+    coordinate = f.batch is norms_along and x.space in _MAX_SEQUENCES
+    for block, width in _blocks(x, dirs, n, coordinate) if batched else (([d], 0) for d in dirs):
         if batched:
-            H = _stack(x, block)
-            cols = max(1, _BATCH_VALUES // (len(block) * (_width(x) + _width(H))))
+            H = _stack(x, block, coordinate)
+            cols = max(1, _BATCH_VALUES // (len(block) * width))
             try:
                 if cols >= n:
                     values = f.batch(x, H, steps)
@@ -594,8 +628,12 @@ def _traces(
     it.
     """
     for H, values in _rows(f, x, dirs, grid._signed):
-        arr = H.coords if H.coords is not None else H.values
-        norms = [_size(H)] if arr.ndim == 1 else _norms(H.space, H.coords, H.values, H.lefts)[: len(values)].tolist()
+        if isinstance(H, np.ndarray):  # coordinate vectors, of norm 1
+            norms = [1.0] * len(values)
+        elif (H.coords if H.coords is not None else H.values).ndim == 1:
+            norms = [_size(H)]
+        else:
+            norms = _norms(H.space, H.coords, H.values, H.lefts)[: len(values)].tolist()
         yield from _quotient_trace(values, fx, grid, tol, _reach(nx, norms))
 
 

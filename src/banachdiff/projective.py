@@ -346,7 +346,7 @@ class ScalarMap:
     fn: Callable[[float], float]
 
     def __call__(self, u: float) -> float:
-        return _checked(f"outer map {self.name!r} at {float(u)!r}", self.fn, u, outer=self.name)
+        return _checked(lambda: f"outer map {self.name!r} at {float(u)!r}", self.fn, u, outer=self.name)
 
 
 OUTER_MAPS: dict[str, ScalarMap] = {

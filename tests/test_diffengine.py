@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachdiff import spaces
 from banachdiff.diffengine import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -58,9 +59,11 @@ from banachdiff.spaces import (
     FUNCTION_SPACES,
     SEQUENCE_SPACES,
     Space,
+    SpacePoint,
     constant_fn,
     eval_norm,
     linear_combine,
+    norms_along,
     pw_from_values,
     pw_point,
     seq_point,
@@ -1128,7 +1131,122 @@ def test_verdict_memory_is_bounded_in_the_dimension():
     assert peak < 32 * 2**20
 
 
-def test_lipschitz_memory_is_bounded_in_the_dimension():
+def test_max_norm_verdict_memory_is_bounded_in_the_dimension():
+    dim = 4000
+    c = np.where(np.arange(dim) % 2, 0.5, -0.25)
+    c[0] = 1.0  # the one dominant coordinate
+    x = seq_point(Space.LINF_SEQ, c)
+    h = seq_point(Space.LINF_SEQ, np.full(dim, 2.0**-6))
+    f = norm_functional(Space.LINF_SEQ)
+    tracemalloc.start()
+    try:
+        v = gateaux_verdict(f, x, [h], EXACT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.status is VerdictStatus.GATEAUX and len(v.traces) == dim + 2
+    assert v.derivative.kind is RepKind.SIGNED_INDEX and v.derivative.p == 1
+    assert peak < 32 * 2**20
+
+
+# -- coordinate-local fit rows of the max norms -------------------------------
+
+
+_MAX_NORMS = {
+    "linf_seq": lambda: norm_functional(Space.LINF_SEQ),
+    "rt": lambda: norm_functional(Space.RT),
+    "supnorm": CYL_BASES["supnorm"],
+}
+
+# steps from 2**1020 on: x_k + s overflows at coordinates near the float maximum
+_HUGE = TGrid(t0=2.0**1020, rho=0.5, count=4)
+
+
+def _dense_twin(f):
+    """f with a batch that is not norms_along itself, so it is handed dense
+    stacks only."""
+    return Functional(f.name, f.evaluator, f.space_tag, lambda x, H, s: norms_along(x, H, s))
+
+
+def _unit(x, k):
+    e = np.zeros(x.dim)
+    e[k] = 1.0
+    return seq_point(x.space, e)
+
+
+def _max_norm_point(rng, space, dim, huge):
+    """A point with a tie at the top (k = argmax with an equal runner-up), a
+    -0.0 and, when ``huge``, coordinates near the float maximum."""
+    c = lattice(rng, -2.0, 2.0, dim) if rng.integers(0, 2) else rng.uniform(-2.0, 2.0, dim)
+    if huge:
+        c *= 2.0**1021
+        c[rng.integers(0, dim)] = np.finfo(float).max * rng.choice([-1.0, 1.0])
+    p = int(np.abs(c).argmax())
+    if dim > 1 and rng.integers(0, 2):
+        c[(p + 1 + int(rng.integers(0, dim - 1))) % dim] = abs(c[p]) * rng.choice([-1.0, 1.0])
+    c[rng.integers(0, dim)] = -0.0
+    return seq_point(space, c)
+
+
+def _details(v):
+    """What a verdict holds beyond its report: the reach and plateau of every trace."""
+    return repr([(tr.reach, tr.plateau_step, tr.plateau_score) for tr in v.traces])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_MAX_NORMS)),
+    st.sampled_from([1, 2, 8, 64, 300]),
+    st.sampled_from([DEFAULT_GRID, EXACT, _HUGE]),
+    st.booleans(),
+)
+def test_coordinate_local_rows_equal_dense_rows_bitwise(seed, name, dim, grid, huge):
+    rng = np.random.default_rng(seed)
+    f = _MAX_NORMS[name]()
+    space = f.space_tag or Space.LINF_SEQ
+    x = _max_norm_point(rng, space, dim, huge)
+    ks = np.arange(dim)
+    local = f.batch(x, ks, grid._signed)
+    for k in ks:
+        try:
+            dense = _dense_twin(f).batch(x, _unit(x, k), grid._signed)
+        except EvalFailureError:  # x_k + s overflows: the local row says so with inf
+            assert not np.isfinite(local[k]).all()
+        else:
+            assert local[k].tobytes() == dense[0].tobytes()
+    probes = [_max_norm_point(rng, space, dim, huge and rng.integers(0, 2))]
+    if rng.integers(0, 2):
+        probes[0] = _unit(x, int(np.abs(x.coords).argmax()))  # may cross the tie
+    want = _assert_same_verdict(f, x, probes, grid)
+    assert _outcome(lambda: gateaux_verdict(_dense_twin(f), x, probes, grid)) == want
+    try:
+        v = gateaux_verdict(f, x, probes, grid)
+    except ToolkitError:
+        return
+    assert _details(v) == _details(gateaux_verdict(_dense_twin(f), x, probes, grid))
+
+
+def _dominant_point(space, dim):
+    c = np.where(np.arange(dim) % 2, 0.5, -0.25)
+    c[dim // 3] = -1.5
+    return seq_point(space, c)
+
+
+@pytest.mark.parametrize("space", [Space.LINF_SEQ, Space.RT])
+def test_max_norm_fit_rows_take_at_most_two_array_passes(monkeypatch, space):
+    # the probe, 2 * probe 0 and the fit rows that fit with them make one
+    # dense stack; the rest of the 64 coordinate vectors one coordinate stack
+    passes = []
+    for kernel in ("rows_along", "_coordinate_norms"):
+        real = getattr(spaces, kernel)
+        monkeypatch.setattr(spaces, kernel, lambda *args, real=real: passes.append(real) or real(*args))
+    x = _dominant_point(space, 64)
+    h = seq_point(space, np.full(64, 2.0**-6))
+    v = gateaux_verdict(norm_functional(space), x, [h], EXACT)
+    assert v.status is VerdictStatus.GATEAUX and len(v.traces) == 66
+    assert len(passes) <= 2
+
     # the sampled directions take O(dim) memory each; one dim x dim array
     # would take 122 MB at this dimension
     dim = 4000

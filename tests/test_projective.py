@@ -1,6 +1,7 @@
 """Truncation systems, cylindrical functions, and chain-rule propagation."""
 
 import dataclasses
+import math
 import time
 import tracemalloc
 
@@ -18,6 +19,7 @@ from banachdiff.diffengine import (
 from banachdiff.errors import (
     BadDimsError,
     DimTooSmallError,
+    EvalFailureError,
     NonconstancyUnverifiedError,
     PreconditionFailedError,
     ToolkitError,
@@ -645,3 +647,18 @@ def test_a_base_without_a_batch_is_evaluated_one_point_at_a_time():
     assert v.status is VerdictStatus.GATEAUX
     # the direct check takes f(x) and one point per signed step
     assert calls == {"batch": 0, "point": 2 * inner + 2 + 2 * 20}
+
+
+@pytest.mark.parametrize(
+    "fn, u, message",
+    [
+        (math.exp, 1000.0, "outer map 'm' at 1000.0 overflows"),
+        (lambda u: math.nan, 0.25, "outer map 'm' at 0.25 returned nan, not a finite number"),
+        (lambda u: math.inf, np.float64(10.0), "outer map 'm' at 10.0 returned inf, not a finite number"),
+    ],
+    ids=["overflow", "nan", "inf"],
+)
+def test_an_outer_map_that_fails_names_itself_and_its_argument(fn, u, message):
+    with pytest.raises(EvalFailureError) as info:
+        ScalarMap("m", fn)(u)
+    assert str(info.value) == message and info.value.context == {"outer": "m"}

@@ -16,10 +16,13 @@ import banachdiff
 from banachdiff.errors import EvalFailureError, MalformedPointError
 from banachdiff.spaces import (
     Space,
+    SpacePoint,
+    _knot_point,
     _union,
     constant_fn,
     eval_norm,
     linear_combine,
+    norms_along,
     point_from_dict,
     point_from_json,
     point_to_dict,
@@ -420,3 +423,74 @@ def test_points_compare_by_space_and_have_short_reprs():
 def test_zeros_like_a_function_point_is_the_zero_function_on_its_domain(space):
     z = zeros_like(pw_from_values(space, [-1.0, 0.5, 2.0], [0.0, 1.0, 0.0]))
     assert z == constant_fn(space, -1.0, 2.0, 0.0) and eval_norm(z).value == 0.0
+
+
+def _stack_rows(space, knots, rng, rows):
+    """A stack of ``rows`` random directions over ``knots`` (sequences: a
+    coordinate count), with jumps at interior knots for LINF_R, and its rows
+    as points of their own."""
+    if space in (Space.LINF_SEQ, Space.RT):
+        coords = rng.uniform(-2.0, 2.0, (rows, knots))
+        return SpacePoint(space, coords=coords), [seq_point(space, c) for c in coords]
+    values = rng.uniform(-2.0, 2.0, (rows, knots.shape[0]))
+    lefts = values
+    if space is Space.LINF_R:
+        lefts = values.copy()
+        lefts[:, 1:-1] += rng.uniform(-1.0, 1.0, (rows, knots.shape[0] - 2))
+    points = [_knot_point(space, knots, v, e) for v, e in zip(values, lefts)]
+    return SpacePoint(space, knots=knots, values=values, lefts=lefts), points
+
+
+@pytest.mark.parametrize("space", [Space.LINF_SEQ, Space.RT, Space.C_AB, Space.LINF_R])
+def test_max_norms_along_a_stack_equal_eval_norm_bitwise_at_every_width(space):
+    # rows up to 32 wide are scanned in Fortran order, wider ones in C order
+    rng = np.random.default_rng(40)
+    steps = np.array([0.0625, 0.1, -0.0625, -0.1, 3.0])
+    for width in range(1 if space in (Space.LINF_SEQ, Space.RT) else 2, 41):
+        if space in (Space.LINF_SEQ, Space.RT):
+            x, (H, rows) = seq_point(space, rng.uniform(-2.0, 2.0, width)), _stack_rows(space, width, rng, 3)
+        else:
+            knots = np.sort(rng.uniform(-1.0, 1.0, width))
+            x = _stack_rows(space, knots, rng, 1)[1][0]
+            H, rows = _stack_rows(space, knots, rng, 3)
+        got = norms_along(x, H, steps)
+        want = [[eval_norm(linear_combine(1.0, x, s, h)).value for s in steps] for h in rows]
+        assert got.tobytes() == np.array(want).tobytes(), width
+
+
+def test_a_continuous_point_keeps_one_array():
+    f = pw_from_values(Space.LINF_R, [0.0, 0.5, 1.0], [0.0, 1.0, 0.25])
+    assert f.lefts is f.values and not f.values.flags.writeable
+    values = [0.0, 1.0, 0.25]
+    assert pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], values).values.tolist() == values
+
+
+_REFUSED_VALUES = {
+    "non-finite": (Space.C_AB, [0.0, 0.5, 1.0], [0.0, math.nan, 1.0]),
+    "too-short": (Space.C_AB, [0.0, 0.5, 1.0], [0.0, 1.0]),
+    "not-numbers": (Space.LINF_R, [0.0, 1.0], ["a", 1.0]),
+    "two-dimensional": (Space.LINF_R, [0.0, 1.0], [[0.0, 1.0], [1.0, 2.0]]),
+    "nbv-not-zero-at-a": (Space.NBV_AB, [0.0, 1.0], [0.5, 1.0]),
+    "knots-decreasing": (Space.C_AB, [1.0, 0.0], [0.0, 1.0]),
+    "not-a-function-space": (Space.RT, [0.0, 1.0], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("space, knots, values", list(_REFUSED_VALUES.values()), ids=list(_REFUSED_VALUES))
+def test_pw_from_values_refuses_what_separate_left_limits_refuse(space, knots, values):
+    # the same values given twice, as distinct objects, take the two-array path
+    errors = []
+    for lefts in (values, list(values)):
+        with pytest.raises(MalformedPointError) as info:
+            _knot_point(space, knots, values, lefts)
+        errors.append((str(info.value), info.value.context))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("space", [Space.L1_SEQ, Space.LINF_SEQ, Space.RT])
+def test_a_coordinate_stack_reads_as_its_coordinate_vectors(space):
+    x = seq_point(space, [0.5, -2.0, -0.0, 2.0, 1e-300])
+    ks = np.array([1, 3, 2, 0, 4, 1])
+    dense = SpacePoint(space, coords=np.eye(5)[ks])
+    steps = np.array([0.75, 0.1, 1e-17, -0.75, -0.1, -3.0])
+    assert norms_along(x, ks, steps).tobytes() == norms_along(x, dense, steps).tobytes()
