@@ -49,6 +49,7 @@ from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
+    _MAX_SEQUENCES,
     _norms,
     eval_norm,
     linear_combine,
@@ -96,10 +97,6 @@ def _checked(what: Callable[[], str], fn: Callable[..., float], arg, **context) 
         raise EvalFailureError(f"{what()} returned {value}, not a finite number", **context)
     return value
 
-
-# The sequence spaces with a max norm, whose rows along coordinate vectors
-# :func:`~banachdiff.spaces.norms_along` reads locally.
-_MAX_SEQUENCES = frozenset({Space.LINF_SEQ, Space.RT})
 
 # Numbers a batch evaluation holds per combined array, counting both
 # operands' widths per step and direction: bounds its memory for any grid

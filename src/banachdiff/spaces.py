@@ -578,32 +578,46 @@ def norms_along(x: SpacePoint, H: SpacePoint | np.ndarray, steps) -> np.ndarray:
     The sums and max scans over the last axis of :func:`rows_along`; a
     norm that overflows comes out infinite instead of raising.
 
-    ``H`` may also be a coordinate stack of a sequence point x: an integer
-    array ``ks``, whose row j is the coordinate vector ``e_{ks[j]}`` of x's
-    space and length.  Along e_k only coordinate k moves, so the max norms
-    (LINF_SEQ, RT) read ``max(M_k, |x_k + s|)``, where M_k is the largest
-    |x_j| with j ≠ k (0 at dimension 1): O(steps) numbers per row, and
-    bitwise the dense row, since a max is exact and ``x_j + s*0.0`` keeps
-    |x_j|.  A row whose ``x_k + s`` overflows comes out infinite.  L1_SEQ
-    sums the dense rows of e_k: a sum of one moved coordinate is not
-    bitwise the dense pairwise sum off the dyadic lattice.
+    At a point of a max-norm sequence space (``_MAX_SEQUENCES``), ``H`` may
+    also be a coordinate stack: a one-dimensional integer array ``ks`` of
+    indices in [0, dim), whose row j is the coordinate vector
+    ``e_{ks[j]}``.  Along e_k only coordinate k moves, so the row reads
+    ``max(M_k, |x_k + s|)``, where M_k is the largest |x_j| with j ≠ k (0
+    at dimension 1): O(steps) numbers per row, and bitwise the dense row,
+    since a max is exact and ``x_j + s*0.0`` keeps |x_j|.  A row whose
+    ``x_k + s`` overflows comes out infinite.  The coordinate form raises
+    :class:`SpaceMismatchError` at any other point or for indices outside
+    [0, dim), and :class:`EvalFailureError` for a non-finite step, as the
+    dense stack of the same vectors does.  L1_SEQ has no coordinate form:
+    a sum of one moved coordinate is not bitwise the dense pairwise sum
+    off the dyadic lattice.
     """
     steps = np.asarray(steps, dtype=float)
     if isinstance(H, np.ndarray):
-        if x.space is not Space.L1_SEQ:
-            return _coordinate_norms(x, H, steps)
-        coords = np.zeros((H.shape[0], x.dim))
-        coords[np.arange(H.shape[0]), H] = 1.0
-        H = SpacePoint(x.space, coords=coords)
+        return _coordinate_norms(x, H, steps)
     rows = rows_along(x, H, steps)
     return _norms(x.space, rows.get("coords"), rows.get("values"), rows.get("lefts")).T
+
+
+# The sequence spaces with a max norm: the spaces whose points
+# :func:`norms_along` reads along a coordinate stack.
+_MAX_SEQUENCES = frozenset({Space.LINF_SEQ, Space.RT})
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _coordinate_norms(x: SpacePoint, ks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The max norms of :func:`norms_along` along the coordinate stack
     ``ks``: ``max(M_k, |x_k + s|)`` at ``[j, i]`` for k = ks[j], s =
-    steps[i]."""
+    steps[i].  Checks in the order :func:`linear_combine` does: the space,
+    the steps, then the indices."""
+    if x.space not in _MAX_SEQUENCES:
+        raise SpaceMismatchError(f"a coordinate stack needs a LINF_SEQ or RT point, got {x.space.value}")
+    if not np.isfinite(steps).all():
+        raise EvalFailureError(
+            "linear combination with a non-finite coefficient", alpha=1.0, beta=steps[:, None, None]
+        )
+    if ks.ndim != 1 or ks.dtype.kind not in "iu" or (ks.size and not 0 <= ks.min() <= ks.max() < x.dim):
+        raise SpaceMismatchError(f"a coordinate stack needs indices in [0, {x.dim}), got {ks.tolist()}")
     profile = np.abs(x.coords)
     p, q = _top_two(profile)
     others = np.where(ks == p, 0.0 if q is None else profile[q], profile[p])

@@ -1247,6 +1247,8 @@ def test_max_norm_fit_rows_take_at_most_two_array_passes(monkeypatch, space):
     assert v.status is VerdictStatus.GATEAUX and len(v.traces) == 66
     assert len(passes) <= 2
 
+
+def test_lipschitz_memory_is_bounded_in_the_dimension():
     # the sampled directions take O(dim) memory each; one dim x dim array
     # would take 122 MB at this dimension
     dim = 4000

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import banachdiff
-from banachdiff.errors import EvalFailureError, MalformedPointError
+from banachdiff.errors import EvalFailureError, MalformedPointError, SpaceMismatchError
 from banachdiff.spaces import (
     Space,
     SpacePoint,
@@ -487,10 +487,40 @@ def test_pw_from_values_refuses_what_separate_left_limits_refuse(space, knots, v
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("space", [Space.L1_SEQ, Space.LINF_SEQ, Space.RT])
+@pytest.mark.parametrize("space", [Space.LINF_SEQ, Space.RT])
 def test_a_coordinate_stack_reads_as_its_coordinate_vectors(space):
     x = seq_point(space, [0.5, -2.0, -0.0, 2.0, 1e-300])
     ks = np.array([1, 3, 2, 0, 4, 1])
     dense = SpacePoint(space, coords=np.eye(5)[ks])
     steps = np.array([0.75, 0.1, 1e-17, -0.75, -0.1, -3.0])
     assert norms_along(x, ks, steps).tobytes() == norms_along(x, dense, steps).tobytes()
+
+
+_REFUSED_COORDINATE_STACKS = {
+    "l1-point": (seq_point(Space.L1_SEQ, [1.0, 2.0]), [0], [0.5], SpaceMismatchError),
+    "function-point": (constant_fn(Space.C_AB, 0.0, 1.0, 1.0), [0], [0.5], SpaceMismatchError),
+    "negative-index": (seq_point(Space.LINF_SEQ, [1.0, 2.0]), [0, -1], [0.5], SpaceMismatchError),
+    "index-past-the-end": (seq_point(Space.RT, [1.0, 2.0]), [2], [0.5], SpaceMismatchError),
+    "not-indices": (seq_point(Space.LINF_SEQ, [1.0, 2.0]), [0.0], [0.5], SpaceMismatchError),
+    "two-dimensional": (seq_point(Space.LINF_SEQ, [1.0, 2.0]), [[0]], [0.5], SpaceMismatchError),
+    "infinite-step": (seq_point(Space.LINF_SEQ, [1.0, 2.0]), [1, 0], [0.5, math.inf], EvalFailureError),
+}
+
+
+@pytest.mark.parametrize(
+    "x, ks, steps, error", list(_REFUSED_COORDINATE_STACKS.values()), ids=list(_REFUSED_COORDINATE_STACKS)
+)
+def test_a_coordinate_stack_refuses_what_it_cannot_read(x, ks, steps, error):
+    with pytest.raises(error):
+        norms_along(x, np.array(ks), steps)
+
+
+def test_a_coordinate_stack_with_an_infinite_step_raises_what_its_dense_stack_raises():
+    x = seq_point(Space.LINF_SEQ, [1.0, 2.0])
+    steps = np.array([0.5, math.inf])
+    errors = []
+    for H in (np.array([1, 0]), SpacePoint(Space.LINF_SEQ, coords=np.eye(2)[[1, 0]])):
+        with pytest.raises(EvalFailureError) as info:
+            norms_along(x, H, steps)
+        errors.append((str(info.value), repr(info.value.context)))
+    assert errors[0] == errors[1]
