@@ -50,6 +50,7 @@ from .spaces import (
     Space,
     SpacePoint,
     _MAX_SEQUENCES,
+    _coordinate_norms,
     _norms,
     eval_norm,
     linear_combine,
@@ -126,13 +127,6 @@ class Functional:
     :func:`_rows` is the one code that evaluates a functional along
     directions, with or without a batch; :meth:`along` is its one-direction
     form.
-
-    The batch contract also has a coordinate form: ``batch(x, ks, steps)``,
-    where ``ks`` is an integer array of coordinate indices of a sequence
-    point x and row j stands for the coordinate vector ``e_{ks[j]}``.  Only
-    :func:`~banachdiff.spaces.norms_along` is handed that form, and only for
-    the max norms (LINF_SEQ, RT), whose rows along e_k it reads from
-    coordinate k alone; every other batch gets dense stacks.
     """
 
     name: str
@@ -493,17 +487,11 @@ def _point(x: SpacePoint, d: _Dir) -> SpacePoint:
     return d if isinstance(d, SpacePoint) else _fit_point(x, d)
 
 
-def _stack(x: SpacePoint, block: Sequence[_Dir], coordinate: bool) -> SpacePoint | np.ndarray:
+def _stack(x: SpacePoint, block: Sequence[_Dir]) -> SpacePoint:
     """The directions of ``block`` as one stack of rows (see
-    :func:`~banachdiff.spaces.rows_along`); a single point is its own
-    stack.  The points among them share one space and coordinate count, or
-    one knots array, with x's when the block holds fit directions.  With
-    ``coordinate``, a block of fit indices alone is the coordinate stack of
-    the indices (see :class:`Functional`)."""
-    if coordinate and not isinstance(block[0], SpacePoint):
-        return np.array(block)
-    if len(block) == 1 and isinstance(block[0], SpacePoint):
-        return block[0]
+    :func:`~banachdiff.spaces.rows_along`), a single direction included.
+    The points among them share one space and coordinate count, or one
+    knots array, with x's when the block holds fit directions."""
     like = next((d for d in block if isinstance(d, SpacePoint)), x)
     if like.coords is not None:
         coords = np.zeros((len(block), like.coords.shape[0]))
@@ -542,10 +530,10 @@ def _blocks(x: SpacePoint, dirs: Sequence[_Dir], n: int, coordinate: bool) -> It
 
     A row of a dense stack holds the widths of x and of the row.  With
     ``coordinate``, a block that starts with a fit index holds fit indices
-    alone, the fit directions coming last, and becomes a coordinate stack
-    (see :func:`_stack`), whose rows hold one number per step whatever the
-    width; fit indices after a point still join its dense block while they
-    fit, which saves a batch call at small dimensions."""
+    alone, the fit directions coming last, and is read one coordinate per
+    row (see :func:`_rows`), so its rows hold one number per step whatever
+    the width; fit indices after a point still join its dense block while
+    they fit, which saves a batch call at small dimensions."""
     block: list[_Dir] = []
     for d in dirs:
         p = d if isinstance(d, SpacePoint) else x
@@ -573,26 +561,29 @@ def _rows(
     once the pairs before it are taken, in batch calls of at most
     ``_BATCH_VALUES`` numbers each.  When the batch is
     :func:`~banachdiff.spaces.norms_along` and x is a LINF_SEQ or RT point,
-    a run of fit indices alone is a coordinate stack: H is then the integer
-    array of the indices (see :class:`Functional`), and each row is
-    O(steps) numbers.  From the first row of a block that
-    holds a non-finite value on, from its first row when the batch raises
-    :class:`EvalFailureError`, and along every direction of a functional
-    without a batch, each step is one call of f on
-    ``linear_combine(1.0, x, s, h)``, in order, so a failure raises the
-    error of the first step that fails, after the rows before it.
+    a block of fit indices alone is read by
+    :func:`~banachdiff.spaces._coordinate_norms` instead: H is then the
+    integer array of the indices, and each row is O(steps) numbers.  From
+    the first row of a block that holds a non-finite value on, from its
+    first row when the batch raises :class:`EvalFailureError`, and along
+    every direction of a functional without a batch, each step is one call
+    of f on ``linear_combine(1.0, x, s, h)``, in order, so a failure raises
+    the error of the first step that fails, after the rows before it.
     """
     n, batched = steps.shape[0], f.batch is not None
     coordinate = f.batch is norms_along and x.space in _MAX_SEQUENCES
     for block, width in _blocks(x, dirs, n, coordinate) if batched else (([d], 0) for d in dirs):
         if batched:
-            H = _stack(x, block, coordinate)
+            if coordinate and not isinstance(block[0], SpacePoint):
+                H, batch = np.array(block), _coordinate_norms
+            else:
+                H, batch = _stack(x, block), f.batch
             cols = max(1, _BATCH_VALUES // (len(block) * width))
             try:
                 if cols >= n:
-                    values = f.batch(x, H, steps)
+                    values = batch(x, H, steps)
                 else:
-                    values = np.concatenate([f.batch(x, H, steps[i : i + cols]) for i in range(0, n, cols)], axis=1)
+                    values = np.concatenate([batch(x, H, steps[i : i + cols]) for i in range(0, n, cols)], axis=1)
             except EvalFailureError:
                 good = 0
             else:
@@ -622,15 +613,14 @@ def _traces(
     overflows): the rows of :func:`_rows` at all ±steps, each pair scored
     before the next is evaluated, so a failure raises the error of the
     first direction that fails, after the traces of the directions before
-    it.
+    it.  Direction norms come from :func:`~banachdiff.spaces._norms`, for
+    a stack and a single point alike.
     """
     for H, values in _rows(f, x, dirs, grid._signed):
         if isinstance(H, np.ndarray):  # coordinate vectors, of norm 1
             norms = [1.0] * len(values)
-        elif (H.coords if H.coords is not None else H.values).ndim == 1:
-            norms = [_size(H)]
         else:
-            norms = _norms(H.space, H.coords, H.values, H.lefts)[: len(values)].tolist()
+            norms = np.atleast_1d(_norms(H.space, H.coords, H.values, H.lefts))[: len(values)].tolist()
         yield from _quotient_trace(values, fx, grid, tol, _reach(nx, norms))
 
 
@@ -759,8 +749,7 @@ def gateaux_verdict(
             return f"probe {i}"
         return pairs[i - m][3] if i < fit else f"canonical fit direction {i - fit}"
 
-    responses: list[float] = []
-    fit_resp: list[float] = []
+    limits: list[float] = []  # of the probes, then the pairs, then the fit directions
     for i, tr in enumerate(_traces(f, x, dirs, grid, tol, fx, nx)):
         traces.append(tr)
         if tr.split(tol):
@@ -772,30 +761,27 @@ def gateaux_verdict(
             )
         if tr.d_plus is None or tr.d_minus is None:
             return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage(i)))
-        if i < m:
-            responses.append(tr.d_plus)
-        elif i < fit:
+        if m <= i < fit:
             a, b, j, _ = pairs[i - m]
-            expected = a * responses[0] + b * responses[j]
+            expected = a * limits[0] + b * limits[j]
             if abs(tr.d_plus - expected) > tol * max(1.0, abs(expected)):
                 return verdict(
                     VerdictStatus.INCONCLUSIVE,
                     f"directional limits exist on the probes but are not linear across them: "
                     f"{float(tr.d_plus)} along {stage(i)}, expected {float(expected)}",
                 )
-        else:
-            fit_resp.append(tr.d_plus)
+        limits.append(tr.d_plus)
     if unbuilt is not None:
         raise unbuilt
 
-    rep = _fit_rep(x, fit_resp, responses, tol)
+    rep = _fit_rep(x, limits[fit:], limits[:m], tol)
     if rep is None:
         return verdict(
             VerdictStatus.INCONCLUSIVE,
             "directional limits exist but no sparse representation reproduces them",
         )
     for i, h in enumerate(probes):
-        want = responses[i]
+        want = limits[i]
         got = apply_rep(rep, h)
         if abs(got - want) > tol * max(1.0, abs(want)):
             return verdict(
@@ -821,14 +807,12 @@ def hadamard_verdict(
     order: only the first ``grid.count`` members are used, and families
     shorter than the grid are padded with h itself.  HADAMARD requires
     every family's quotients to settle on the plain direction's limit; the
-    shared limit is reported as ``value``.
+    shared limit is reported as ``value``.  The plain direction's trace is
+    :func:`one_sided_derivatives` along h, which also checks ``tol``.
     """
     if not perturbations:
         raise PreconditionFailedError("need at least one perturbation family")
-    if not 0.0 < tol < math.inf:
-        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
-    fx = f(x)
-    (base,) = _traces(f, x, [h], grid, tol, fx, _size(x))
+    base = one_sided_derivatives(f, x, h, grid, tol)
     traces = [base]
 
     def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
@@ -842,7 +826,7 @@ def hadamard_verdict(
         )
     if not base.converged_plus:
         return verdict(VerdictStatus.INCONCLUSIVE, base.unsettled("the unperturbed direction"))
-    limit = base.d_plus
+    limit, fx = base.d_plus, f(x)
 
     for fam_idx, family in enumerate(perturbations):
         fam = list(family)

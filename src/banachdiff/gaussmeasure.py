@@ -91,6 +91,8 @@ class GaussianSpec:
         for s in self.variances:
             if not s > 0.0:
                 raise NonpositiveVarianceError("explicit variances must be positive", value=s)
+            if s == math.inf:
+                raise PreconditionFailedError("explicit variances must be finite", value=s)
         if self.law not in (None, "inv_log"):
             raise PreconditionFailedError(f"unknown variance law {self.law!r}")
         if self.law is None and not self.variances:
@@ -337,18 +339,21 @@ def estimate_nondiff_measures(
 def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     """P(||X_1| - |X_2|| <= delta) by deterministic quadrature.
 
-    Reduces the two-dimensional event to one dimension by conditioning
-    on |X_1|: the answer is the integral over u >= 0 of the folded-normal
-    density of |X_1| times the probability that |X_2| lands within delta
-    of u.  Entirely independent of the Monte-Carlo sampler.  A quadrature
-    that scipy flags as not converged, or whose error estimate stays above
-    1e-6, raises :class:`QuadratureNonconvergedError` with the error
-    estimate in its context.
-
-    The quadrature's value is clamped into [0, 1].  The probability lies
-    there, so the clamp only moves an estimate toward it: for variances
-    far apart, an unflagged quadrature can read just above 1 (1.4e-10
-    above it for variances 1.1e5 and 4.8e89 at delta 8.8e296).
+    Reduces the two-dimensional event to one dimension by conditioning on
+    the narrower coordinate (the event is symmetric in the two), of
+    standard deviation s: the answer is the integral over z >= 0 of the
+    folded standard normal density times the probability that the other
+    coordinate's absolute value lands within delta of s*z.  Integrating in
+    the standardized variable z keeps the density's mass where the
+    quadrature looks for it whatever s is: over u = s*z in [0, inf), quad
+    can miss a density of width 1e-4 altogether and report a converged 0.0
+    where the probability is 1.  At unit variances z is u, so the value is
+    that of integrating over u, bit for bit.  Entirely independent of the
+    Monte-Carlo sampler.  A quadrature that scipy flags as not converged,
+    or whose error estimate stays above 1e-6, raises
+    :class:`QuadratureNonconvergedError` with the error estimate in its
+    context.  The quadrature's value is clamped into [0, 1], where the
+    probability lies, so the clamp can only move an estimate toward it.
     """
     if not 0.0 <= delta < math.inf:
         raise PreconditionFailedError("delta must be finite and nonnegative", delta=delta)
@@ -358,19 +363,17 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     from scipy.special import ndtr
 
     s1, s2 = math.sqrt(spec.variance_at(1)), math.sqrt(spec.variance_at(2))
+    s, wide = min(s1, s2), max(s1, s2)
     inv_root = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def folded_pdf(u: float) -> float:
-        z = u / s1
-        return inv_root / s1 * (2.0 * math.exp(-0.5 * z * z))
 
     def folded_cdf(v: float) -> float:
         if v <= 0.0:
             return 0.0
-        return float(ndtr(v / s2) - ndtr(-v / s2))
+        return float(ndtr(v / wide) - ndtr(-v / wide))
 
-    def integrand(u: float) -> float:
-        return folded_pdf(u) * (folded_cdf(u + delta) - folded_cdf(u - delta))
+    def integrand(z: float) -> float:
+        u = s * z
+        return inv_root * (2.0 * math.exp(-0.5 * z * z)) * (folded_cdf(u + delta) - folded_cdf(u - delta))
 
     value, abserr, _, *message = quad(integrand, 0.0, np.inf, limit=200, full_output=1)
     if message:

@@ -32,6 +32,7 @@ from .diffengine import (
     TGrid,
     VerdictStatus,
     _checked,
+    _fit_point,
     _quotient_trace,
     _unit_ball_directions,
     gateaux_verdict,
@@ -505,6 +506,4 @@ def _pick_sloped_direction(rep: LinearFunctionalRep, x: SpacePoint) -> SpacePoin
     """The coordinate direction where a SIGNED_INDEX or COEFF_SEQ
     representation is largest in absolute value."""
     k = rep.p - 1 if rep.kind is RepKind.SIGNED_INDEX else int(np.abs(rep.coeffs).argmax())
-    d = np.zeros(x.dim)
-    d[k] = 1.0
-    return seq_point(x.space, d)
+    return _fit_point(x, k)

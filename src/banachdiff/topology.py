@@ -36,6 +36,7 @@ from .spaces import (
     pw_from_values,
     seq_point,
     sig,
+    subtract,
 )
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
     "densify_csup",
     "ball_check_linf",
 ]
+
+# The smallest positive float: the least tail densify_l1 puts in a zero coordinate.
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,25 @@ def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
     )
 
 
+def _repaired(x: SpacePoint, y: SpacePoint, eps: float, limit: str) -> SpacePoint:
+    """y, the repair of x, once it is checked to be a member closer to x
+    than eps; a repair that floats cannot make at this eps fails the check
+    and raises :class:`PreconditionFailedError` naming ``limit``, the float
+    limit in its way."""
+    if not (classify(y, 0.0).in_B and eval_norm(subtract(y, x)).value < eps):
+        raise PreconditionFailedError(f"eps {eps} is too small for {limit}")
+    return y
+
+
 def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
     """Replace zero coordinates with a fast-decaying signed tail.
 
     A zero at coordinate n (1-based) becomes eps/2^(n+1), so the moved
     mass totals under eps/2 and the result has every coordinate nonzero:
     strictly inside the differentiability set, strictly closer than eps.
+    Where that tail underflows (from n = 1074 on at eps = 1) it is floored
+    at the smallest positive float; an eps too small for those floors to
+    stay within it is refused (see :func:`_repaired`).
     """
     if x.space is not Space.L1_SEQ:
         raise PreconditionFailedError("densify_l1 needs an L1_SEQ point")
@@ -203,16 +220,19 @@ def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     y = x.coords.copy()
     zeros = np.flatnonzero(y == 0.0)
-    y[zeros] = eps * 2.0 ** -(zeros.astype(float) + 2.0)
-    return seq_point(Space.L1_SEQ, y)
+    y[zeros] = np.maximum(eps * 2.0 ** -(zeros.astype(float) + 2.0), _TINY)
+    limit = f"a tail of {zeros.size} zero coordinates of at least the smallest positive float {_TINY} each"
+    return _repaired(x, seq_point(Space.L1_SEQ, y), eps, limit)
 
 
 def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
     """Push the max coordinate clear of the pack by eps/2.
 
     The largest coordinate p is replaced by sig(x_p)*(norm + eps/2)
-    (sign +1 at the zero point), which moves the point by exactly eps/2
-    and leaves it dominating every other coordinate by at least eps/2.
+    (sign +1 at the zero point), which moves the point by eps/2 up to
+    rounding and leaves it dominating every other coordinate by about as
+    much.  An eps below the float spacing at the sup moves nothing, and is
+    refused (see :func:`_repaired`).
     """
     if x.space not in (Space.LINF_SEQ, Space.RT):
         raise PreconditionFailedError("densify_linf needs a max-norm sequence point")
@@ -222,7 +242,7 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
     p = norm.witness - 1
     y = x.coords.copy()
     y[p] = (sig(x.coords[p]) or 1.0) * (norm.value + eps / 2.0)
-    return seq_point(x.space, y)
+    return _repaired(x, seq_point(x.space, y), eps, f"the float spacing at the sup {norm.value}")
 
 
 def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
@@ -231,9 +251,10 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     If |f| already peaks at a single point, f is returned unchanged.
     Otherwise a continuous bump of height eps/2, sign-aligned with f at
     its first peak and supported on a neighborhood short of the adjacent
-    knots, lifts that peak above all others; the result is verified to
-    classify as a member before being returned; an eps too small for the
-    float spacing at the sup of |f| fails that, as :class:`PreconditionFailedError`.
+    knots, lifts that peak above all others; the result is verified to be
+    a member closer to f than eps before being returned; an eps too small
+    for the float spacing at the sup of |f| fails that, as
+    :class:`PreconditionFailedError` (see :func:`_repaired`).
     """
     if f.space is not Space.C_AB:
         raise PreconditionFailedError("densify_csup needs a C_AB point")
@@ -255,10 +276,7 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     values[positions.index(t1)] = sigma * (eps / 2.0)
     bump = pw_from_values(Space.C_AB, positions, values)
 
-    g = linear_combine(1.0, f, 1.0, bump)
-    if not classify(g, 0.0).in_B:
-        raise PreconditionFailedError(f"eps {eps} is too small for the float spacing at the sup {norm} of |f|")
-    return g
+    return _repaired(f, linear_combine(1.0, f, 1.0, bump), eps, f"the float spacing at the sup {norm} of |f|")
 
 
 def ball_check_linf(x: SpacePoint, eps: float, trial_count: int, seed: int) -> bool:

@@ -367,6 +367,22 @@ def test_unusable_step_grid_exits_2_without_numpy_warnings(grid_flags):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["densify", "--space", "linf", "--point", "[4.0, 4.0]", "--eps", "1e-16"],
+        ["densify", "--space", "l1", "--point", "[0.0, 0.0, 0.0, 1.0]", "--eps", "1e-323"],
+    ],
+    ids=["linf", "l1"],
+)
+def test_a_densify_request_that_floats_cannot_repair_exits_2(argv):
+    run = _fresh_run(argv)
+    assert run.returncode == 2
+    error = json.loads(run.stdout)["error"]
+    assert error["code"] == "PRECONDITION_FAILED" and "too small for" in error["message"]
+    assert run.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["witness", "--space", "linf", "--point", "[2, 2]", "--tie-tol", "nan"],
         ["classify", "--space", "linf", "--point", "[2, 1]", "--eps", "nan"],
         ["measure", "--n", "2", "--delta", "nan", "--count", "100"],

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachdiff import spaces
+from banachdiff import diffengine, spaces
 from banachdiff.diffengine import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -1106,6 +1106,14 @@ def test_plateau_steps_and_scores_are_kept():
     assert set(tr.to_dict()) == {"t", "fq", "bq"}
 
 
+def test_a_point_whose_norm_overflows_leaves_every_step_within_reach():
+    # f is finite at x, but |x| overflows: no finite scale to compare steps with
+    x = seq_point(Space.L1_SEQ, [1e308, 1e308])
+    f = Functional("first", lambda p: float(p.coords[0]), Space.L1_SEQ)
+    tr = one_sided_derivatives(f, x, seq_point(Space.L1_SEQ, [0.0, 1.0]), EXACT)
+    assert tr.reach == math.inf and (tr.d_plus, tr.d_minus) == (0.0, 0.0)
+
+
 def test_an_agreed_limit_is_kept_as_one_float():
     f = norm_functional(Space.LINF_SEQ)
     x = seq_point(Space.LINF_SEQ, [3.0, 1.0])
@@ -1207,7 +1215,7 @@ def test_coordinate_local_rows_equal_dense_rows_bitwise(seed, name, dim, grid, h
     space = f.space_tag or Space.LINF_SEQ
     x = _max_norm_point(rng, space, dim, huge)
     ks = np.arange(dim)
-    local = f.batch(x, ks, grid._signed)
+    local = spaces._coordinate_norms(x, ks, grid._signed)
     for k in ks:
         try:
             dense = _dense_twin(f).batch(x, _unit(x, k), grid._signed)
@@ -1238,9 +1246,9 @@ def test_max_norm_fit_rows_take_at_most_two_array_passes(monkeypatch, space):
     # the probe, 2 * probe 0 and the fit rows that fit with them make one
     # dense stack; the rest of the 64 coordinate vectors one coordinate stack
     passes = []
-    for kernel in ("rows_along", "_coordinate_norms"):
-        real = getattr(spaces, kernel)
-        monkeypatch.setattr(spaces, kernel, lambda *args, real=real: passes.append(real) or real(*args))
+    for module, kernel in ((spaces, "rows_along"), (diffengine, "_coordinate_norms")):
+        real = getattr(module, kernel)
+        monkeypatch.setattr(module, kernel, lambda *args, real=real: passes.append(real) or real(*args))
     x = _dominant_point(space, 64)
     h = seq_point(space, np.full(64, 2.0**-6))
     v = gateaux_verdict(norm_functional(space), x, [h], EXACT)

@@ -46,14 +46,18 @@ PARTIAL_1000 = 0.3939365606965239
 PARTIAL_10K = 0.39483409184206125
 CLOSED_FORM = math.pi ** 2 / 6.0 - 1.25
 
-# two-coordinate tie-band probabilities at delta = 0.01, by quadrature
+# two-coordinate tie-band probabilities at delta = 0.01, by quadrature; the
+# inv_log value is 5.1e-11 below 0.0124535397727561282, a 40-digit mpmath
+# quadrature of the same integral
 B2_STD_001 = 0.01125186725411195
-B2_INVLOG_001 = 0.012453539759151895
+B2_INVLOG_001 = 0.012453539721766256
 
 
 def test_spec_validation():
     with pytest.raises(PreconditionFailedError):
         GaussianSpec(r=0.0)
+    with pytest.raises(NonpositiveVarianceError):
+        GaussianSpec(variances=(1.0, math.nan), law=None)
     with pytest.raises(NonpositiveVarianceError):
         GaussianSpec(variances=(1.0, 0.0), law=None)
     with pytest.raises(NonpositiveVarianceError):
@@ -510,27 +514,69 @@ def test_a_spec_needs_variances_or_a_law_and_one_based_coordinates():
         default_spec().variance_at(0)
 
 
-# quad warns that the integral may diverge, and then the error bound decides
-def test_a_quadrature_that_does_not_converge_is_a_typed_failure():
-    spec = GaussianSpec(variances=(7e8, 1e270), law=None)
+_DIVERGENT = "The integral is probably divergent, or slowly\n  convergent."
+
+
+def _flagged_quad(abserr):
+    """A stand-in for scipy's quad that returns 0.5 with the error estimate
+    ``abserr`` and flags the integral as divergent, as quad's full output
+    does."""
+    return lambda *args, **kwargs: (0.5, abserr, {}, _DIVERGENT)
+
+
+# no request is known on which the standardized quadrature does not converge
+@pytest.mark.parametrize("abserr", [6.2e-6, 3.6e-12, 5.1e-20])
+def test_a_quadrature_that_scipy_flags_is_a_typed_failure_whatever_its_error_estimate(monkeypatch, abserr):
+    monkeypatch.setattr("scipy.integrate.quad", _flagged_quad(abserr))
     with pytest.raises(QuadratureNonconvergedError) as err:
-        b2_tie_probability_oracle(spec, 1e282)
-    assert err.value.context["abserr"] > 1e-6
+        b2_tie_probability_oracle(default_spec(), 0.01)
+    assert str(err.value) == "quadrature did not converge: The integral is probably divergent, or slowly convergent."
+    assert err.value.context["abserr"] == abserr
 
 
+def _within_three_sigma(value, est):
+    """Whether the estimate ``est`` lies within 3 binomial standard errors of
+    the probability ``value`` on its sample count."""
+    return abs(est.fraction - value) <= 3.0 * math.sqrt(value * (1.0 - value) / est.sample_count)
+
+
+# variances far apart: over u itself, quad flags the first three as
+# divergent and reads the last above 1
 @pytest.mark.parametrize(
     "variances, delta",
     [
-        # both read a small negative probability, with an error estimate far below 1e-6
+        ((7e8, 1e270), 1e282),
         ((115036705859712.56, 2.298180565681397e-247), 1.4642521690062373e289),
         ((1.978263256295969e19, 8.840100828383552e187), 1.607592026604068e298),
+        ((108120.13613732133, 4.786378570475434e+89), 8.837364770598271e+296),
     ],
 )
-def test_a_quadrature_that_scipy_flags_is_a_typed_failure_whatever_its_error_estimate(variances, delta):
-    with pytest.raises(QuadratureNonconvergedError) as err:
-        b2_tie_probability_oracle(GaussianSpec(variances=variances, law=None), delta)
-    assert str(err.value) == "quadrature did not converge: The integral is probably divergent, or slowly convergent."
-    assert 0.0 < err.value.context["abserr"] < 1e-6
+def test_a_tie_band_far_wider_than_both_laws_has_probability_near_one(variances, delta):
+    spec = GaussianSpec(variances=variances, law=None)
+    value = b2_tie_probability_oracle(spec, delta)
+    assert 1.0 - 1e-12 < value <= 1.0
+    assert _within_three_sigma(value, estimate_nondiff_measure(spec, 2, delta, 1000, seed=11))
+
+
+_GRID_VARIANCES = ((1e-300, 1e-20, 1e-8, 1e-4, 1.0, 1e4, 1e12, 1e300), (1e-300, 1e-8, 1.0, 1e8, 1e300))
+
+
+def test_the_quadrature_oracle_agrees_with_the_estimate_over_variances_of_every_scale():
+    # both coordinate orders, and widths from 1e-150 to 1e150: over u
+    # itself, quad reads 39 of the 120 grid cases outside 3 sigma unflagged,
+    # and 0.0 for variances (1e-8, 1e-7) at delta 0.1, where the estimate is 1.0
+    deltas = (1e-3, 0.1, 10.0)
+    disagree = []
+    for v1, v2 in itertools.chain(itertools.product(*_GRID_VARIANCES), [(1e-8, 1e-7)]):
+        spec = GaussianSpec(variances=(v1, v2), law=None)
+        for delta, est in zip(deltas, estimate_nondiff_measures(spec, 2, deltas, 100_000, seed=11)):
+            try:
+                value = b2_tie_probability_oracle(spec, delta)
+            except QuadratureNonconvergedError:
+                continue
+            if not _within_three_sigma(value, est):
+                disagree.append((v1, v2, delta, value, est.fraction))
+    assert disagree == []
 
 
 def test_an_unflagged_quadrature_with_a_large_error_estimate_is_a_typed_failure(monkeypatch):
@@ -553,7 +599,13 @@ def test_the_stream_of_a_numpy_integer_seed_is_that_of_the_int():
     assert philox_gen(np.uint16(7), 2).random() == philox_gen(7, 2).random()
 
 
-def test_a_quadrature_that_reads_above_one_is_clamped_to_a_probability():
-    # unclamped, this unflagged quadrature read 1.000000000139278
-    spec = GaussianSpec(variances=(108120.13613732133, 4.786378570475434e+89), law=None)
-    assert b2_tie_probability_oracle(spec, 8.837364770598271e+296) == 1.0
+def test_a_quadrature_that_reads_above_one_is_clamped_to_a_probability(monkeypatch):
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (1.000000000139278, 1e-9, {}))
+    assert b2_tie_probability_oracle(default_spec(), 0.01) == 1.0
+
+
+def test_a_spec_refuses_an_infinite_variance():
+    # its samples would hold inf and nan, and its summability term e^(-r/inf) is 1
+    with pytest.raises(PreconditionFailedError, match="finite") as err:
+        GaussianSpec(variances=(math.inf, 1.0), law=None)
+    assert err.value.context["value"] == math.inf

@@ -184,6 +184,37 @@ def test_densify_csup_refuses_an_eps_below_the_float_spacing_at_the_sup():
         densify_csup(tie, 0.25)
 
 
+# repairs that floats cannot make: eps/2 is below the float spacing at the
+# sup, or underflows to 0.0, or the tail floors add up to eps or more
+_UNREPAIRABLE = {
+    "linf-eps-below-the-spacing": (densify_linf, seq_point(Space.LINF_SEQ, [4.0, 4.0]), 1e-16, "float spacing"),
+    "rt-half-eps-underflows": (densify_linf, seq_point(Space.RT, [0.0]), 5e-324, "float spacing"),
+    "l1-one-floor-is-eps": (densify_l1, seq_point(Space.L1_SEQ, [0.0, 1.0]), 5e-324, "smallest positive float"),
+    "l1-three-floors-pass-eps": (densify_l1, seq_point(Space.L1_SEQ, [0.0, 0.0, 0.0, 1.0]), 1e-323, "smallest positive float"),
+}
+
+
+@pytest.mark.parametrize("densify, x, eps, limit", list(_UNREPAIRABLE.values()), ids=list(_UNREPAIRABLE))
+def test_a_densifier_refuses_a_repair_that_floats_cannot_make(densify, x, eps, limit):
+    with pytest.raises(PreconditionFailedError, match=f"eps {eps} is too small for .*{limit}"):
+        densify(x, eps)
+
+
+@pytest.mark.parametrize(
+    "coords, eps",
+    [([0.0, 1.0], 1e-323), ([1.0] + [0.0] * 1100, 1.0)],
+    ids=["tail-underflows-at-the-first-zero", "tail-underflows-from-coordinate-1074"],
+)
+def test_densify_l1_floors_a_tail_that_underflows_at_the_smallest_positive_float(coords, eps):
+    # the tail eps/2^(n+1) rounds to 0.0 at some zero coordinate of each
+    x = seq_point(Space.L1_SEQ, coords)
+    y = densify_l1(x, eps)
+    assert classify(y).in_B and eval_norm(subtract(y, x)).value < eps
+    zeros = np.flatnonzero(x.coords == 0.0)
+    tail = eps * 2.0 ** -(zeros + 2.0)  # eps/2^(n+1) at 1-based coordinate n
+    assert 0.0 in tail and y.coords[zeros].tolist() == np.where(tail > 0.0, tail, 5e-324).tolist()
+
+
 _l1 = seq_point(Space.L1_SEQ, [1.0])
 _dominant = seq_point(Space.LINF_SEQ, [2.0, 0.5])
 _REFUSED = {
