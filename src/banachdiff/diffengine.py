@@ -4,19 +4,18 @@ One-sided difference quotients over geometric step grids, with verdicts
 for Gâteaux / Hadamard / Fréchet differentiability and a sampled local
 Lipschitz estimator.  The functionals in scope are piecewise linear in
 every direction, so quotients become exactly constant once the step drops
-below the structural scale of the point.  Every quotient trace is built
-by :func:`_quotient_trace`, from an array of finite value rows, one per
-direction, and every evaluation of a functional along directions is made
-by :func:`_rows`: with a batch evaluator, one array evaluation per block
-of stacked directions; without one, or from a row whose batch evaluation
-fails, one point at a time, so that a failure raises its own error.
-:meth:`Functional.along` is its one-direction form.  Each one-sided
-limit is read off the earliest, tightest plateau of three consecutive
-grid quotients whose internal gaps stay under the tolerance, with no
-extrapolation, and only from a window whose last step t satisfies
-t·‖h‖ ≤ ‖x‖: at larger steps the quotient describes the far field of f,
-not its limit at x.  :func:`_plateaus` scores the windows of every row at
-once.
+below the structural scale of the point.  Every evaluation of a
+functional along directions is made by :func:`_rows`: with a batch
+evaluator, one array evaluation per block of stacked directions; without
+one, or for a whole block whose batch evaluation fails, one point at a
+time, so that a failure raises its own error.  :meth:`Functional.along`
+is its one-direction form.  Every quotient trace is built and judged by
+:func:`_quotient_trace`, from an array of finite value rows, one per
+direction: each one-sided limit is read off the earliest, tightest
+plateau of three consecutive grid quotients whose internal gaps stay
+under the tolerance, with no extrapolation, and only from a window whose
+last step t satisfies t·‖h‖ ≤ ‖x‖: at larger steps the quotient describes
+the far field of f, not its limit at x.
 
 Verdict vocabulary deliberately includes INCONCLUSIVE: when probes fail
 to converge, converge only at steps too large for the scale of x, or
@@ -342,43 +341,6 @@ def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) 
     return (float(f.along(x, h, [t])[0]) - f(x)) / t
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _plateaus(
-    values: np.ndarray, f0: float, signed: np.ndarray, start: np.ndarray | None
-) -> tuple[np.ndarray, list[int], list[float], bool]:
-    """The difference quotients of every row of ``values`` at the signed
-    steps ``signed`` (see :func:`_quotient_trace`), and the tightest
-    *corroborated* plateau of each of their sides.
-
-    Each window of three consecutive quotients of a side, from index
-    ``start[r]`` on for side r (forward sides at even r, backward at odd;
-    from 0 on every side when ``start`` is None), is scored by its worst
-    internal gap, and the earliest minimal window wins.  Returned are the
-    R × 2n quotients, each side's winning window (its first index) and
-    score, inf when the side has no window from ``start[r]`` on, and
-    whether every quotient is finite.  A limit converges when that score
-    is below the tolerance, and is the window's last quotient.  A single
-    agreeing pair is not enough on purpose.  At the smallest steps the
-    cancellation noise is quantized coarsely (one ulp of f divided by t),
-    so two successive quotients can coincide bit-for-bit by accident; such
-    a lone pair inherits the score of its drifting neighbor and loses to
-    any genuine plateau, whose members all agree.  On exactly constant
-    data every gap is zero and the limit is the common value unchanged; on
-    curved data the gaps shrink monotonically and the smallest-step window
-    still wins, so the limit matches the plain last quotient.
-    """
-    q = (values - f0) / signed
-    sides = q.reshape(-1, signed.shape[0] // 2)
-    gaps = sides[:, 1:] - sides[:, :-1]
-    np.abs(gaps, out=gaps)
-    score = np.maximum(gaps[:, :-1], gaps[:, 1:])
-    if start is not None:
-        score[np.arange(score.shape[1]) < start[:, None]] = math.inf
-    best = score.argmin(axis=1).tolist()
-    low = [row[b] for row, b in zip(score.tolist(), best)]
-    return q, best, low, math.isfinite(np.add.reduce(q, axis=None))
-
-
 def _size(p: SpacePoint) -> float:
     """``‖p‖``, or inf when the norm overflows."""
     try:
@@ -415,31 +377,51 @@ def _quotient_trace(
     function's value at 0 and ``reach[j]`` the reach of row j.
 
     Row j's forward quotients are ``(values[j, k] - f0) / t_k`` and its
-    backward quotients ``(values[j, n + k] - f0) / -t_k``.  Both sides of
-    every row are scored in one :func:`_plateaus` call, from the first
-    window whose last step is at most the row's reach on.  Every value is
-    finite; the traces come out row by row, and a row with a quotient that
-    overflows raises :class:`EvalFailureError` when its turn comes, so the
-    rows before it are still judged first.
+    backward quotients ``(values[j, n + k] - f0) / -t_k``.  Each window of
+    three consecutive quotients of a side is scored by its worst internal
+    gap, all sides of all rows in one array pass, and the earliest minimal
+    window wins among those whose last step is at most the row's reach;
+    a side with no such window scores inf.  A side converges when its
+    score is below ``tol``, and its limit is the window's last quotient.
 
-    The rows come from :func:`_rows` (see :func:`_traces`), or, for a
-    perturbation family and the outer map of a composition, from a loop
-    of single evaluations, each of which raises where it fails.
+    A single agreeing pair is not enough on purpose.  At the smallest
+    steps the cancellation noise is quantized coarsely (one ulp of f
+    divided by t), so two successive quotients can coincide bit-for-bit by
+    accident; such a lone pair inherits the score of its drifting neighbor
+    and loses to any genuine plateau, whose members all agree.  On exactly
+    constant data every gap is zero and the limit is the common value
+    unchanged; on curved data the gaps shrink monotonically and the
+    smallest-step window still wins, so the limit matches the plain last
+    quotient.
+
+    Every value is finite; the traces come out row by row, and a row with
+    a quotient that overflows raises :class:`EvalFailureError` when its
+    turn comes, so the rows before it are still judged first.  The rows
+    come from :func:`_rows` (see :func:`_traces`), or, for a perturbation
+    family and the outer map of a composition, from a loop of single
+    evaluations, each of which raises where it fails.
     """
     signed, t = grid._signed, grid._ticks
     n = len(t)
-    start = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (values - f0) / signed
+        sides = q.reshape(-1, n)  # row j's forward side at 2j, its backward side at 2j + 1
+        gaps = sides[:, 1:] - sides[:, :-1]
+        np.abs(gaps, out=gaps)
+        score = np.maximum(gaps[:, :-1], gaps[:, 1:])  # column k: the window of quotients k..k+2
+        finite = math.isfinite(np.add.reduce(q, axis=None))
     if min(reach) < t[0]:
         near = np.searchsorted(-signed[:n], np.negative(reach), side="left")
-        start = np.repeat(np.maximum(near - 2, 0), 2)
-    q, best, score, finite = _plateaus(values, f0, signed, start)
+        score[np.arange(n - 2) < np.repeat(np.maximum(near - 2, 0), 2)[:, None]] = math.inf
+    best = score.argmin(axis=1).tolist()
+    low = [row[b] for row, b in zip(score.tolist(), best)]
     for j, row in enumerate(q.tolist()):
         if not finite and not all(map(math.isfinite, row)):
             k = next(k for k, v in enumerate(row) if not math.isfinite(v))
             raise EvalFailureError("difference quotient overflows", step=float(signed[k]))
         fq, bq = row[:n], row[n:]
         p, m = best[2 * j] + 2, best[2 * j + 1] + 2
-        sp, sm = score[2 * j], score[2 * j + 1]
+        sp, sm = low[2 * j], low[2 * j + 1]
         d_plus = fq[p] if sp < tol else None
         d_minus = bq[m] if sm < tol else None
         if d_plus is not None and d_minus == d_plus != 0.0:
@@ -552,8 +534,8 @@ def _rows(
 ) -> Iterator[tuple[SpacePoint | np.ndarray, np.ndarray]]:
     """f along each direction of ``dirs`` at the signed steps ``steps``, in
     order, as pairs ``(H, values)``: ``values[j, i]`` is f at
-    ``x + steps[i]*H[j]`` for the first ``len(values)`` rows of the stack
-    H, or for H itself when it is a single point.  Every value is finite.
+    ``x + steps[i]*H[j]`` for every row of the stack H, or for H itself
+    when it is a single point.  Every value is finite.
     x is already checked against the space of f, by ``f(x)`` or
     :meth:`Functional.along`.
 
@@ -563,12 +545,14 @@ def _rows(
     :func:`~banachdiff.spaces.norms_along` and x is a LINF_SEQ or RT point,
     a block of fit indices alone is read by
     :func:`~banachdiff.spaces._coordinate_norms` instead: H is then the
-    integer array of the indices, and each row is O(steps) numbers.  From
-    the first row of a block that holds a non-finite value on, from its
-    first row when the batch raises :class:`EvalFailureError`, and along
-    every direction of a functional without a batch, each step is one call
-    of f on ``linear_combine(1.0, x, s, h)``, in order, so a failure raises
-    the error of the first step that fails, after the rows before it.
+    integer array of the indices, and each row is O(steps) numbers.  A
+    block whose batch raises :class:`EvalFailureError` or holds any
+    non-finite value is evaluated again as a whole, one direction at a
+    time, as is every direction of a functional without a batch: each
+    step is one call of f on ``linear_combine(1.0, x, s, h)``, in order,
+    so a failure raises the error of the first step that fails, after the
+    rows before it.  Batch values equal these calls bit for bit, so the
+    rows of a failing block come out as its batch would have given them.
     """
     n, batched = steps.shape[0], f.batch is not None
     coordinate = f.batch is norms_along and x.space in _MAX_SEQUENCES
@@ -585,15 +569,11 @@ def _rows(
                 else:
                     values = np.concatenate([batch(x, H, steps[i : i + cols]) for i in range(0, n, cols)], axis=1)
             except EvalFailureError:
-                good = 0
+                pass
             else:
                 if np.isfinite(values).all():
                     yield H, values
                     continue
-                good = int(np.isfinite(values).all(axis=1).argmin())
-                if good:
-                    yield H, values[:good]
-            block = block[good:]
         for d in block:
             h = _point(x, d)
             yield h, np.array([[f(linear_combine(1.0, x, float(s), h)) for s in steps]])
@@ -620,7 +600,7 @@ def _traces(
         if isinstance(H, np.ndarray):  # coordinate vectors, of norm 1
             norms = [1.0] * len(values)
         else:
-            norms = np.atleast_1d(_norms(H.space, H.coords, H.values, H.lefts))[: len(values)].tolist()
+            norms = np.atleast_1d(_norms(H.space, H.coords, H.values, H.lefts)).tolist()
         yield from _quotient_trace(values, fx, grid, tol, _reach(nx, norms))
 
 
@@ -916,31 +896,28 @@ def frechet_verdict(
 
 
 def _unit_ball_directions(x: SpacePoint, rng: np.random.Generator, count: int) -> list[SpacePoint]:
-    """Unit-norm directions mixing sign patterns, coordinates, and noise."""
+    """Unit-norm directions in the space of x, drawn in one loop.
+
+    At a sequence point the draws cycle through a random sign pattern, the
+    next coordinate vector and uniform noise in [-1, 1); at a function
+    point every draw is uniform noise at the knots of x (0 at the first
+    knot for NBV_AB).  A draw of norm 0 is skipped, and its kind drawn
+    again; every other is scaled to norm 1.
+    """
     out: list[SpacePoint] = []
-    if x.space in SEQUENCE_SPACES:
-        n = x.dim
-        k = 0
-        while len(out) < count:
-            mode = len(out) % 3
-            if mode == 0:
-                d = rng.choice([-1.0, 1.0], size=n)
-            elif mode == 1:
-                d = np.zeros(n)
-                d[k % n] = 1.0
-                k += 1
-            else:
-                d = rng.uniform(-1.0, 1.0, size=n)
-                if not np.any(d):
-                    continue
-            p = seq_point(x.space, d)
-            out.append(linear_combine(1.0 / eval_norm(p).value, p, 0.0, p))
-        return out
+    seq, n = x.space in SEQUENCE_SPACES, _width(x)
     while len(out) < count:
-        vals = rng.uniform(-1.0, 1.0, size=x.knots.shape[0])
-        if x.space is Space.NBV_AB:
-            vals[0] = 0.0
-        d = pw_from_values(x.space, x.knots, vals)
+        mode = len(out) % 3 if seq else 2
+        if mode == 0:
+            vals = rng.choice([-1.0, 1.0], size=n)
+        elif mode == 1:
+            vals = np.zeros(n)
+            vals[len(out) // 3 % n] = 1.0
+        else:
+            vals = rng.uniform(-1.0, 1.0, size=n)
+            if x.space is Space.NBV_AB:
+                vals[0] = 0.0
+        d = seq_point(x.space, vals) if seq else pw_from_values(x.space, x.knots, vals)
         nd = eval_norm(d).value
         if nd == 0.0:
             continue

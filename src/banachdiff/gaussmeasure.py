@@ -118,7 +118,10 @@ def default_spec() -> GaussianSpec:
 
 
 def standard_normal_spec(n: int) -> GaussianSpec:
-    """Unit variances on the n <= MAX_N coordinates a sample can have."""
+    """Unit variances on the n <= MAX_N coordinates a sample can have; n
+    follows the integer rule of ``errors._integral``."""
+    if not _integral(n):
+        raise PreconditionFailedError(f"n must be an integer, got {n!r}", n=n)
     if not 1 <= n <= MAX_N:
         raise PreconditionFailedError(f"need 1 <= n <= {MAX_N}", n=n)
     return GaussianSpec(r=2.0, variances=(1.0,) * n, law=None)
@@ -158,8 +161,11 @@ def vakhania_check(spec: GaussianSpec, N: int) -> tuple[bool, float]:
     as summable when that exponent beats 1 (a convergent p-series bound).
     Terms that underflow to zero count as summable outright.  Terms are
     exponentiated in blocks of ``_TERM_BLOCK``, so memory stays bounded in
-    N, and N is at most ``MAX_TERMS``, which bounds the time.
+    N, and N is at most ``MAX_TERMS``, which bounds the time.  N follows
+    the integer rule of ``errors._integral``.
     """
+    if not _integral(N):
+        raise PreconditionFailedError(f"N must be an integer, got {N!r}", N=N)
     if not 1 <= N <= MAX_TERMS:
         raise PreconditionFailedError(f"need 1 <= N <= {MAX_TERMS}", N=N)
     m = max(1, N // 2)

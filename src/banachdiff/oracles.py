@@ -231,7 +231,11 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
 
     Requires a continuous representation (no jumps).  A peak at the window
     edge never qualifies: the constant extension attains the same value on
-    an unbounded set.
+    an unbounded set.  At an interior continuous peak the answer is wrong:
+    the tent ``pw_from_values(LINF_R, [-1, 0, 1], [0, 1, 0])`` gets
+    ``POINT_MASS`` at t0 = 0 for rho = 0.25, but a step at the peak,
+    ``step_fn(LINF_R, -1, 1, 0, 0, 1)``, has one-sided derivatives 1 and 0
+    there, so the norm is not Gâteaux differentiable (see ``classify``).
     """
     _expect(f, Space.LINF_R)
     return _peak_oracle(f, rho)

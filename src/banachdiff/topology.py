@@ -17,6 +17,7 @@ theorem check whose failure would signal a bug, not new mathematics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,12 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     the unique peak over whose complement the reported gap is measured
     (eps = 0 degrades to the pure uniqueness test).  NBV_AB points are
     never members: a fresh unit jump direction defeats every point.
+
+    For LINF_R a unique continuous peak is not enough, and this answer is
+    wrong there: the tent ``pw_from_values(LINF_R, [-1, 0, 1], [0, 1, 0])``
+    is called a member with t0 = 0, but along the step at the peak,
+    ``step_fn(LINF_R, -1, 1, 0, 0, 1)``, the norm's one-sided derivatives
+    are 1 and 0, and ``gateaux_verdict`` says NOT_GATEAUX.
     """
     if not 0.0 <= eps < math.inf:
         raise PreconditionFailedError("eps must be finite and nonnegative", eps=eps)
@@ -194,11 +201,17 @@ def _classify_sup_fn(x: SpacePoint, eps: float) -> MembershipReport:
     )
 
 
-def _repaired(x: SpacePoint, y: SpacePoint, eps: float, limit: str) -> SpacePoint:
+def _repaired(x: SpacePoint, y: SpacePoint | None, eps: float, limit: str) -> SpacePoint:
     """y, the repair of x, once it is checked to be a member closer to x
-    than eps; a repair that floats cannot make at this eps fails the check
-    and raises :class:`PreconditionFailedError` naming ``limit``, the float
-    limit in its way."""
+    than eps.  A repair that floats cannot make at this eps raises
+    :class:`PreconditionFailedError`: y is None when the repair would lift
+    the sup of |x| past the largest finite float, which the error names;
+    otherwise the repair fails the check, and the error names ``limit``,
+    the float limit in its way."""
+    if y is None:
+        raise PreconditionFailedError(
+            f"eps {eps} lifts the sup {eval_norm(x).value} past the largest finite float {sys.float_info.max}"
+        )
     if not (classify(y, 0.0).in_B and eval_norm(subtract(y, x)).value < eps):
         raise PreconditionFailedError(f"eps {eps} is too small for {limit}")
     return y
@@ -210,9 +223,11 @@ def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
     A zero at coordinate n (1-based) becomes eps/2^(n+1), so the moved
     mass totals under eps/2 and the result has every coordinate nonzero:
     strictly inside the differentiability set, strictly closer than eps.
-    Where that tail underflows (from n = 1074 on at eps = 1) it is floored
-    at the smallest positive float; an eps too small for those floors to
-    stay within it is refused (see :func:`_repaired`).
+    The tail is ``np.ldexp(eps, -(n + 1))``, so only the tail itself can
+    underflow, never the power of two before the product.  Where it does
+    (from n = 1074 on at eps = 1) it is floored at the smallest positive
+    float; an eps too small for those floors to stay within it is refused
+    (see :func:`_repaired`).
     """
     if x.space is not Space.L1_SEQ:
         raise PreconditionFailedError("densify_l1 needs an L1_SEQ point")
@@ -220,7 +235,7 @@ def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     y = x.coords.copy()
     zeros = np.flatnonzero(y == 0.0)
-    y[zeros] = np.maximum(eps * 2.0 ** -(zeros.astype(float) + 2.0), _TINY)
+    y[zeros] = np.maximum(np.ldexp(eps, -(zeros + 2)), _TINY)
     limit = f"a tail of {zeros.size} zero coordinates of at least the smallest positive float {_TINY} each"
     return _repaired(x, seq_point(Space.L1_SEQ, y), eps, limit)
 
@@ -231,8 +246,9 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
     The largest coordinate p is replaced by sig(x_p)*(norm + eps/2)
     (sign +1 at the zero point), which moves the point by eps/2 up to
     rounding and leaves it dominating every other coordinate by about as
-    much.  An eps below the float spacing at the sup moves nothing, and is
-    refused (see :func:`_repaired`).
+    much.  An eps below the float spacing at the sup moves nothing, and
+    one that lifts the sup past the largest finite float cannot be held;
+    both are refused (see :func:`_repaired`).
     """
     if x.space not in (Space.LINF_SEQ, Space.RT):
         raise PreconditionFailedError("densify_linf needs a max-norm sequence point")
@@ -240,9 +256,11 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
         raise PreconditionFailedError("eps must be finite and positive", eps=eps)
     norm = eval_norm(x)
     p = norm.witness - 1
+    top = norm.value + eps / 2.0
     y = x.coords.copy()
-    y[p] = (sig(x.coords[p]) or 1.0) * (norm.value + eps / 2.0)
-    return _repaired(x, seq_point(x.space, y), eps, f"the float spacing at the sup {norm.value}")
+    y[p] = (sig(x.coords[p]) or 1.0) * top
+    repair = seq_point(x.space, y) if top < math.inf else None
+    return _repaired(x, repair, eps, f"the float spacing at the sup {norm.value}")
 
 
 def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
@@ -253,7 +271,8 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     its first peak and supported on a neighborhood short of the adjacent
     knots, lifts that peak above all others; the result is verified to be
     a member closer to f than eps before being returned; an eps too small
-    for the float spacing at the sup of |f| fails that, as
+    for the float spacing at the sup of |f| fails that, and one that lifts
+    the sup past the largest finite float cannot be held: both raise
     :class:`PreconditionFailedError` (see :func:`_repaired`).
     """
     if f.space is not Space.C_AB:
@@ -276,7 +295,8 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     values[positions.index(t1)] = sigma * (eps / 2.0)
     bump = pw_from_values(Space.C_AB, positions, values)
 
-    return _repaired(f, linear_combine(1.0, f, 1.0, bump), eps, f"the float spacing at the sup {norm} of |f|")
+    repair = linear_combine(1.0, f, 1.0, bump) if norm + eps / 2.0 < math.inf else None
+    return _repaired(f, repair, eps, f"the float spacing at the sup {norm} of |f|")
 
 
 def ball_check_linf(x: SpacePoint, eps: float, trial_count: int, seed: int) -> bool:

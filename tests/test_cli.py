@@ -380,6 +380,15 @@ def test_a_densify_request_that_floats_cannot_repair_exits_2(argv):
     assert run.stderr == ""
 
 
+def test_a_densify_request_that_lifts_the_sup_past_the_largest_float_exits_2():
+    run = _fresh_run(["densify", "--space", "linf", "--point", "[1.79e308, 1.0]", "--eps", "1e307"])
+    assert run.returncode == 2
+    error = json.loads(run.stdout)["error"]
+    assert error["code"] == "PRECONDITION_FAILED"
+    assert error["message"] == "eps 1e+307 lifts the sup 1.79e+308 past the largest finite float 1.7976931348623157e+308"
+    assert run.stderr == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,7 @@ exactly representable slopes and the quotients carry no rounding at all.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachdiff import diffengine, spaces
+from banachdiff._rng import philox_gen
 from banachdiff.diffengine import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -643,6 +645,47 @@ def test_unit_ball_directions_are_unit_in_the_space_norm(seed, space, on_lattice
         assert abs(eval_norm(d).value - 1.0) <= 1e-12
 
 
+# Each point's sampled directions at seeds 3 and 2024: the sha256 of eight
+# draws of ``_unit_ball_directions(x, philox_gen(seed), 8)``, hashing each
+# direction's space tag and then its coordinates, or its knots, values and
+# left limits.  Frozen, so that a change to the sampler keeps the order of
+# the draws and the bits of every direction.
+_DIRECTION_POINTS = {
+    "l1": seq_point(Space.L1_SEQ, [1.0, -0.5, 0.0, 0.25, 2.0]),
+    "linf": seq_point(Space.LINF_SEQ, [3.0, -3.0, 0.5, 0.0, 1.0]),
+    "c_ab": pw_from_values(Space.C_AB, [0.0, 0.25, 0.5, 1.0], [0.0, 1.0, 0.5, 0.0]),
+    "linf_r": linear_combine(
+        1.0,
+        pw_from_values(Space.LINF_R, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+        0.5,
+        step_fn(Space.LINF_R, 0.0, 1.0, 0.25, 0.0, 1.0),
+    ),
+    "nbv": pw_point(Space.NBV_AB, 0.0, 1.0, [0.5], [1.0, -1.0], [0.0, 1.0]),
+}
+_DIRECTION_SHA256 = {
+    ("l1", 3): "c4196aba608982c7ca72021bde8e6c0ab2705b204344f49c365215742a0a392c",
+    ("l1", 2024): "bb60747c18be210c67d48d36b5c884c72ace55df928d33f443c155979e5d2d4c",
+    ("linf", 3): "2c5d964e532ff17809a411d221e8003e6cc7acfc405c6331b704b2ab242f4dde",
+    ("linf", 2024): "e897829517dc31ca33fdf4c586a7c17e9a0c6fca839f543c326dadc12333eecf",
+    ("c_ab", 3): "2dbc25c9c5682721dc56e9e07ffcc4108f10fe9540413ff0a7f18061ca36c609",
+    ("c_ab", 2024): "3a37adfc1b76d40f198e157fcb4db07c276cb7d24397b1304e948a9d379fed0a",
+    ("linf_r", 3): "30b2a6388a8d554de2fc0487aca98275e7053b02c3007c5d1586717f2d5513a7",
+    ("linf_r", 2024): "1145a759bd04ce01eb9507a75ce3b5c52922bccbb380cfbbaa7498270fcc8102",
+    ("nbv", 3): "54f9111523f7c821f41211fac51a22f762f276956f6623dc09fde434c34fe539",
+    ("nbv", 2024): "7511f5a64382c32e94f0f05e5cb5c279325cff62602c1a3f675a4e2ffaef706e",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(_DIRECTION_SHA256), ids=[f"{n}-{s}" for n, s in _DIRECTION_SHA256])
+def test_sampled_unit_ball_directions_keep_their_bits(name, seed):
+    digest = hashlib.sha256()
+    for d in _unit_ball_directions(_DIRECTION_POINTS[name], philox_gen(seed), 8):
+        digest.update(d.space.value.encode())
+        for a in (d.coords,) if d.coords is not None else (d.knots, d.values, d.lefts):
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    assert digest.hexdigest() == _DIRECTION_SHA256[name, seed]
+
+
 # -- stage-batched verdicts against one direction at a time -------------------
 
 
@@ -1001,6 +1044,34 @@ def test_a_failing_row_is_evaluated_once_by_the_batch():
     assert calls == [6]
 
 
+def _traces_until_error(f, x, dirs, grid):
+    """The traces of f at x along ``dirs`` as ``repr`` texts, up to the first
+    error, and that error (None when there is none)."""
+    traces = []
+    try:
+        for tr in diffengine._traces(f, x, dirs, grid, DEFAULT_TOL, f(x), eval_norm(x).value):
+            traces.append(repr(tr))
+    except ToolkitError as exc:
+        return traces, (type(exc).__name__, str(exc), exc.context)
+    return traces, None
+
+
+def test_a_block_with_a_later_non_finite_row_is_evaluated_again_point_by_point():
+    # one block: the first probe's row is finite, the second's norm
+    # overflows, and the batch returns inf there rather than raising
+    x = seq_point(Space.L1_SEQ, [8.9e307, 8.9e307])
+    probes = [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [1e306, 1e306])]
+    grid = TGrid(t0=1.0, count=3)
+    f, calls = _counting_norm(Space.L1_SEQ)
+    traces, error = _traces_until_error(f, x, probes, grid)
+    assert calls == [6]
+    assert (traces, error) == _traces_until_error(_scalar(f), x, probes, grid)
+    assert len(traces) == 1
+    assert error[:2] == ("EvalFailureError", "norm evaluates to inf, not a finite number")
+    outcome = _assert_same_verdict(f, x, probes, grid)
+    assert outcome[:2] == error[:2]
+
+
 def _counting_norm(space):
     """The norm of ``space``, and the list its batch appends to per call."""
     f = norm_functional(space)
@@ -1054,6 +1125,18 @@ def test_a_verdict_evaluates_its_directions_in_one_pass(x, probe, status, batche
     assert v.status.value == status
     assert calls == [2 * EXACT.count] * batches
     _assert_same_verdict(f, x, [probe], EXACT)
+
+
+def test_a_step_at_a_linf_r_tent_peak_splits_the_norm():
+    # the tent's sup is attained at one continuous peak, yet the step there
+    # lifts the sup forward and leaves it backward: no Gateaux derivative
+    tent = pw_from_values(Space.LINF_R, [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    step = step_fn(Space.LINF_R, -1.0, 1.0, 0.0, 0.0, 1.0)
+    f = norm_functional(Space.LINF_R)
+    v = gateaux_verdict(f, tent, [step])
+    assert v.status is VerdictStatus.NOT_GATEAUX and v.failure_witness is step
+    assert v.detail == "one-sided limits disagree along probe 0: d_plus=1.0, d_minus=-0.0"
+    _assert_same_verdict(f, tent, [step])
 
 
 def test_a_linearity_pair_that_cannot_be_built_raises_only_once_it_is_asked_for():

@@ -183,6 +183,31 @@ def test_summability_check_bounds_N_before_summing():
             vakhania_check(default_spec(), N)
 
 
+_NOT_INTEGERS = {
+    "vakhania-bool": lambda: vakhania_check(default_spec(), True),
+    "vakhania-fraction": lambda: vakhania_check(default_spec(), 10.5),
+    "standard-normal-bool": lambda: standard_normal_spec(True),
+    "standard-normal-fraction": lambda: standard_normal_spec(2.5),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_INTEGERS.values()), ids=list(_NOT_INTEGERS))
+def test_counts_that_are_not_integers_are_precondition_failures(call):
+    with pytest.raises(PreconditionFailedError, match="must be an integer"):
+        call()
+
+
+def test_counts_out_of_range_keep_their_messages():
+    with pytest.raises(PreconditionFailedError, match=f"need 1 <= N <= {MAX_TERMS}") as err:
+        vakhania_check(default_spec(), 0)
+    assert err.value.context == {"N": 0}
+    with pytest.raises(PreconditionFailedError, match=f"need 1 <= n <= {MAX_N}") as err:
+        standard_normal_spec(MAX_N + 1)
+    assert err.value.context == {"n": MAX_N + 1}
+    assert vakhania_check(default_spec(), np.int64(100)) == vakhania_check(default_spec(), 100)
+    assert standard_normal_spec(np.int32(3)) == standard_normal_spec(3)
+
+
 def test_summability_check_memory_is_bounded_in_N():
     tracemalloc.start()
     try:

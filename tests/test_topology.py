@@ -200,6 +200,31 @@ def test_a_densifier_refuses_a_repair_that_floats_cannot_make(densify, x, eps, l
         densify(x, eps)
 
 
+# repairs whose sup would pass the largest finite float
+_OVERFLOWING = {
+    "linf": (densify_linf, seq_point(Space.LINF_SEQ, [1.79e308, 1.0])),
+    "rt-negative-sup": (densify_linf, seq_point(Space.RT, [-1.79e308, 1.0])),
+    "csup": (densify_csup, pw_from_values(Space.C_AB, [0.0, 0.5, 1.0], [1.79e308, 1.0, 1.79e308])),
+}
+
+
+@pytest.mark.parametrize("densify, x", list(_OVERFLOWING.values()), ids=list(_OVERFLOWING))
+def test_a_densifier_refuses_to_lift_the_sup_past_the_largest_float(densify, x):
+    with pytest.raises(PreconditionFailedError) as err:
+        densify(x, 1e307)
+    assert str(err.value) == (
+        "eps 1e+307 lifts the sup 1.79e+308 past the largest finite float 1.7976931348623157e+308"
+    )
+
+
+def test_densify_l1_tail_does_not_underflow_where_eps_over_the_power_is_a_normal_float():
+    x = seq_point(Space.L1_SEQ, [1.0] + [0.0] * 1100)
+    y = densify_l1(x, 1e300)
+    # coordinate 1100 (1-based) gets eps/2^1101, about 3.68e-32; the power alone underflows
+    assert y.coords[1099] == np.ldexp(1e300, -1101) > 1e-32
+    assert y.coords[1:].tolist() == np.ldexp(1e300, -np.arange(3, 1103)).tolist()
+
+
 @pytest.mark.parametrize(
     "coords, eps",
     [([0.0, 1.0], 1e-323), ([1.0] + [0.0] * 1100, 1.0)],
