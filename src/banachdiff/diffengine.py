@@ -48,7 +48,6 @@ from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
-    _MAX_SEQUENCES,
     _coordinate_norms,
     _norms,
     eval_norm,
@@ -123,6 +122,15 @@ class Functional:
     ``evaluator(linear_combine(1.0, x, steps[i], H[j]))``, checks what
     :func:`linear_combine` checks, and may return a non-finite entry, or
     raise :class:`EvalFailureError`, where that evaluation fails.
+    ``fit``, read only beside a batch and only at sequence points, is the
+    same along coordinate vectors, which it never builds: for an integer
+    array ``ks`` of indices in [0, x.dim), ``fit(x, ks, steps)`` returns an
+    array whose entry ``[j, i]`` is bitwise
+    ``evaluator(linear_combine(1.0, x, steps[i], e_k))`` for k = ks[j], and
+    fails as a batch does.  A map that reads few coordinates, or moves one
+    coordinate at a time cheaply, declares one: the max norms of
+    :func:`norm_functional` and the cylinders of
+    :func:`~banachdiff.projective.full_functional` do.
     :func:`_rows` is the one code that evaluates a functional along
     directions, with or without a batch; :meth:`along` is its one-direction
     form.
@@ -132,6 +140,7 @@ class Functional:
     evaluator: Callable[[SpacePoint], float]
     space_tag: Space | None = None
     batch: Callable[[SpacePoint, SpacePoint, np.ndarray], np.ndarray] | None = None
+    fit: Callable[[SpacePoint, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def _expect(self, x: SpacePoint) -> None:
         if self.space_tag is not None and x.space is not self.space_tag:
@@ -160,8 +169,11 @@ class Functional:
 def norm_functional(space: Space) -> Functional:
     """The norm of ``space`` as a :class:`Functional` whose batch is
     :func:`~banachdiff.spaces.norms_along`; a Functional is frozen, so
-    each space has one."""
-    return Functional(f"{space.value.lower()}_norm", lambda p: eval_norm(p).value, space, norms_along)
+    each space has one.  The max norms of LINF_SEQ and RT read their fit
+    rows through :func:`~banachdiff.spaces._coordinate_norms`, O(steps)
+    numbers a row; the other norms have no fit kernel yet."""
+    fit = _coordinate_norms if space in (Space.LINF_SEQ, Space.RT) else None
+    return Functional(f"{space.value.lower()}_norm", lambda p: eval_norm(p).value, space, norms_along, fit)
 
 
 @dataclass(frozen=True)
@@ -541,25 +553,24 @@ def _rows(
 
     With a batch, each block of :func:`_blocks` is one stack, evaluated
     once the pairs before it are taken, in batch calls of at most
-    ``_BATCH_VALUES`` numbers each.  When the batch is
-    :func:`~banachdiff.spaces.norms_along` and x is a LINF_SEQ or RT point,
-    a block of fit indices alone is read by
-    :func:`~banachdiff.spaces._coordinate_norms` instead: H is then the
-    integer array of the indices, and each row is O(steps) numbers.  A
-    block whose batch raises :class:`EvalFailureError` or holds any
-    non-finite value is evaluated again as a whole, one direction at a
-    time, as is every direction of a functional without a batch: each
+    ``_BATCH_VALUES`` numbers each.  When f declares a ``fit`` kernel and x
+    is a sequence point, a block of fit indices alone is read by the
+    kernel instead: H is then the integer array of the indices, and each
+    row costs what the kernel spends on it.  A block whose batch or kernel
+    raises :class:`EvalFailureError` or holds any non-finite value is
+    evaluated again as a whole, one direction at a time, as is every
+    direction of a functional without a batch: each
     step is one call of f on ``linear_combine(1.0, x, s, h)``, in order,
     so a failure raises the error of the first step that fails, after the
     rows before it.  Batch values equal these calls bit for bit, so the
     rows of a failing block come out as its batch would have given them.
     """
     n, batched = steps.shape[0], f.batch is not None
-    coordinate = f.batch is norms_along and x.space in _MAX_SEQUENCES
+    coordinate = f.fit is not None and x.space in SEQUENCE_SPACES
     for block, width in _blocks(x, dirs, n, coordinate) if batched else (([d], 0) for d in dirs):
         if batched:
             if coordinate and not isinstance(block[0], SpacePoint):
-                H, batch = np.array(block), _coordinate_norms
+                H, batch = np.array(block), f.fit
             else:
                 H, batch = _stack(x, block), f.batch
             cols = max(1, _BATCH_VALUES // (len(block) * width))

@@ -353,13 +353,21 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     the standardized variable z keeps the density's mass where the
     quadrature looks for it whatever s is: over u = s*z in [0, inf), quad
     can miss a density of width 1e-4 altogether and report a converged 0.0
-    where the probability is 1.  At unit variances z is u, so the value is
-    that of integrating over u, bit for bit.  Entirely independent of the
-    Monte-Carlo sampler.  A quadrature that scipy flags as not converged,
-    or whose error estimate stays above 1e-6, raises
-    :class:`QuadratureNonconvergedError` with the error estimate in its
-    context.  The quadrature's value is clamped into [0, 1], where the
-    probability lies, so the clamp can only move an estimate toward it.
+    where the probability is 1.  The integrand has a kink at z = delta/s,
+    where the lower end s*z - delta of the band turns positive; one quad
+    over [0, inf) misses it and returns little more than the first-order
+    term, 2.8e-4 relative off at delta = 0.001 on unit variances.  So the
+    integral is split there, into [0, delta/s] and [delta/s, inf): on unit
+    variances and on the default law, at delta from 1e-5 to 1, the value
+    is within 1.1e-12 relative of a 40-digit quadrature.  Past z = 40 the
+    density is 0.0 in floats, so the split point is at most 40: a finite
+    piece far wider than the density would hide it from quad.
+    Entirely independent of the Monte-Carlo sampler.  A quadrature that
+    scipy flags as not converged on either piece, or whose two error
+    estimates sum to more than 1e-6, raises
+    :class:`QuadratureNonconvergedError` with that sum in its context.
+    The quadrature's value is clamped into [0, 1], where the probability
+    lies, so the clamp can only move an estimate toward it.
     """
     if not 0.0 <= delta < math.inf:
         raise PreconditionFailedError("delta must be finite and nonnegative", delta=delta)
@@ -381,7 +389,10 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
         u = s * z
         return inv_root * (2.0 * math.exp(-0.5 * z * z)) * (folded_cdf(u + delta) - folded_cdf(u - delta))
 
-    value, abserr, _, *message = quad(integrand, 0.0, np.inf, limit=200, full_output=1)
+    kink = min(delta / s, 40.0)
+    pieces = [quad(integrand, lo, hi, limit=200, full_output=1) for lo, hi in ((0.0, kink), (kink, np.inf))]
+    value, abserr = pieces[0][0] + pieces[1][0], pieces[0][1] + pieces[1][1]
+    message = pieces[0][3:] or pieces[1][3:]
     if message:
         raise QuadratureNonconvergedError(
             f"quadrature did not converge: {' '.join(message[0].split())}", abserr=abserr

@@ -34,8 +34,10 @@ from .diffengine import (
     _checked,
     _fit_point,
     _quotient_trace,
+    _rows,
     _unit_ball_directions,
     gateaux_verdict,
+    norm_functional,
     one_sided_derivatives,
 )
 from .errors import (
@@ -52,7 +54,6 @@ from .spaces import (
     SpacePoint,
     eval_norm,
     linear_combine,
-    norms_along,
     rows_along,
     seq_point,
     sig,
@@ -200,7 +201,7 @@ def wseries_functional() -> Functional:
 
 CYL_BASES: dict[str, Callable[[], Functional]] = {
     "wseries_partial": lambda: Functional("wseries_partial", wseries_eval, Space.RT, _wseries_along),
-    "supnorm": lambda: Functional("supnorm", lambda p: eval_norm(p).value, Space.RT, norms_along),
+    "supnorm": lambda: dataclasses.replace(norm_functional(Space.RT), name="supnorm"),
 }
 
 
@@ -218,34 +219,60 @@ def cyl_eval(cf: CylindricalFunction, sys_: ProjectiveSystem, x: SpacePoint) -> 
 
 
 def _cylinder_batch(cf: CylindricalFunction, sys_: ProjectiveSystem):
-    """A batch of the cylindrical function on full sequence points (see
-    :class:`~banachdiff.diffengine.Functional`), or None when its base has
-    none.
+    """The batch and the fit kernel of the cylindrical function on full
+    sequence points (see :class:`~banachdiff.diffengine.Functional`), or
+    None for both when its base has no batch.  Both evaluate the base at
+    the projected point.
 
-    The combinations are made on the full points first, so an overflow in
-    any coordinate raises, also in one the projection drops.  The base's
-    batch then evaluates the projected point along the stack's first
-    ``base_dim`` columns: each of those rows is bitwise the projection of
-    the full row, so each value is bitwise the base at
+    The batch makes its combinations on the full points first, so an
+    overflow in any coordinate raises, also in one the projection drops.
+    The base's batch then evaluates the projected point along the stack's
+    first ``base_dim`` columns: each of those rows is bitwise the
+    projection of the full row, so each value is bitwise the base at
     ``project(linear_combine(1.0, x, s, H[j]))``.
+
+    Along e_k only x_k moves, so the fit kernel reads the base's rows at
+    the projected point through :func:`~banachdiff.diffengine._rows`: along
+    e_k for k < ``base_dim``, and along the zero vector, where every e_k
+    with k >= ``base_dim`` projects (the full row's ``x_j + s*0.0`` are its
+    coordinates, a -0.0 turned to 0.0 at s > 0 included).  A row whose
+    x_k + s overflows reads inf, so the block is evaluated again one point
+    at a time and raises the full point's error.  No row of the full
+    width is made, and the base's rows come in the engine's bounded
+    blocks, so beyond them a fit row costs O(steps) numbers whatever the
+    width of x.
     """
     base, t = cf.base, cf.base_dim
     if base.batch is None:
-        return None
+        return None, None
+
+    def projected(x: SpacePoint) -> SpacePoint:
+        xt = sys_.project(t, x)
+        base._expect(xt)
+        return xt
 
     def batch(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray:
         rows_along(x, H, steps)
-        xt = sys_.project(t, x)
-        base._expect(xt)
-        return base.batch(xt, SpacePoint(Space.RT, coords=H.coords[..., :t]), steps)
+        return base.batch(projected(x), SpacePoint(Space.RT, coords=H.coords[..., :t]), steps)
 
-    return batch
+    def fit(x: SpacePoint, ks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        low = ks < t
+        dirs = [seq_point(Space.RT, np.zeros(t)), *ks[low].tolist()]
+        # row 0 is the zero vector's, row r the r-th k < base_dim's
+        rows = np.concatenate([v for _, v in _rows(base, projected(x), dirs, steps)])[np.cumsum(low) * low]
+        with np.errstate(over="ignore"):
+            rows[~np.isfinite(np.add.outer(x.coords[ks], steps))] = math.inf
+        return rows
+
+    return batch, fit
 
 
 def full_functional(cf: CylindricalFunction, sys_: ProjectiveSystem) -> Functional:
     """The cylindrical function as a Functional on full sequence points,
-    with a batch when its base has one (see :func:`_cylinder_batch`)."""
-    return Functional(cf.name, lambda x: cyl_eval(cf, sys_, x), batch=_cylinder_batch(cf, sys_))
+    with a batch and a fit kernel when its base has a batch (see
+    :func:`_cylinder_batch`): a verdict's N coordinate fit rows then cost
+    O(steps) numbers each beyond the base's own rows, not O(N·steps)."""
+    return Functional(cf.name, lambda x: cyl_eval(cf, sys_, x), None, *_cylinder_batch(cf, sys_))
 
 
 def _lift_direction(w: SpacePoint, template: SpacePoint) -> SpacePoint:
@@ -386,7 +413,7 @@ def _composition(outer: ScalarMap, inner: CylindricalFunction, sys_: ProjectiveS
     way :func:`~banachdiff.diffengine._rows` evaluates from there one point
     at a time, so the first failing step raises its own error.
     """
-    inner_batch = _cylinder_batch(inner, sys_)
+    inner_batch, _ = _cylinder_batch(inner, sys_)
 
     def batch(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarray:
         values = inner_batch(x, H, steps).tolist()

@@ -582,23 +582,21 @@ def norms_along(x: SpacePoint, H: SpacePoint, steps) -> np.ndarray:
     return _norms(x.space, rows.get("coords"), rows.get("values"), rows.get("lefts")).T
 
 
-# The sequence spaces with a max norm: the spaces whose norms along
-# coordinate vectors :func:`_coordinate_norms` reads.
-_MAX_SEQUENCES = frozenset({Space.LINF_SEQ, Space.RT})
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _coordinate_norms(x: SpacePoint, ks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """``‖x + s*e_k‖`` at ``[j, i]`` for k = ks[j] and s = steps[i], at a
-    point x of a max-norm sequence space (``_MAX_SEQUENCES``), for indices
-    in [0, dim) and finite steps, which the caller guarantees.  Along e_k
-    only coordinate k moves, so the norm is ``max(M_k, |x_k + s|)``, where
-    M_k is the largest |x_j| with j ≠ k (0 at dimension 1): O(steps)
-    numbers per row, and bitwise the row :func:`norms_along` reads along
-    the dense vector e_k, since a max is exact and ``x_j + s*0.0`` keeps
-    |x_j|.  A row whose ``x_k + s`` overflows comes out infinite.  L1_SEQ
-    has no such form: a sum of one moved coordinate is not bitwise the
-    dense pairwise sum off the dyadic lattice.
+    point x of a max-norm sequence space, LINF_SEQ or RT, for indices in
+    [0, dim) and finite steps: the fit kernel (see
+    :class:`~banachdiff.diffengine.Functional`) that
+    :func:`~banachdiff.diffengine.norm_functional` declares for those two
+    spaces.  Along e_k only coordinate k moves, so the norm is
+    ``max(M_k, |x_k + s|)``, where M_k is the largest |x_j| with j ≠ k (0
+    at dimension 1): O(steps) numbers per row, and bitwise the row
+    :func:`norms_along` reads along the dense vector e_k, since a max is
+    exact and ``x_j + s*0.0`` keeps |x_j|.  A row whose ``x_k + s``
+    overflows comes out infinite.  L1_SEQ has no such form: a sum of one
+    moved coordinate is not bitwise the dense pairwise sum off the dyadic
+    lattice.
     """
     profile = np.abs(x.coords)
     p, q = _top_two(profile)

@@ -32,7 +32,7 @@ from banachdiff.spaces import Space, constant_fn, point_to_dict, point_to_json, 
 # delta = 0.01, 20000 draws, seed 7 — frozen from a direct run of the
 # sampler; the matching quadrature value is asserted alongside it.
 MC_STD_FRACTION = 0.01135
-B2_STD_001 = 0.01125186725411195
+B2_STD_001 = 0.011251867181954998
 
 # left-to-right partial sum of (k+2)^(-2) over the first 1000 terms
 PARTIAL_1000 = 0.3939365606965239
@@ -421,8 +421,9 @@ def test_readme_diff_report_is_unchanged_byte_for_byte(capsys):
 
 
 # sha256 of the report of the README `measure` example, frozen from the
-# sampler that built each block from separate uniform, normal and scaled arrays
-README_MEASURE_SHA256 = "aa65a0bad03a23435a46211f5d0c016627df584929801dac9ebe1cbf9ecb0516"
+# sampler that built each block from separate uniform, normal and scaled
+# arrays, and from the quadrature split at its kink
+README_MEASURE_SHA256 = "8cbb15aee8a93fce54f4fd1b9f759ce278aa9c33be48857e5a529852639f9cba"
 
 
 def test_readme_measure_report_is_unchanged_byte_for_byte(capsys):

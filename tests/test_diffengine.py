@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachdiff import diffengine, spaces
+from banachdiff import diffengine, projective, spaces
 from banachdiff._rng import philox_gen
 from banachdiff.diffengine import (
     DEFAULT_GRID,
@@ -56,7 +56,15 @@ from banachdiff.oracles import (
     witness_linf,
     witness_nbv,
 )
-from banachdiff.projective import CYL_BASES, _lift_direction, cyl_gateaux, make_cylinder, make_truncation_system
+from banachdiff.projective import (
+    CYL_BASES,
+    CylindricalFunction,
+    _lift_direction,
+    cyl_gateaux,
+    full_functional,
+    make_cylinder,
+    make_truncation_system,
+)
 from banachdiff.spaces import (
     FUNCTION_SPACES,
     SEQUENCE_SPACES,
@@ -65,7 +73,6 @@ from banachdiff.spaces import (
     constant_fn,
     eval_norm,
     linear_combine,
-    norms_along,
     pw_from_values,
     pw_point,
     seq_point,
@@ -1254,9 +1261,8 @@ _HUGE = TGrid(t0=2.0**1020, rho=0.5, count=4)
 
 
 def _dense_twin(f):
-    """f with a batch that is not norms_along itself, so it is handed dense
-    stacks only."""
-    return Functional(f.name, f.evaluator, f.space_tag, lambda x, H, s: norms_along(x, H, s))
+    """f without its fit kernel, so its batch is handed dense stacks only."""
+    return dataclasses.replace(f, fit=None)
 
 
 def _unit(x, k):
@@ -1327,16 +1333,141 @@ def _dominant_point(space, dim):
 @pytest.mark.parametrize("space", [Space.LINF_SEQ, Space.RT])
 def test_max_norm_fit_rows_take_at_most_two_array_passes(monkeypatch, space):
     # the probe, 2 * probe 0 and the fit rows that fit with them make one
-    # dense stack; the rest of the 64 coordinate vectors one coordinate stack
+    # dense stack; the rest of the 64 coordinate vectors one coordinate stack,
+    # read by the fit kernel the norm declares
     passes = []
-    for module, kernel in ((spaces, "rows_along"), (diffengine, "_coordinate_norms")):
-        real = getattr(module, kernel)
-        monkeypatch.setattr(module, kernel, lambda *args, real=real: passes.append(real) or real(*args))
+    real = spaces.rows_along
+    monkeypatch.setattr(spaces, "rows_along", lambda *args: passes.append("dense") or real(*args))
+    kernel = norm_functional(space).fit
+    f = dataclasses.replace(norm_functional(space), fit=lambda *args: passes.append("fit") or kernel(*args))
     x = _dominant_point(space, 64)
     h = seq_point(space, np.full(64, 2.0**-6))
-    v = gateaux_verdict(norm_functional(space), x, [h], EXACT)
+    v = gateaux_verdict(f, x, [h], EXACT)
     assert v.status is VerdictStatus.GATEAUX and len(v.traces) == 66
-    assert len(passes) <= 2
+    assert "fit" in passes and len(passes) <= 2
+
+
+# -- coordinate fit rows of cylinders on full points ---------------------------
+
+
+def _cylinder_point(rng, space, dim, t, huge):
+    """A point with a -0.0 and, when ``huge``, coordinates at the float
+    maximum on either side of the base dimension t, or on both."""
+    c = lattice(rng, -2.0, 2.0, dim) if rng.integers(0, 2) else rng.uniform(-2.0, 2.0, dim)
+    if huge:
+        c *= 2.0**1021
+        for lo, hi in ((0, min(t, dim)), (t, dim)):
+            if lo < hi and rng.integers(0, 2):
+                c[rng.integers(lo, hi)] = np.finfo(float).max * rng.choice([-1.0, 1.0])
+    c[rng.integers(0, dim)] = -0.0
+    return seq_point(space, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(CYL_BASES)),
+    st.sampled_from([-1, 0, 1, 64, 300]),  # N = t - 1, t, t + 1, or itself
+    st.sampled_from([DEFAULT_GRID, EXACT, _HUGE]),
+    st.booleans(),
+)
+def test_cylinder_fit_rows_equal_dense_rows_bitwise(seed, base, width, grid, huge):
+    rng = np.random.default_rng(seed)
+    t = int(rng.choice([2, 3, 8, 13, 100, 250]))
+    dim = t + width if width <= 1 else width
+    space = [Space.L1_SEQ, Space.LINF_SEQ, Space.RT][int(rng.integers(0, 3))]
+    x = _cylinder_point(rng, space, dim, t, huge)
+    probes = [_cylinder_point(rng, space, dim, t, huge and rng.integers(0, 2))]
+    if rng.integers(0, 2):
+        probes[0] = _unit(x, int(rng.integers(0, dim)))
+    f = full_functional(make_cylinder(base, t), make_truncation_system(sorted({t, dim})))
+    assert f.fit is not None
+    outcomes = []
+    for g in (f, _dense_twin(f)):
+        try:
+            v = gateaux_verdict(g, x, probes, grid)
+        except ToolkitError as exc:
+            outcomes.append((type(exc).__name__, str(exc), exc.context))
+        else:  # the report holds the detail and the witness
+            outcomes.append((json.dumps(v.to_dict(), default=float), _details(v)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("base", sorted(CYL_BASES))
+def test_a_fit_row_that_overflows_in_a_dropped_coordinate_raises_as_the_dense_row_does(base):
+    # every row up to e_200 settles; x_200 + 2**1020 overflows, which the
+    # projection would hide, so the block is evaluated again point by point
+    c = np.full(300, 2.0**1021)
+    c[0], c[200] = 1.5 * 2.0**1023, np.finfo(float).max
+    x = seq_point(Space.RT, c)
+    f = full_functional(make_cylinder(base, 8), make_truncation_system([8, 300]))
+    rows = f.fit(x, np.arange(150, 250), _HUGE._signed)
+    assert np.isinf(rows[50]).tolist() == [True] * 4 + [False] * 4  # x_200 - s is finite
+    assert np.isfinite(np.delete(rows, 50, axis=0)).all()
+    want = _outcome(lambda: gateaux_verdict(_dense_twin(f), x, [_unit(x, 0)], _HUGE))
+    assert want == ("EvalFailureError", "linear combination overflows", {"alpha": 1.0, "beta": 2.0**1020})
+    assert _outcome(lambda: gateaux_verdict(f, x, [_unit(x, 0)], _HUGE)) == want
+
+
+def test_cylinder_fit_rows_keep_the_sign_a_zero_coordinate_takes_at_each_step():
+    # x_j + s*0.0 is 0.0 at s > 0 and -0.0 at s < 0 for x_j = -0.0: a base
+    # that reads sign bits sees it, also in the rows whose k the projection drops
+    def batch(x, H, steps):
+        return np.signbit(spaces.rows_along(x, H, steps)["coords"]).sum(axis=-1).T.astype(float)
+
+    base = Functional("signbits", lambda p: float(np.signbit(p.coords).sum()), Space.RT, batch)
+    x = seq_point(Space.RT, [1.0, -0.0, -2.0, 3.0, -0.0, 4.0])
+    f = full_functional(CylindricalFunction("signbits_3", 3, base), make_truncation_system([3, 6]))
+    pointwise = [[f(linear_combine(1.0, x, s, _unit(x, k))) for s in EXACT._signed] for k in range(6)]
+    assert pointwise[5] == [1.0] * 9 + [2.0] * 9
+    assert f.fit(x, np.arange(6), EXACT._signed).tolist() == pointwise
+
+
+def _cylinder_case(dim, t):
+    """A GATEAUX point of both cylinder bases (integer coordinates, one
+    dominant among the first t) with a probe in eighths."""
+    rng = np.random.default_rng(dim)
+    c = rng.integers(1, 64, dim) * rng.choice([-1.0, 1.0], dim)
+    c[t // 2] = 100.0
+    h = seq_point(Space.RT, rng.integers(-8, 9, dim) / 8.0)
+    return seq_point(Space.RT, c), h, make_truncation_system(sorted({8, t, dim}))
+
+
+@pytest.mark.parametrize("base", sorted(CYL_BASES))
+def test_a_full_point_cylinder_verdict_combines_numbers_linear_in_the_dimension(monkeypatch, base):
+    # dense fit rows combine dim numbers per row and step, dim**2 * steps in
+    # all: 160 million here; the probe and 2 * probe 0 take dim * steps each
+    numbers = []
+    for module in (spaces, projective):
+        real = module.rows_along
+
+        def counting(x, H, steps, real=real):
+            rows = real(x, H, steps)
+            numbers.append(rows["coords"].size)
+            return rows
+
+        monkeypatch.setattr(module, "rows_along", counting)
+    dim, steps = 2000, DEFAULT_GRID._signed.shape[0]
+    x, h, sys_ = _cylinder_case(dim, 8)
+    v = gateaux_verdict(full_functional(make_cylinder(base, 8), sys_), x, [h])
+    assert v.status is VerdictStatus.GATEAUX and len(v.traces) == dim + 2
+    assert sum(numbers) < 3 * dim * steps
+
+
+def test_a_cylinder_as_wide_as_its_point_keeps_verdict_memory_bounded():
+    # the base reads every coordinate, so its fit rows come in the engine's
+    # bounded blocks: one block of 819 of them would take 262 MB at dim 1000
+    dim = 1000
+    x, h, sys_ = _cylinder_case(dim, dim)
+    f = full_functional(make_cylinder("wseries_partial", dim), sys_)
+    tracemalloc.start()
+    try:
+        v = gateaux_verdict(f, x, [h], EXACT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.status is VerdictStatus.GATEAUX and len(v.traces) == dim + 2
+    assert peak < 32 * 2**20
 
 
 def test_lipschitz_memory_is_bounded_in_the_dimension():

@@ -46,11 +46,25 @@ PARTIAL_1000 = 0.3939365606965239
 PARTIAL_10K = 0.39483409184206125
 CLOSED_FORM = math.pi ** 2 / 6.0 - 1.25
 
-# two-coordinate tie-band probabilities at delta = 0.01, by quadrature; the
-# inv_log value is 5.1e-11 below 0.0124535397727561282, a 40-digit mpmath
-# quadrature of the same integral
-B2_STD_001 = 0.01125186725411195
-B2_INVLOG_001 = 0.012453539721766256
+# two-coordinate tie-band probabilities at delta = 0.01, by quadrature
+B2_STD_001 = 0.011251867181954998
+B2_INVLOG_001 = 0.012453539772769353
+
+# P(||X_1| - |X_2|| <= delta) by 40-digit mpmath quadrature of the integral
+# the oracle computes, split at its kink, on unit variances ("std") and on
+# the first two variances 1/ln 3, 1/ln 4 of the default law ("inv_log")
+B2_REFERENCE = {
+    ("std", 1e-5): 1.12837598398724772161970687236866629979e-5,
+    ("std", 1e-3): 1.128060763230790242618406448820647884896e-3,
+    ("std", 0.01): 1.125186718195500939852968165338043293704e-2,
+    ("std", 0.1): 0.1095661557132859183487423625123169063226,
+    ("std", 1.0): 0.770079632822696699986157638600168865825,
+    ("inv_log", 1e-5): 1.249290987805470559473939217737292607197e-5,
+    ("inv_log", 1e-3): 1.248901962671922747480972825972123355349e-3,
+    ("inv_log", 0.01): 1.245353977275612881180282433123891862501e-2,
+    ("inv_log", 0.1): 0.1208818571732211955433689856468727328967,
+    ("inv_log", 1.0): 0.8104804075585541941193504788579668979451,
+}
 
 
 def test_spec_validation():
@@ -244,6 +258,15 @@ def test_tie_band_estimate_matches_the_quadrature_oracle():
     est = estimate_nondiff_measure(spec, 2, 0.01, 20000, seed=7)
     assert abs(est.fraction - B2_STD_001) <= 3.0 * est.std_error
     assert b2_tie_probability_oracle(default_spec(), 0.01) == B2_INVLOG_001
+
+
+@pytest.mark.parametrize("law, delta", sorted(B2_REFERENCE))
+def test_the_quadrature_oracle_matches_40_digit_values(law, delta):
+    # one quad over [0, inf) missed the kink at delta/s: 2.8e-4 relative
+    # off at std 1e-3, and 3.1e-4 at inv_log 1e-3
+    spec = standard_normal_spec(2) if law == "std" else default_spec()
+    want = B2_REFERENCE[law, delta]
+    assert abs(b2_tie_probability_oracle(spec, delta) - want) <= 1e-11 * want
 
 
 def test_tie_band_mass_shrinks_with_delta():
@@ -542,21 +565,29 @@ def test_a_spec_needs_variances_or_a_law_and_one_based_coordinates():
 _DIVERGENT = "The integral is probably divergent, or slowly\n  convergent."
 
 
-def _flagged_quad(abserr):
-    """A stand-in for scipy's quad that returns 0.5 with the error estimate
-    ``abserr`` and flags the integral as divergent, as quad's full output
-    does."""
-    return lambda *args, **kwargs: (0.5, abserr, {}, _DIVERGENT)
+def _quad_returning(*pieces):
+    """A stand-in for scipy's quad whose calls return ``pieces`` in turn:
+    the oracle integrates up to the kink and then beyond it."""
+    calls = iter(pieces)
+    return lambda *args, **kwargs: next(calls)
 
 
 # no request is known on which the standardized quadrature does not converge
 @pytest.mark.parametrize("abserr", [6.2e-6, 3.6e-12, 5.1e-20])
 def test_a_quadrature_that_scipy_flags_is_a_typed_failure_whatever_its_error_estimate(monkeypatch, abserr):
-    monkeypatch.setattr("scipy.integrate.quad", _flagged_quad(abserr))
+    flagged = (0.25, abserr, {}, _DIVERGENT)  # as quad's full output flags an integral
+    monkeypatch.setattr("scipy.integrate.quad", _quad_returning(flagged, flagged))
     with pytest.raises(QuadratureNonconvergedError) as err:
         b2_tie_probability_oracle(default_spec(), 0.01)
     assert str(err.value) == "quadrature did not converge: The integral is probably divergent, or slowly convergent."
-    assert err.value.context["abserr"] == abserr
+    assert err.value.context["abserr"] == abserr + abserr
+
+
+def test_a_quadrature_flagged_beyond_the_kink_alone_is_a_typed_failure(monkeypatch):
+    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.25, 1e-12, {}), (0.25, 2e-12, {}, "roundoff")))
+    with pytest.raises(QuadratureNonconvergedError, match="did not converge: roundoff") as err:
+        b2_tie_probability_oracle(default_spec(), 0.01)
+    assert err.value.context["abserr"] == 1e-12 + 2e-12
 
 
 def _within_three_sigma(value, est):
@@ -607,11 +638,12 @@ def test_the_quadrature_oracle_agrees_with_the_estimate_over_variances_of_every_
 def test_an_unflagged_quadrature_with_a_large_error_estimate_is_a_typed_failure(monkeypatch):
     # scipy returns no message only when its error estimate meets its own
     # tolerance, max(1.49e-8, 1.49e-8 * |value|), which stays below 1e-6
-    # for any value a probability can take; the guard refuses the rest
-    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.5, 2e-6, {}))
+    # for any value a probability can take; the guard refuses the rest, and
+    # the estimates of the two pieces add up
+    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.25, 6e-7, {}), (0.25, 6e-7, {})))
     with pytest.raises(QuadratureNonconvergedError, match="error estimate stayed above 1e-6") as err:
         b2_tie_probability_oracle(default_spec(), 0.01)
-    assert err.value.context["abserr"] == 2e-6
+    assert err.value.context["abserr"] == 6e-7 + 6e-7
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1"], ids=repr)
@@ -625,7 +657,7 @@ def test_the_stream_of_a_numpy_integer_seed_is_that_of_the_int():
 
 
 def test_a_quadrature_that_reads_above_one_is_clamped_to_a_probability(monkeypatch):
-    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (1.000000000139278, 1e-9, {}))
+    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.5, 1e-9, {}), (0.500000000139278, 1e-9, {})))
     assert b2_tie_probability_oracle(default_spec(), 0.01) == 1.0
 
 
