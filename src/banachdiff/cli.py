@@ -19,7 +19,8 @@ grid, tolerance, truncation dimensions, and seed; explicit flags win.
 The ``BS_SEED`` environment variable supplies the seed when neither a
 flag nor the config does.  Seeds are non-negative integers, and an
 integer setting (``count``, ``seed``, the ``dims`` entries) that is a
-bool or not integral exits 2 rather than being truncated.  ``--threads``
+bool or not integral exits 2 rather than being truncated; a real setting
+(``t0``, ``rho``, ``tol``) that is a bool exits 2 as well.  ``--threads``
 is accepted for interface stability and ignored: ``measure`` counts on
 its own threads whatever it says.  It is left out of the echoed inputs.
 
@@ -178,6 +179,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float; a bool is refused, as :func:`_integer`
+    refuses it, while a number or a numeric string converts."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a bool")
+    return float(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of integers, got {type(value).__name__}")
@@ -194,14 +203,14 @@ def _seed_of(args, cfg: dict) -> int:
 
 def _grid_of(args, cfg: dict) -> TGrid:
     return TGrid(
-        t0=_setting(args, cfg, "t0", "t0", float, DEFAULT_GRID.t0),
-        rho=_setting(args, cfg, "rho", "rho", float, DEFAULT_GRID.rho),
+        t0=_setting(args, cfg, "t0", "t0", _real, DEFAULT_GRID.t0),
+        rho=_setting(args, cfg, "rho", "rho", _real, DEFAULT_GRID.rho),
         count=_setting(args, cfg, "count_steps", "count", _integer, DEFAULT_GRID.count),
     )
 
 
 def _tol_of(args, cfg: dict) -> float:
-    return _setting(args, cfg, "tol", "tol", float, DEFAULT_TOL)
+    return _setting(args, cfg, "tol", "tol", _real, DEFAULT_TOL)
 
 
 def _dims_of(args, cfg: dict) -> tuple[int, ...]:
@@ -433,7 +442,7 @@ def _cmd_suite(args, cfg):
 
 
 def _add_point_flags(sub, with_dir: bool = False):
-    sub.add_argument("--space", help="space tag: l1, linf, rt, c_ab, linf_r, nbv")
+    sub.add_argument("--space", help=f"space tag: {', '.join(_SPACE_ALIASES)}")
     sub.add_argument("--point", help="JSON array of coordinates (sequence spaces)")
     sub.add_argument("--file", help="path to a point document (any space)")
     if with_dir:
@@ -452,7 +461,7 @@ def _add_cylinder_flags(sub):
     sub.add_argument("--base", required=True, help=f"base map: one of {sorted(CYL_BASES)}")
     sub.add_argument("--t", type=int, required=True, help="truncation dimension")
     sub.add_argument("--dims", type=_comma_list,
-                     help="comma-separated truncation chain (default 2,3,5,8,13)")
+                     help=f"comma-separated truncation chain (default {','.join(map(str, _DEFAULT_DIMS))})")
 
 
 def build_parser() -> argparse.ArgumentParser:

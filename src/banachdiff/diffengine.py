@@ -346,6 +346,11 @@ class DiffVerdict:
         return doc
 
 
+def _verdict(traces: Sequence[QuotientTrace], status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
+    """The verdict of every check: ``traces`` as read so far, frozen."""
+    return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
+
+
 def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) -> float:
     """(f(x + t*h) - f(x)) / t, exactly as evaluated."""
     if t == 0.0 or not math.isfinite(t):
@@ -732,9 +737,6 @@ def gateaux_verdict(
     else:
         dirs.extend(range(_fit_count(x)))
 
-    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
-        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
-
     def stage(i: int) -> str:
         if i < m:
             return f"probe {i}"
@@ -744,20 +746,20 @@ def gateaux_verdict(
     for i, tr in enumerate(_traces(f, x, dirs, grid, tol, fx, nx)):
         traces.append(tr)
         if tr.split(tol):
-            return verdict(
-                VerdictStatus.NOT_GATEAUX,
+            return _verdict(
+                traces, VerdictStatus.NOT_GATEAUX,
                 f"one-sided limits disagree along {stage(i)}: "
                 f"d_plus={float(tr.d_plus)}, d_minus={float(tr.d_minus)}",
                 failure_witness=_point(x, dirs[i]),
             )
         if tr.d_plus is None or tr.d_minus is None:
-            return verdict(VerdictStatus.INCONCLUSIVE, tr.unsettled(stage(i)))
+            return _verdict(traces, VerdictStatus.INCONCLUSIVE, tr.unsettled(stage(i)))
         if m <= i < fit:
             a, b, j, _ = pairs[i - m]
             expected = a * limits[0] + b * limits[j]
             if abs(tr.d_plus - expected) > tol * max(1.0, abs(expected)):
-                return verdict(
-                    VerdictStatus.INCONCLUSIVE,
+                return _verdict(
+                    traces, VerdictStatus.INCONCLUSIVE,
                     f"directional limits exist on the probes but are not linear across them: "
                     f"{float(tr.d_plus)} along {stage(i)}, expected {float(expected)}",
                 )
@@ -767,19 +769,19 @@ def gateaux_verdict(
 
     rep = _fit_rep(x, limits[fit:], limits[:m], tol)
     if rep is None:
-        return verdict(
-            VerdictStatus.INCONCLUSIVE,
+        return _verdict(
+            traces, VerdictStatus.INCONCLUSIVE,
             "directional limits exist but no sparse representation reproduces them",
         )
     for i, h in enumerate(probes):
         want = limits[i]
         got = apply_rep(rep, h)
         if abs(got - want) > tol * max(1.0, abs(want)):
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
+            return _verdict(
+                traces, VerdictStatus.INCONCLUSIVE,
                 f"fitted representation disagrees with probe {i}: {float(got)} vs {float(want)}",
             )
-    return verdict(VerdictStatus.GATEAUX, derivative=rep)
+    return _verdict(traces, VerdictStatus.GATEAUX, derivative=rep)
 
 
 def hadamard_verdict(
@@ -806,17 +808,14 @@ def hadamard_verdict(
     base = one_sided_derivatives(f, x, h, grid, tol)
     traces = [base]
 
-    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
-        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
-
     if base.split(tol):
-        return verdict(
-            VerdictStatus.NOT_GATEAUX,
+        return _verdict(
+            traces, VerdictStatus.NOT_GATEAUX,
             "one-sided limits along the unperturbed direction disagree",
             failure_witness=h,
         )
     if not base.converged_plus:
-        return verdict(VerdictStatus.INCONCLUSIVE, base.unsettled("the unperturbed direction"))
+        return _verdict(traces, VerdictStatus.INCONCLUSIVE, base.unsettled("the unperturbed direction"))
     limit, fx = base.d_plus, f(x)
 
     for fam_idx, family in enumerate(perturbations):
@@ -842,12 +841,12 @@ def hadamard_verdict(
         (tr,) = _quotient_trace(np.array([values]), fx, grid, tol, [base.reach])
         traces.append(tr)
         if not tr.converged_plus or abs(tr.d_plus - limit) > tol * max(1.0, abs(limit)):
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
+            return _verdict(
+                traces, VerdictStatus.INCONCLUSIVE,
                 f"perturbation family {fam_idx} does not reproduce the directional limit",
                 value=limit,
             )
-    return verdict(VerdictStatus.HADAMARD, value=limit)
+    return _verdict(traces, VerdictStatus.HADAMARD, value=limit)
 
 
 def frechet_verdict(
@@ -893,16 +892,12 @@ def frechet_verdict(
     profile = tuple(zip(radii.tolist(), worst.tolist()))
     ok = profile[-1][1] < tol
     if ok:
-        return DiffVerdict(
-            status=VerdictStatus.FRECHET,
-            derivative=u,
-            remainder_profile=profile,
-        )
-    return DiffVerdict(
-        status=VerdictStatus.INCONCLUSIVE,
+        return _verdict((), VerdictStatus.FRECHET, derivative=u, remainder_profile=profile)
+    return _verdict(
+        (), VerdictStatus.INCONCLUSIVE,
+        "first-order remainder did not fall below tol at the smallest radius",
         derivative=u,
         remainder_profile=profile,
-        detail="first-order remainder did not fall below tol at the smallest radius",
     )
 
 

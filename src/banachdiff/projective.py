@@ -34,8 +34,10 @@ from .diffengine import (
     _checked,
     _fit_point,
     _quotient_trace,
+    _reach,
     _rows,
     _unit_ball_directions,
+    _verdict,
     gateaux_verdict,
     norm_functional,
     one_sided_derivatives,
@@ -453,12 +455,9 @@ def compose_propagate(
     # the outer map steps along the unit direction of R, so the scale is |y0|
     g0 = outer(y0)
     values = [outer(y0 + s) for s in grid._signed]
-    (gtrace,) = _quotient_trace(np.array([values]), g0, grid, tol, [abs(y0) or math.inf])
+    (gtrace,) = _quotient_trace(np.array([values]), g0, grid, tol, _reach(abs(y0), [1.0]))
     f_comp = _composition(outer, inner, sys_)
     traces = list(inner_verdict.traces) + [gtrace]
-
-    def verdict(status: VerdictStatus, detail: str = "", **fields) -> DiffVerdict:
-        return DiffVerdict(status=status, traces=tuple(traces), detail=detail, **fields)
 
     def direct(w: SpacePoint):
         """Quotients of the composition itself at x along w, kept in the traces."""
@@ -473,7 +472,7 @@ def compose_propagate(
         )
 
     if inner_verdict.status is VerdictStatus.INCONCLUSIVE:
-        return verdict(VerdictStatus.INCONCLUSIVE, f"inner factor inconclusive: {inner_verdict.detail}")
+        return _verdict(traces, VerdictStatus.INCONCLUSIVE, f"inner factor inconclusive: {inner_verdict.detail}")
 
     if inner_verdict.status is VerdictStatus.NOT_GATEAUX:
         # The chain rule decides nothing when the inner factor fails, but
@@ -482,20 +481,20 @@ def compose_propagate(
         # of those quotients justifies NOT_GATEAUX.
         w = inner_verdict.failure_witness
         if direct(w).split(tol):
-            return verdict(
-                VerdictStatus.NOT_GATEAUX,
+            return _verdict(
+                traces, VerdictStatus.NOT_GATEAUX,
                 "inner failure propagates through the outer map",
                 failure_witness=w,
             )
-        return verdict(
-            VerdictStatus.INCONCLUSIVE,
+        return _verdict(
+            traces, VerdictStatus.INCONCLUSIVE,
             "inner factor fails but its witness does not carry to the "
             "composition (the outer map may flatten or fold the failure)",
         )
 
     if gtrace.d_plus is None or gtrace.d_minus is None:
-        return verdict(
-            VerdictStatus.INCONCLUSIVE, gtrace.unsettled("the outer map's unit step at the inner value")
+        return _verdict(
+            traces, VerdictStatus.INCONCLUSIVE, gtrace.unsettled("the outer map's unit step at the inner value")
         )
 
     # inner GATEAUX
@@ -504,29 +503,29 @@ def compose_propagate(
     if gtrace.split(tol):
         if rep_in.kind is RepKind.ZERO:
             if settles_at(direct(h), 0.0):
-                return verdict(VerdictStatus.GATEAUX, derivative=zero_rep(), value=0.0)
-            return verdict(
-                VerdictStatus.INCONCLUSIVE,
+                return _verdict(traces, VerdictStatus.GATEAUX, derivative=zero_rep(), value=0.0)
+            return _verdict(
+                traces, VerdictStatus.INCONCLUSIVE,
                 "outer kink under a zero inner derivative did not verify flat",
             )
         witness = h if abs(v) > tol else _pick_sloped_direction(rep_in, x)
         if direct(witness).split(tol):
-            return verdict(
-                VerdictStatus.NOT_GATEAUX,
+            return _verdict(
+                traces, VerdictStatus.NOT_GATEAUX,
                 "outer map kinks exactly at the inner value",
                 failure_witness=witness,
             )
-        return verdict(VerdictStatus.INCONCLUSIVE, "outer kink did not verify against the composition")
+        return _verdict(traces, VerdictStatus.INCONCLUSIVE, "outer kink did not verify against the composition")
 
     g_prime = gtrace.d_plus
     value = g_prime * v
     if not settles_at(direct(h), value):
-        return verdict(
-            VerdictStatus.INCONCLUSIVE,
+        return _verdict(
+            traces, VerdictStatus.INCONCLUSIVE,
             "chain-rule value disagrees with direct quotients of the composition",
             value=value,
         )
-    return verdict(VerdictStatus.GATEAUX, derivative=_scale_rep(rep_in, g_prime, tol), value=value)
+    return _verdict(traces, VerdictStatus.GATEAUX, derivative=_scale_rep(rep_in, g_prime, tol), value=value)
 
 
 def _pick_sloped_direction(rep: LinearFunctionalRep, x: SpacePoint) -> SpacePoint:

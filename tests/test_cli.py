@@ -814,6 +814,17 @@ def _error_of(capsys, argv):
     return error["code"], error["message"]
 
 
+@pytest.mark.parametrize("key", ["t0", "rho", "tol"])
+def test_real_config_settings_refuse_bools(capsys, tmp_path, key):
+    # JSON true is not the number 1.0, as it is not the integer 1 for count
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True}))
+    assert _error_of(capsys, DIFF_ARGV + ["--config", str(cfg)]) == (
+        "PRECONDITION_FAILED",
+        f"{key} True is not usable: expected a number, got a bool",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

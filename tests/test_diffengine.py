@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -413,12 +414,68 @@ def test_frechet_polices_its_inputs():
         frechet_verdict(f, x, u, [e1], [0.125, 0.25])  # radii must decrease
     with pytest.raises(PreconditionFailedError):
         frechet_verdict(f, x, u, [], [0.25])
-    for radii in ([], [math.inf, 0.25], [0.25, math.nan], [0.25, 0.0]):
+    for radii in ([], [math.inf, 0.25], [0.25, math.nan], [0.25, 0.0], [0.25, 0.125, 0.125]):
         with pytest.raises(PreconditionFailedError):
             frechet_verdict(f, x, u, [e1], radii)
     for tol in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(PreconditionFailedError, match="tol must be finite and positive"):
             frechet_verdict(f, x, u, [e1], [0.25, 0.125], tol)
+
+
+# -- comparison boundaries -----------------------------------------------------
+# The tests below sit on thresholds of the verdict engine: the extreme tols
+# it accepts, and limits exactly tol·max(1, |limit|) off what a check
+# expects, so moving a boundary by one (> for >=) changes an outcome.  The
+# tol and the coefficients are dyadic, so every quotient lands on its
+# threshold bit for bit.
+
+BOUNDARY_TOL = 2.0**-20
+
+
+@pytest.mark.parametrize("tol", [5e-324, sys.float_info.max])
+def test_the_smallest_and_largest_positive_tol_are_accepted(tol):
+    f = norm_functional(Space.LINF_SEQ)
+    x = seq_point(Space.LINF_SEQ, [3.0, 1.0])
+    h = seq_point(Space.LINF_SEQ, [1.0, 0.0])
+    assert one_sided_derivatives(f, x, h, EXACT, tol).d_plus == 1.0
+    assert gateaux_verdict(f, x, [h], EXACT, tol).status is VerdictStatus.GATEAUX
+
+
+def test_a_coefficient_exactly_tol_past_one_is_still_a_signed_index():
+    c = 1.0 + BOUNDARY_TOL
+    f = Functional("scaled_coordinate_1", lambda p: c * p.coords[1], Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [3.0, 1.0, 2.0])
+    h = seq_point(Space.L1_SEQ, [0.0, 1.0, 0.0])
+    v = gateaux_verdict(f, x, [h], EXACT, BOUNDARY_TOL)
+    assert v.status is VerdictStatus.GATEAUX
+    assert v.traces[-2].d_plus == c  # the response along e_1, exactly 1 + tol
+    assert v.derivative.kind is RepKind.SIGNED_INDEX and (v.derivative.p, v.derivative.sigma) == (2, 1.0)
+
+
+def test_a_pair_exactly_tol_off_linear_passes_the_linearity_check():
+    # (p0 + p1)/4 plus tol times an odd, homogeneous, non-additive term that
+    # vanishes along e_0 and e_1 and is 1 along e_0 + e_1
+    def evaluator(p):
+        a, b = p.coords
+        return (a + b) / 4 + BOUNDARY_TOL * float(np.sign(a)) * min(abs(a), abs(b))
+
+    f = Functional("almost_linear", evaluator, Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [0.0, 0.0])
+    probes = [seq_point(Space.L1_SEQ, [1.0, 0.0]), seq_point(Space.L1_SEQ, [0.0, 1.0])]
+    v = gateaux_verdict(f, x, probes, EXACT, BOUNDARY_TOL)
+    assert v.traces[2].d_plus == 0.5 + BOUNDARY_TOL  # along probe 0 + probe 1, expected 0.5
+    assert v.status is VerdictStatus.GATEAUX
+    assert v.derivative.kind is RepKind.COEFF_SEQ and list(v.derivative.coeffs) == [0.25, 0.25]
+
+
+def test_a_family_whose_plateau_sits_exactly_tol_off_the_limit_is_hadamard():
+    f = Functional("weighted_sum", lambda p: p.coords[0] + 4.0 * p.coords[1], Space.L1_SEQ)
+    x = seq_point(Space.L1_SEQ, [1.0, 1.0])
+    h = seq_point(Space.L1_SEQ, [1.0, 0.0])
+    near = seq_point(Space.L1_SEQ, [1.0, BOUNDARY_TOL / 4])  # within tol/4 of h, read 4x
+    v = hadamard_verdict(f, x, h, [[near] * EXACT.count], EXACT, BOUNDARY_TOL)
+    assert v.traces[1].d_plus == 1.0 + BOUNDARY_TOL
+    assert v.status is VerdictStatus.HADAMARD and v.value == 1.0
 
 
 # -- Lipschitz sampling ------------------------------------------------------
@@ -1523,6 +1580,9 @@ _x1 = seq_point(Space.L1_SEQ, [1.0, 1.0])
 _f1 = norm_functional(Space.L1_SEQ)
 _REFUSED_VERDICTS = {
     "one-sided-zero-tol": lambda: one_sided_derivatives(_f1, _x1, _x1, EXACT, 0.0),
+    "one-sided-infinite-tol": lambda: one_sided_derivatives(_f1, _x1, _x1, EXACT, math.inf),
+    "gateaux-zero-tol": lambda: gateaux_verdict(_f1, _x1, [_x1], EXACT, 0.0),
+    "gateaux-infinite-tol": lambda: gateaux_verdict(_f1, _x1, [_x1], EXACT, math.inf),
     "gateaux-no-probes": lambda: gateaux_verdict(_f1, _x1, [], EXACT),
     "gateaux-nan-tol": lambda: gateaux_verdict(_f1, _x1, [_x1], EXACT, math.nan),
     "hadamard-negative-tol": lambda: hadamard_verdict(_f1, _x1, _x1, [[_x1]], EXACT, -1.0),
