@@ -42,6 +42,8 @@ from .errors import (
     PreconditionFailedError,
     ToolkitError,
     _integral,
+    _number,
+    _real,
 )
 from .oracles import LinearFunctionalRep, apply_rep, coeff_rep, point_mass_rep, signed_index_rep, zero_rep
 from .spaces import (
@@ -200,7 +202,9 @@ class TGrid:
     def __post_init__(self):
         if not _integral(self.count) or self.count > MAX_STEPS:
             raise PreconditionFailedError(f"count must be an integer from 3 to {MAX_STEPS}", count=self.count)
-        if not (0.0 < self.t0 < math.inf and 0.0 < self.rho < 1.0 and self.count >= 3):
+        object.__setattr__(self, "t0", _real("t0", self.t0))
+        object.__setattr__(self, "rho", _real("rho", self.rho))
+        if not (self.rho < 1.0 and self.count >= 3):
             raise PreconditionFailedError("need finite t0 > 0, rho in (0,1), count >= 3")
         smallest = self.t0 * self.rho ** (self.count - 1)
         if not smallest >= sys.float_info.min:
@@ -353,7 +357,7 @@ def _verdict(traces: Sequence[QuotientTrace], status: VerdictStatus, detail: str
 
 def directional_quotient(f: Functional, x: SpacePoint, h: SpacePoint, t: float) -> float:
     """(f(x + t*h) - f(x)) / t, exactly as evaluated."""
-    if t == 0.0 or not math.isfinite(t):
+    if not (_number(t) and t != 0.0 and math.isfinite(t)):
         raise PreconditionFailedError("t must be finite and nonzero", t=t)
     return (float(f.along(x, h, [t])[0]) - f(x)) / t
 
@@ -636,8 +640,7 @@ def one_sided_derivatives(
     batch), one point at a time otherwise.  The trace is the same either
     way, bit for bit.
     """
-    if not 0.0 < tol < math.inf:
-        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
+    tol = _real("tol", tol)
     (trace,) = _traces(f, x, [h], grid, tol, f(x), _size(x))
     return trace
 
@@ -714,8 +717,7 @@ def gateaux_verdict(
     """
     if not probe_dirs:
         raise PreconditionFailedError("probe_dirs must be nonempty")
-    if not 0.0 < tol < math.inf:
-        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
+    tol = _real("tol", tol)
     fx, nx = f(x), _size(x)
     traces: list[QuotientTrace] = []
     probes = list(probe_dirs)
@@ -873,11 +875,10 @@ def frechet_verdict(
     """
     if not sphere_samples:
         raise PreconditionFailedError("need at least one unit-sphere sample")
-    if not 0.0 < tol < math.inf:
-        raise PreconditionFailedError("tol must be finite and positive", tol=tol)
-    radii = np.array(radii, dtype=float)
-    if not (radii.size and np.all((0.0 < radii) & (radii < math.inf))):
-        raise PreconditionFailedError("radii must be finite and positive")
+    tol = _real("tol", tol)
+    radii = np.array([_real("radii", r) for r in radii], dtype=float)
+    if not radii.size:
+        raise PreconditionFailedError("need at least one radius")
     if np.any(radii[1:] >= radii[:-1]):
         raise PreconditionFailedError("radii must be strictly decreasing")
     for h in sphere_samples:
@@ -946,8 +947,7 @@ def local_lipschitz_estimate(
     |f(y) - f(z)| / ||y - z||; pairs that collapse to a single point are
     skipped.
     """
-    if not 0.0 < radius < math.inf:
-        raise PreconditionFailedError("radius must be finite and positive", radius=radius)
+    radius = _real("radius", radius)
     if not _integral(pair_count) or pair_count < 1:
         raise PreconditionFailedError("pair_count must be an integer >= 1")
     rng = philox_gen(seed)

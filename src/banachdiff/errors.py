@@ -1,17 +1,48 @@
-"""Typed failures shared across the package.
+"""Typed failures shared across the package, and the rules for number
+arguments.
 
 Every error carries a stable machine-readable ``code`` so the CLI can map
 failures onto its JSON error report and exit codes without string matching.
+
+Two rules check the number arguments of every library call, each in one
+place.  An integer argument (a dimension, seed or count) passes
+:func:`_integral`: an int or a numpy integer, not a bool.  A real argument
+(a tolerance, radius, ``eps``, ``rho`` or ``delta``) passes :func:`_real`:
+an int, a float or a numpy number, not a bool, finite and positive (or
+nonnegative, where zero is allowed), and is read as a Python float.
+Anything else is :class:`PreconditionFailedError` naming the argument.
+A real argument with a rule of its own (a step t of any sign but 0, a
+variance whose sign has its own error) is first checked to be a number
+by :func:`_number`.  The space of a point argument has its own rule,
+``spaces._expect``.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 
 
 def _integral(value) -> bool:
     """The rule for integer arguments: an int or a numpy integer, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    """A real number: an int, a float or a numpy number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value, *, zero: bool = False) -> float:
+    """The rule for real arguments: ``value`` as a float, once it is a
+    number (see :func:`_number`), at most the largest finite float, and
+    > 0, or >= 0 with ``zero``; otherwise :class:`PreconditionFailedError`
+    names it, with ``name=value`` in its context."""
+    if not (_number(value) and (0.0 <= value if zero else 0.0 < value) and value <= sys.float_info.max):
+        raise PreconditionFailedError(
+            f"{name} must be finite and {'nonnegative' if zero else 'positive'}", **{name: value}
+        )
+    return float(value)
 
 
 class ToolkitError(Exception):

@@ -37,6 +37,8 @@ from .errors import (
     PreconditionFailedError,
     QuadratureNonconvergedError,
     _integral,
+    _number,
+    _real,
 )
 from .spaces import Space, SpacePoint, seq_point
 
@@ -85,14 +87,16 @@ class GaussianSpec:
     law: str | None = "inv_log"
 
     def __post_init__(self):
-        if not 0.0 < self.r < math.inf:
-            raise PreconditionFailedError("r must be finite and positive", r=self.r)
-        object.__setattr__(self, "variances", tuple(float(s) for s in self.variances))
-        for s in self.variances:
+        object.__setattr__(self, "r", _real("r", self.r))
+        variances = tuple(self.variances)
+        for s in variances:
+            if not _number(s):
+                raise PreconditionFailedError("explicit variances must be numbers", value=s)
             if not s > 0.0:
-                raise NonpositiveVarianceError("explicit variances must be positive", value=s)
+                raise NonpositiveVarianceError("explicit variances must be positive", value=float(s))
             if s == math.inf:
-                raise PreconditionFailedError("explicit variances must be finite", value=s)
+                raise PreconditionFailedError("explicit variances must be finite", value=float(s))
+        object.__setattr__(self, "variances", tuple(map(float, variances)))
         if self.law not in (None, "inv_log"):
             raise PreconditionFailedError(f"unknown variance law {self.law!r}")
         if self.law is None and not self.variances:
@@ -306,11 +310,9 @@ def estimate_nondiff_measures(
     integer counts make the sums the same for every W.
     """
     n, count, seed = _check_shape(n, count, seed)
-    deltas = tuple(deltas)
+    deltas = tuple(_real("delta", d, zero=True) for d in deltas)
     if not deltas:
         raise PreconditionFailedError("need at least one delta")
-    if not all(0.0 <= d < math.inf for d in deltas):
-        raise PreconditionFailedError("delta must be finite and nonnegative", deltas=list(deltas))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     w = min(_WORKERS, cpus or 1, len(list(itertools.islice(_chunks(n, count), _WORKERS))))
 
@@ -369,8 +371,7 @@ def b2_tie_probability_oracle(spec: GaussianSpec, delta: float) -> float:
     The quadrature's value is clamped into [0, 1], where the probability
     lies, so the clamp can only move an estimate toward it.
     """
-    if not 0.0 <= delta < math.inf:
-        raise PreconditionFailedError("delta must be finite and nonnegative", delta=delta)
+    delta = _real("delta", delta, zero=True)
     if delta == 0.0:
         return 0.0
     from scipy.integrate import quad

@@ -10,8 +10,9 @@ difference quotients of the norm are exactly +1 (from the right) and -1
 Membership, the dominant index or peak location, and the peak gap all
 come from ``topology.classify``, the one membership test; this module adds
 the signs, representations and witness directions.  These closed forms are
-what the numerical engine in ``diffengine`` is tested against; the two
-sides are implemented with no shared logic.
+what the numerical engine in ``diffengine`` is tested against; the engine
+shares the representation type and :func:`apply_rep` with them, and
+nothing else.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    NoDoubleMaxError,
-    NotInComplementError,
-    PreconditionFailedError,
-)
-from .spaces import Space, SpacePoint, _abs_profile, _top_two, seq_point, sig, step_fn, value_at
+from .errors import NoDoubleMaxError, NotInComplementError, PreconditionFailedError, _real
+from .spaces import Space, SpacePoint, _abs_profile, _expect, _top_two, seq_point, sig, step_fn, value_at
 from .topology import _peak_sites, classify
 
 __all__ = [
@@ -164,19 +161,27 @@ def zero_rep() -> LinearFunctionalRep:
 
 
 def apply_rep(rep: LinearFunctionalRep, h: SpacePoint) -> float:
-    """Evaluate the represented functional at the direction ``h``."""
+    """Evaluate the represented functional at the direction ``h``.
+
+    A direction it cannot be applied to is :class:`PreconditionFailedError`:
+    POINT_MASS applies to function directions, SIGNED_INDEX and COEFF_SEQ to
+    sequence directions with at least p coordinates, or one per
+    coefficient.  A longer direction is read at its first coordinates.
+    """
     if rep.kind is RepKind.ZERO:
         return 0.0
     if rep.kind is RepKind.POINT_MASS:
+        if h.coords is not None:
+            raise PreconditionFailedError("POINT_MASS applies to function directions")
         return rep.sigma * value_at(h, rep.t0)
     if h.coords is None:
         raise PreconditionFailedError(f"{rep.kind.value} applies to sequence directions")
+    n = rep.p if rep.kind is RepKind.SIGNED_INDEX else len(rep.coeffs)
+    if n > h.dim:
+        raise PreconditionFailedError(f"direction has no coordinate {n}")
     if rep.kind is RepKind.SIGNED_INDEX:
-        if rep.p > h.dim:
-            raise PreconditionFailedError(f"direction has no coordinate {rep.p}")
-        return rep.sigma * float(h.coords[rep.p - 1])
-    n = min(len(rep.coeffs), h.dim)
-    return float(np.dot(np.asarray(rep.coeffs[:n]), h.coords[:n]))
+        return rep.sigma * float(h.coords[n - 1])
+    return float(np.dot(np.asarray(rep.coeffs), h.coords[:n]))
 
 
 # -- membership oracles ----------------------------------------------------
@@ -205,8 +210,7 @@ def oracle_linf(x: SpacePoint, eps: float) -> LinearFunctionalRep | None:
     sig(x_p)*(x_p + h_p), so the first-order remainder is identically zero.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
-    if not 0.0 < eps < np.inf:
-        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
+    eps = _real("eps", eps)
     report = classify(x, eps)
     if not report.in_B:
         return None
@@ -244,8 +248,7 @@ def oracle_Linf(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
 def _peak_oracle(f: SpacePoint, rho: float) -> LinearFunctionalRep | None:
     """The signed point evaluation at the peak t0 and with the gap that
     ``classify(f, rho)`` certifies, or None where it rejects f."""
-    if not 0.0 < rho < np.inf:
-        raise PreconditionFailedError("rho must be finite and positive", rho=rho)
+    rho = _real("rho", rho)
     if np.any(f.jumps() != 0.0):
         raise PreconditionFailedError("a sup-norm oracle needs a continuous representation")
     report = classify(f, rho)
@@ -280,8 +283,7 @@ def witness_linf(x: SpacePoint, tie_tol: float = 0.0) -> SpacePoint:
     ``[sig(x_1) or 1]``, a witness at the origin, within tie_tol of x.
     """
     _expect(x, Space.LINF_SEQ, Space.RT)
-    if not 0.0 <= tie_tol < np.inf:
-        raise PreconditionFailedError("tie_tol must be finite and nonnegative", tie_tol=tie_tol)
+    tie_tol = _real("tie_tol", tie_tol, zero=True)
     profile = _abs_profile(x.coords, None, None)
     p, q = _top_two(profile)
     if classify(x, tie_tol).in_B:
@@ -344,9 +346,3 @@ def witness_nbv(f: SpacePoint) -> SpacePoint:
         if f.a < mid < f.b and mid not in bset:
             return step_fn(Space.NBV_AB, f.a, f.b, mid, 0.0, 1.0)
     raise PreconditionFailedError(f"every float strictly inside [{f.a}, {f.b}] is a breakpoint of f")
-
-
-def _expect(x: SpacePoint, *spaces: Space) -> None:
-    if x.space not in spaces:
-        names = ", ".join(s.value for s in spaces)
-        raise PreconditionFailedError(f"expected a point of {names}, got {x.space.value}")

@@ -48,12 +48,14 @@ from .errors import (
     NonconstancyUnverifiedError,
     PreconditionFailedError,
     _integral,
+    _real,
 )
 from .oracles import LinearFunctionalRep, RepKind, apply_rep, coeff_rep, signed_index_rep, zero_rep
 from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
+    _expect,
     eval_norm,
     linear_combine,
     rows_along,
@@ -79,6 +81,10 @@ __all__ = [
     "CYL_BASES",
     "OUTER_MAPS",
 ]
+
+# The sequence spaces, in the fixed order a refused point's message names
+# them (a frozenset's order varies with string hashing between processes).
+_SEQUENCES = (Space.L1_SEQ, Space.LINF_SEQ, Space.RT)
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,7 @@ class ProjectiveSystem:
 
     def project(self, t: int, x: SpacePoint) -> SpacePoint:
         self._require(t)
-        if x.space not in SEQUENCE_SPACES:
-            raise PreconditionFailedError("projections act on sequence-space points")
+        _expect(x, *_SEQUENCES)
         if x.dim < t:
             raise DimTooSmallError(f"point has {x.dim} coordinates, projection needs {t}")
         return seq_point(Space.RT, x.coords[:t])
@@ -147,11 +152,6 @@ class CylindricalFunction:
             raise PreconditionFailedError("base_dim must be an integer >= 1")
 
 
-def _require_sequence(x: SpacePoint) -> None:
-    if x.space not in SEQUENCE_SPACES:
-        raise PreconditionFailedError("the weighted series is defined on sequence points")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _wseries_sums(coords: np.ndarray) -> np.ndarray:
     """sum_k |c_k| / k^2 over the last axis, accumulated first coordinate
@@ -167,7 +167,7 @@ def wseries_eval(x: SpacePoint) -> float:
     batch evaluation along a line and this direct evaluation must agree
     bitwise, not merely approximately.
     """
-    _require_sequence(x)
+    _expect(x, *_SEQUENCES)
     return _wseries_sums(x.coords)
 
 
@@ -176,7 +176,7 @@ def _wseries_along(x: SpacePoint, H: SpacePoint, steps: np.ndarray) -> np.ndarra
     the stack ``H`` (see :func:`~banachdiff.spaces.rows_along`) and every
     signed step s, indexed ``[j, i]``, bitwise."""
     rows = rows_along(x, H, steps)
-    _require_sequence(x)
+    _expect(x, *_SEQUENCES)
     return _wseries_sums(rows["coords"]).T
 
 
@@ -332,8 +332,7 @@ def lipschitz_factor_check(
     the system, and :class:`NonconstancyUnverifiedError` if every sampled
     value agrees — a constant function has no Lipschitz geometry to report.
     """
-    if not 0.0 < radius < math.inf:
-        raise PreconditionFailedError("radius must be finite and positive", radius=radius)
+    radius = _real("radius", radius)
     if not _integral(pair_count) or pair_count < 1:
         raise PreconditionFailedError("pair_count must be an integer >= 1")
     f_full = full_functional(cf, sys_)

@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EvalFailureError, MalformedPointError, SpaceMismatchError
+from .errors import EvalFailureError, MalformedPointError, PreconditionFailedError, SpaceMismatchError
 
 __all__ = [
     "Space",
@@ -186,6 +186,15 @@ class SpacePoint:
             f"SpacePoint({self.space.value}, [{self.a}, {self.b}], "
             f"bp={self.breakpoints.tolist()})"
         )
+
+
+def _expect(x: SpacePoint, *spaces: Space) -> None:
+    """The rule for point arguments: x is a point of one of ``spaces``,
+    else :class:`PreconditionFailedError` names them, in the order given,
+    and the space of x."""
+    if x.space not in spaces:
+        names = ", ".join(s.value for s in spaces)
+        raise PreconditionFailedError(f"expected a point of {names}, got {x.space.value}")
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import philox_gen
-from .errors import PreconditionFailedError, _integral
+from .errors import PreconditionFailedError, _integral, _real
 from .spaces import (
     SEQUENCE_SPACES,
     Space,
     SpacePoint,
     _abs_profile,
     _at_knots,
+    _expect,
     _top_two,
     _union,
     eval_norm,
@@ -102,8 +103,7 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     ``step_fn(LINF_R, -1, 1, 0, 0, 1)``, the norm's one-sided derivatives
     are 1 and 0, and ``gateaux_verdict`` says NOT_GATEAUX.
     """
-    if not 0.0 <= eps < math.inf:
-        raise PreconditionFailedError("eps must be finite and nonnegative", eps=eps)
+    eps = _real("eps", eps, zero=True)
     if x.space is Space.L1_SEQ:
         abs_c = np.abs(x.coords)
         m = int(abs_c.argmin())
@@ -229,10 +229,8 @@ def densify_l1(x: SpacePoint, eps: float) -> SpacePoint:
     float; an eps too small for those floors to stay within it is refused
     (see :func:`_repaired`).
     """
-    if x.space is not Space.L1_SEQ:
-        raise PreconditionFailedError("densify_l1 needs an L1_SEQ point")
-    if not 0.0 < eps < math.inf:
-        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
+    _expect(x, Space.L1_SEQ)
+    eps = _real("eps", eps)
     y = x.coords.copy()
     zeros = np.flatnonzero(y == 0.0)
     y[zeros] = np.maximum(np.ldexp(eps, -(zeros + 2)), _TINY)
@@ -250,10 +248,8 @@ def densify_linf(x: SpacePoint, eps: float) -> SpacePoint:
     one that lifts the sup past the largest finite float cannot be held;
     both are refused (see :func:`_repaired`).
     """
-    if x.space not in (Space.LINF_SEQ, Space.RT):
-        raise PreconditionFailedError("densify_linf needs a max-norm sequence point")
-    if not 0.0 < eps < math.inf:
-        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
+    _expect(x, Space.LINF_SEQ, Space.RT)
+    eps = _real("eps", eps)
     norm = eval_norm(x)
     p = norm.witness - 1
     top = norm.value + eps / 2.0
@@ -275,10 +271,8 @@ def densify_csup(f: SpacePoint, eps: float) -> SpacePoint:
     the sup past the largest finite float cannot be held: both raise
     :class:`PreconditionFailedError` (see :func:`_repaired`).
     """
-    if f.space is not Space.C_AB:
-        raise PreconditionFailedError("densify_csup needs a C_AB point")
-    if not 0.0 < eps < math.inf:
-        raise PreconditionFailedError("eps must be finite and positive", eps=eps)
+    _expect(f, Space.C_AB)
+    eps = _real("eps", eps)
     if classify(f, 0.0).in_B:
         return f
     norm, sites, signed = _peak_sites(f)
@@ -308,8 +302,7 @@ def ball_check_linf(x: SpacePoint, eps: float, trial_count: int, seed: int) -> b
     the triangle inequality; a False return means the implementation is
     broken somewhere, which is exactly what this check is for.
     """
-    if x.space not in (Space.LINF_SEQ, Space.RT):
-        raise PreconditionFailedError("ball_check_linf needs a max-norm sequence point")
+    _expect(x, Space.LINF_SEQ, Space.RT)
     report = classify(x, eps)
     if not report.in_B:
         raise PreconditionFailedError(f"point is not eps-dominant: {report.certificate}")

@@ -71,6 +71,17 @@ def test_apply_rep_matches_hand_sums():
         apply_rep(signed_index_rep(4, 1.0), h)
 
 
+def test_apply_rep_refuses_a_direction_it_cannot_apply_to():
+    h = seq_point(Space.LINF_SEQ, [1.0, 2.0])
+    with pytest.raises(PreconditionFailedError, match="^POINT_MASS applies to function directions$"):
+        apply_rep(point_mass_rep(0.5, 1.0), h)
+    # 1*h_1 + 1*h_2 + 5*h_3 has no h_3 to read; it is not 3.0
+    with pytest.raises(PreconditionFailedError, match="^direction has no coordinate 3$"):
+        apply_rep(coeff_rep([1.0, 1.0, 5.0]), h)
+    # a longer direction is read at its first coordinates
+    assert apply_rep(coeff_rep([1.0, 1.0]), seq_point(Space.LINF_SEQ, [1.0, 2.0, 5.0])) == 3.0
+
+
 def test_sum_norm_oracle_is_the_sign_pattern():
     x = seq_point(Space.L1_SEQ, [1.0, -0.5, 2.0])
     rep = oracle_l1(x)
