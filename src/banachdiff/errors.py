@@ -104,7 +104,7 @@ class NonpositiveVarianceError(ToolkitError):
 
 
 class QuadratureNonconvergedError(ToolkitError):
-    """Adaptive quadrature stalled above the requested error bound."""
+    """A quadrature whose error estimate is above its bound or not finite."""
 
     code = "QUADRATURE_NONCONVERGED"
 

@@ -164,8 +164,9 @@ def apply_rep(rep: LinearFunctionalRep, h: SpacePoint) -> float:
     """Evaluate the represented functional at the direction ``h``.
 
     A direction it cannot be applied to is :class:`PreconditionFailedError`:
-    POINT_MASS applies to function directions, SIGNED_INDEX and COEFF_SEQ to
-    sequence directions with at least p coordinates, or one per
+    POINT_MASS applies to function directions whose domain holds t0 (every
+    t0, for LINF_R, which extends constantly), SIGNED_INDEX and COEFF_SEQ
+    to sequence directions with at least p coordinates, or one per
     coefficient.  A longer direction is read at its first coordinates.
     """
     if rep.kind is RepKind.ZERO:
@@ -173,6 +174,8 @@ def apply_rep(rep: LinearFunctionalRep, h: SpacePoint) -> float:
     if rep.kind is RepKind.POINT_MASS:
         if h.coords is not None:
             raise PreconditionFailedError("POINT_MASS applies to function directions")
+        if h.space is not Space.LINF_R and not h.a <= rep.t0 <= h.b:
+            raise PreconditionFailedError(f"POINT_MASS at {rep.t0} lies outside the domain [{h.a}, {h.b}]")
         return rep.sigma * value_at(h, rep.t0)
     if h.coords is None:
         raise PreconditionFailedError(f"{rep.kind.value} applies to sequence directions")

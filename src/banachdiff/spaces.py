@@ -189,12 +189,13 @@ class SpacePoint:
 
 
 def _expect(x: SpacePoint, *spaces: Space) -> None:
-    """The rule for point arguments: x is a point of one of ``spaces``,
-    else :class:`PreconditionFailedError` names them, in the order given,
-    and the space of x."""
-    if x.space not in spaces:
+    """The rule for point arguments: x is a :class:`SpacePoint` of one of
+    ``spaces``, else :class:`PreconditionFailedError` names them, in the
+    order given, and the space of x, or its type if it is no point."""
+    if not isinstance(x, SpacePoint) or x.space not in spaces:
         names = ", ".join(s.value for s in spaces)
-        raise PreconditionFailedError(f"expected a point of {names}, got {x.space.value}")
+        got = x.space.value if isinstance(x, SpacePoint) else type(x).__name__
+        raise PreconditionFailedError(f"expected a point of {names}, got {got}")
 
 
 @dataclass(frozen=True)

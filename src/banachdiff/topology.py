@@ -52,6 +52,8 @@ __all__ = [
 
 # The smallest positive float: the least tail densify_l1 puts in a zero coordinate.
 _TINY = math.ulp(0.0)
+# Every space, in declaration order: classify takes a point of any of them.
+_ANY_SPACE = tuple(Space)
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,8 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     more than eps; for C_AB/LINF_R, eps is the exclusion radius around
     the unique peak over whose complement the reported gap is measured
     (eps = 0 degrades to the pure uniqueness test).  NBV_AB points are
-    never members: a fresh unit jump direction defeats every point.
+    never members: a fresh unit jump direction defeats every point.  x
+    passes the point rule ``spaces._expect`` with every space allowed.
 
     For LINF_R a unique continuous peak is not enough, and this answer is
     wrong there: the tent ``pw_from_values(LINF_R, [-1, 0, 1], [0, 1, 0])``
@@ -103,6 +106,7 @@ def classify(x: SpacePoint, eps: float = 0.0) -> MembershipReport:
     ``step_fn(LINF_R, -1, 1, 0, 0, 1)``, the norm's one-sided derivatives
     are 1 and 0, and ``gateaux_verdict`` says NOT_GATEAUX.
     """
+    _expect(x, *_ANY_SPACE)
     eps = _real("eps", eps, zero=True)
     if x.space is Space.L1_SEQ:
         abs_c = np.abs(x.coords)

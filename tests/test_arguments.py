@@ -25,7 +25,7 @@ from banachdiff.gaussmeasure import (
     estimate_nondiff_measures,
     standard_normal_spec,
 )
-from banachdiff.oracles import oracle_csup, oracle_Linf, oracle_linf, witness_linf
+from banachdiff.oracles import oracle_csup, oracle_l1, oracle_Linf, oracle_linf, witness_linf
 from banachdiff.projective import (
     lipschitz_factor_check,
     make_cylinder,
@@ -148,8 +148,11 @@ def test_numpy_numbers_are_read_as_the_plain_float(entry):
 
 
 # the space checks that moved to spaces._expect: call -> (the spaces it
-# names, the space it gets)
+# names, the space it gets, or the type of an argument that is no point)
 _POINT_CHECKS = {
+    "oracle_l1-None": (lambda: oracle_l1(None), "L1_SEQ", "NoneType"),
+    "densify_l1-list": (lambda: densify_l1([0.0, 1.0], 0.5), "L1_SEQ", "list"),
+    "classify-list": (lambda: classify([1.0, 2.0]), "L1_SEQ, LINF_SEQ, RT, C_AB, LINF_R, NBV_AB", "list"),
     "densify_l1": (lambda: densify_l1(_LINF, 0.5), "L1_SEQ", "LINF_SEQ"),
     "densify_linf": (lambda: densify_linf(_L1, 0.5), "LINF_SEQ, RT", "L1_SEQ"),
     "densify_csup": (lambda: densify_csup(_TENT_R, 0.5), "C_AB", "LINF_R"),

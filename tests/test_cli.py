@@ -30,9 +30,10 @@ from banachdiff.spaces import Space, constant_fn, point_to_dict, point_to_json, 
 
 # Monte Carlo tie-band fraction for two unit-variance coordinates at
 # delta = 0.01, 20000 draws, seed 7 — frozen from a direct run of the
-# sampler; the matching quadrature value is asserted alongside it.
+# sampler; the matching quadrature value is asserted alongside it, frozen
+# from the Gauss-Legendre oracle (9.8e-18 above the 40-digit value).
 MC_STD_FRACTION = 0.01135
-B2_STD_001 = 0.011251867181954998
+B2_STD_001 = 0.01125186718195502
 
 # left-to-right partial sum of (k+2)^(-2) over the first 1000 terms
 PARTIAL_1000 = 0.3939365606965239
@@ -422,8 +423,8 @@ def test_readme_diff_report_is_unchanged_byte_for_byte(capsys):
 
 # sha256 of the report of the README `measure` example, frozen from the
 # sampler that built each block from separate uniform, normal and scaled
-# arrays, and from the quadrature split at its kink
-README_MEASURE_SHA256 = "8cbb15aee8a93fce54f4fd1b9f759ce278aa9c33be48857e5a529852639f9cba"
+# arrays, and from the Gauss-Legendre oracle split at its kink
+README_MEASURE_SHA256 = "de5a8a116695b9aa553f0b20e40782b6b3b98b28f891495a0086d0cd7f293bc9"
 
 
 def test_readme_measure_report_is_unchanged_byte_for_byte(capsys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import banachdiff
 from banachdiff._rng import philox_gen
@@ -46,9 +47,10 @@ PARTIAL_1000 = 0.3939365606965239
 PARTIAL_10K = 0.39483409184206125
 CLOSED_FORM = math.pi ** 2 / 6.0 - 1.25
 
-# two-coordinate tie-band probabilities at delta = 0.01, by quadrature
-B2_STD_001 = 0.011251867181954998
-B2_INVLOG_001 = 0.012453539772769353
+# two-coordinate tie-band probabilities at delta = 0.01, frozen from the
+# Gauss-Legendre oracle: 9.8e-18 and 4.2e-18 above the 40-digit values below
+B2_STD_001 = 0.01125186718195502
+B2_INVLOG_001 = 0.012453539772756133
 
 # P(||X_1| - |X_2|| <= delta) by 40-digit mpmath quadrature of the integral
 # the oracle computes, split at its kink, on unit variances ("std") and on
@@ -298,15 +300,35 @@ def test_estimate_counts_exactly_the_rows_classify_rejects(n, delta):
     assert est.fraction == rejected / 2000
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    code = (
-        "import sys, banachdiff, banachdiff.cli\n"
-        "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
-    )
+def _scipy_modules_after(code):
+    """The scipy modules loaded, in a fresh interpreter, after ``code``."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     env = dict(os.environ, PYTHONPATH=str(Path(banachdiff.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import banachdiff, banachdiff.cli") == "[]"
+
+
+def test_the_quadrature_oracle_loads_no_scipy_module():
+    code = (
+        "from banachdiff.gaussmeasure import b2_tie_probability_oracle, standard_normal_spec\n"
+        "print(b2_tie_probability_oracle(standard_normal_spec(2), 0.01))"
+    )
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_the_readme_measure_request_leaves_scipy_integrate_unloaded():
+    code = (
+        "from banachdiff import cli\n"
+        "cli.main(['measure', '--n', '2', '--delta', '0.01', '--count', '20000', '--seed', '7', '--law', 'std'])"
+    )
+    loaded = _scipy_modules_after(code)
+    assert "'scipy.special'" in loaded  # the sampler ran
+    assert "scipy.integrate" not in loaded
 
 
 def test_measure_estimator_polices_inputs():
@@ -562,32 +584,69 @@ def test_a_spec_needs_variances_or_a_law_and_one_based_coordinates():
         default_spec().variance_at(0)
 
 
-_DIVERGENT = "The integral is probably divergent, or slowly\n  convergent."
+def _two_orders(integrand, lo, hi):
+    """The 20- and the 10-point Gauss-Legendre sums of ``integrand`` over
+    [lo, hi] as one panel, from numpy's nodes, node by node."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return [
+        half * sum(w * float(integrand(np.array([[mid + half * x]]))[0, 0]) for x, w in zip(*leggauss(order)))
+        for order in (20, 10)
+    ]
 
 
-def _quad_returning(*pieces):
-    """A stand-in for scipy's quad whose calls return ``pieces`` in turn:
-    the oracle integrates up to the kink and then beyond it."""
-    calls = iter(pieces)
-    return lambda *args, **kwargs: next(calls)
+def _step(z):
+    return (z > 0.3).astype(float)
 
 
-# no request is known on which the standardized quadrature does not converge
-@pytest.mark.parametrize("abserr", [6.2e-6, 3.6e-12, 5.1e-20])
-def test_a_quadrature_that_scipy_flags_is_a_typed_failure_whatever_its_error_estimate(monkeypatch, abserr):
-    flagged = (0.25, abserr, {}, _DIVERGENT)  # as quad's full output flags an integral
-    monkeypatch.setattr("scipy.integrate.quad", _quad_returning(flagged, flagged))
+def test_the_rule_refuses_an_error_estimate_above_1e_6_with_its_size():
+    # a step: the 20- and the 10-point rules put different weight past it
+    hi, lo = _two_orders(_step, 0.0, 1.0)
+    with pytest.raises(QuadratureNonconvergedError, match="error estimate is above 1e-6") as err:
+        gaussmeasure._gauss_legendre(_step, np.array([0.0, 1.0]))
+    assert err.value.context["abserr"] == pytest.approx(abs(hi - lo), rel=1e-12)
+    assert abs(hi - lo) > 1e-3
+    # scaled just past and just within the bound
+    scale = 1e-6 / abs(hi - lo)
     with pytest.raises(QuadratureNonconvergedError) as err:
-        b2_tie_probability_oracle(default_spec(), 0.01)
-    assert str(err.value) == "quadrature did not converge: The integral is probably divergent, or slowly convergent."
-    assert err.value.context["abserr"] == abserr + abserr
+        gaussmeasure._gauss_legendre(lambda z: 1.001 * scale * _step(z), np.array([0.0, 1.0]))
+    assert err.value.context["abserr"] == pytest.approx(1.001e-6, rel=1e-9)
+    value = gaussmeasure._gauss_legendre(lambda z: 0.999 * scale * _step(z), np.array([0.0, 1.0]))
+    assert value == pytest.approx(0.999 * scale * hi, rel=1e-12)
 
 
-def test_a_quadrature_flagged_beyond_the_kink_alone_is_a_typed_failure(monkeypatch):
-    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.25, 1e-12, {}), (0.25, 2e-12, {}, "roundoff")))
-    with pytest.raises(QuadratureNonconvergedError, match="did not converge: roundoff") as err:
-        b2_tie_probability_oracle(default_spec(), 0.01)
-    assert err.value.context["abserr"] == 1e-12 + 2e-12
+def _nan_at(column):
+    """An integrand that is 0 but for nan at one node of the first panel:
+    columns 0-19 are the 20-point rule's nodes, 20-29 the 10-point rule's."""
+    return lambda z: np.where(z == z[0, column], math.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        lambda z: np.full_like(z, math.nan),
+        lambda z: np.full_like(z, math.inf),
+        lambda z: np.full_like(z, -math.inf),
+        lambda z: np.where(z > 1.5, math.inf, 0.0),
+        _nan_at(0),  # the value is nan
+        _nan_at(20),  # the value is 0.0 and the estimate nan
+    ],
+    ids=["nan", "inf", "-inf", "inf-on-one-panel", "nan-value", "nan-estimate"],
+)
+def test_a_rule_whose_value_or_estimate_is_not_finite_is_a_typed_failure(integrand):
+    with pytest.raises(QuadratureNonconvergedError, match="not finite") as err:
+        gaussmeasure._gauss_legendre(integrand, np.array([0.0, 1.0, 2.0]))
+    assert not math.isfinite(err.value.context["abserr"])
+
+
+@pytest.mark.parametrize("level, clamped", [(1.0 + 1e-9, 1.0), (-1e-9, 0.0)])
+def test_a_rule_that_reads_outside_zero_to_one_is_clamped_to_a_probability(level, clamped):
+    # a constant: both orders read it to rounding, far within the bound
+    assert gaussmeasure._gauss_legendre(lambda z: np.full_like(z, level), np.array([0.0, 0.5, 1.0])) == clamped
+
+
+def test_the_rule_integrates_a_smooth_integrand_over_its_panels_to_rounding():
+    value = gaussmeasure._gauss_legendre(lambda z: np.exp(-z), np.union1d(np.arange(41.0), 0.25))
+    assert value == pytest.approx(1.0 - math.exp(-40.0), rel=1e-15)
 
 
 def _within_three_sigma(value, est):
@@ -626,24 +685,10 @@ def test_the_quadrature_oracle_agrees_with_the_estimate_over_variances_of_every_
     for v1, v2 in itertools.chain(itertools.product(*_GRID_VARIANCES), [(1e-8, 1e-7)]):
         spec = GaussianSpec(variances=(v1, v2), law=None)
         for delta, est in zip(deltas, estimate_nondiff_measures(spec, 2, deltas, 100_000, seed=11)):
-            try:
-                value = b2_tie_probability_oracle(spec, delta)
-            except QuadratureNonconvergedError:
-                continue
+            value = b2_tie_probability_oracle(spec, delta)  # a raise fails the test
             if not _within_three_sigma(value, est):
                 disagree.append((v1, v2, delta, value, est.fraction))
     assert disagree == []
-
-
-def test_an_unflagged_quadrature_with_a_large_error_estimate_is_a_typed_failure(monkeypatch):
-    # scipy returns no message only when its error estimate meets its own
-    # tolerance, max(1.49e-8, 1.49e-8 * |value|), which stays below 1e-6
-    # for any value a probability can take; the guard refuses the rest, and
-    # the estimates of the two pieces add up
-    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.25, 6e-7, {}), (0.25, 6e-7, {})))
-    with pytest.raises(QuadratureNonconvergedError, match="error estimate stayed above 1e-6") as err:
-        b2_tie_probability_oracle(default_spec(), 0.01)
-    assert err.value.context["abserr"] == 6e-7 + 6e-7
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1"], ids=repr)
@@ -654,11 +699,6 @@ def test_the_stream_refuses_a_seed_that_is_not_an_integer(seed):
 
 def test_the_stream_of_a_numpy_integer_seed_is_that_of_the_int():
     assert philox_gen(np.uint16(7), 2).random() == philox_gen(7, 2).random()
-
-
-def test_a_quadrature_that_reads_above_one_is_clamped_to_a_probability(monkeypatch):
-    monkeypatch.setattr("scipy.integrate.quad", _quad_returning((0.5, 1e-9, {}), (0.500000000139278, 1e-9, {})))
-    assert b2_tie_probability_oracle(default_spec(), 0.01) == 1.0
 
 
 def test_a_spec_refuses_an_infinite_variance():

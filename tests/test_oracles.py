@@ -82,6 +82,18 @@ def test_apply_rep_refuses_a_direction_it_cannot_apply_to():
     assert apply_rep(coeff_rep([1.0, 1.0]), seq_point(Space.LINF_SEQ, [1.0, 2.0, 5.0])) == 3.0
 
 
+@pytest.mark.parametrize("space", [Space.C_AB, Space.NBV_AB])
+@pytest.mark.parametrize("t0", [2.0, -0.5])
+def test_a_point_mass_outside_the_domain_of_its_direction_is_a_refusal(space, t0):
+    h = pw_from_values(space, [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(PreconditionFailedError, match=rf"^POINT_MASS at {t0} lies outside the domain \[0.0, 1.0\]$"):
+        apply_rep(point_mass_rep(t0, 1.0), h)
+    # the ends of the domain are in it, and LINF_R extends constantly past them
+    assert apply_rep(point_mass_rep(1.0, -1.0), h) == -1.0
+    h_r = pw_from_values(Space.LINF_R, [0.0, 1.0], [0.0, 1.0])
+    assert apply_rep(point_mass_rep(t0, 1.0), h_r) == min(max(t0, 0.0), 1.0)
+
+
 def test_sum_norm_oracle_is_the_sign_pattern():
     x = seq_point(Space.L1_SEQ, [1.0, -0.5, 2.0])
     rep = oracle_l1(x)
