@@ -37,10 +37,10 @@ from .diffengine import (
     one_sided_derivatives,
 )
 from .gaussmeasure import (
-    b2_tie_probability_oracle,
     default_spec,
     estimate_nondiff_measures,
     standard_normal_spec,
+    tie_probability_oracle,
     vakhania_check,
 )
 from .oracles import (
@@ -405,28 +405,27 @@ def criterion_6(seed: int = BASE_SEED) -> tuple[bool, str]:
 
 @_criterion(7, "near-tie measure decay", bound=120.0)
 def criterion_7(seed: int = BASE_SEED) -> tuple[bool, str]:
-    """Near-tie measure: monotone in delta, small at 0.001, matches quadrature.
+    """Near-tie measure: Monte Carlo matches quadrature at every n.
 
-    Two Monte-Carlo samples of 10**6 rows, one at n = 10 and one at n = 2,
-    each counted against all four deltas.
+    Two Monte-Carlo samples of 10**6 rows, one at n = 2 (unit variances)
+    and one at n = 10 (the default law), each counted against all four
+    deltas; every fraction must lie within 3 standard errors of
+    ``tie_probability_oracle``.  The detail also reports the oracle's
+    P(margin <= delta)/delta at n = 10 and delta = 1e-6, which is 2 f(0),
+    f the margin's density: the thickened tie set shrinks linearly in delta.
     """
     deltas = (0.1, 0.05, 0.01, 0.001)
-    problems = []
-    spec = default_spec()
-    ests = estimate_nondiff_measures(spec, 10, deltas, 10**6, seed)
-    for a, b in zip(ests, ests[1:]):
-        slack = 3.0 * (a.std_error + b.std_error)
-        if b.fraction > a.fraction + slack:
-            problems.append(f"fraction rose {a.fraction:.5f}->{b.fraction:.5f} at delta={b.delta}")
-    if not ests[-1].fraction < 0.02:
-        problems.append(f"fraction {ests[-1].fraction:.5f} at delta=0.001 not < 0.02")
-    spec2 = standard_normal_spec(2)
-    for est in estimate_nondiff_measures(spec2, 2, deltas, 10**6, seed + 1):
-        want = b2_tie_probability_oracle(spec2, est.delta)
-        if abs(est.fraction - want) > 3.0 * max(est.std_error, 1e-12):
-            problems.append(f"n=2 delta={est.delta}: MC {est.fraction:.6f} vs oracle {want:.6f}")
+    problems, sigmas = [], []
+    for n, spec, sample_seed in ((2, standard_normal_spec(2), seed + 1), (10, default_spec(), seed)):
+        for est in estimate_nondiff_measures(spec, n, deltas, 10**6, sample_seed):
+            want = tie_probability_oracle(spec, n, est.delta)
+            sigmas.append(abs(est.fraction - want) / max(est.std_error, 1e-12))
+            if sigmas[-1] > 3.0:
+                problems.append(f"n={n} delta={est.delta}: MC {est.fraction:.6f} vs oracle {want:.6f}")
+    slope = tie_probability_oracle(default_spec(), 10, 1e-6) / 1e-6
     return not problems, "; ".join(problems) if problems else (
-        "n=10 fractions " + ", ".join(f"{e.fraction:.6f}" for e in ests) + "; n=2 matches quadrature"
+        f"n=2 and n=10 at delta {', '.join(map(str, deltas))} within {max(sigmas):.2f} sigma of quadrature; "
+        f"n=10 2f(0) = {slope:.6f}"
     )
 
 

@@ -60,10 +60,10 @@ from .gaussmeasure import (
     MAX_N,
     MAX_TERMS,
     GaussianSpec,
-    b2_tie_probability_oracle,
     default_spec,
     estimate_nondiff_measure,
     standard_normal_spec,
+    tie_probability_oracle,
     vakhania_check,
 )
 from .oracles import witness_linf, witness_Linf, witness_nbv
@@ -379,9 +379,7 @@ def _cmd_measure(args, cfg):
     seed = _seed_of(args, cfg)
     spec = standard_normal_spec(args.n) if args.law == "std" else default_spec()
     est = estimate_nondiff_measure(spec, args.n, args.delta, args.count, seed)
-    result = est.to_dict()
-    if args.n == 2:
-        result["oracle_fraction"] = b2_tie_probability_oracle(spec, args.delta)
+    result = est.to_dict() | {"oracle_fraction": tie_probability_oracle(spec, args.n, args.delta)}
     echo = {"n": args.n, "delta": args.delta, "count": args.count, "law": args.law, "seed": seed}
     return echo, result
 

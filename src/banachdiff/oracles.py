@@ -24,9 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoDoubleMaxError, NotInComplementError, PreconditionFailedError, _real
+from .errors import NoDoubleMaxError, NotInComplementError, PreconditionFailedError, _number, _real
 from .spaces import Space, SpacePoint, _abs_profile, _expect, _top_two, seq_point, sig, step_fn, value_at
-from .topology import _peak_sites, classify
+from .topology import _ANY_SPACE, _peak_sites, classify
 
 __all__ = [
     "RepKind",
@@ -132,6 +132,10 @@ def signed_index_rep(p: int, sigma: float, gap: float | None = None) -> LinearFu
 
 
 def point_mass_rep(t0: float, sigma: float, gap: float | None = None) -> LinearFunctionalRep:
+    """A POINT_MASS representation; a t0 that is not a finite number (see
+    ``errors._number``) is :class:`PreconditionFailedError`."""
+    if not (_number(t0) and math.isfinite(t0)):
+        raise PreconditionFailedError(f"t0 must be a finite number, got {t0!r}", t0=t0)
     if gap is None:
         t0 = float(t0)
         return _shared(RepKind.POINT_MASS, t0, float(sigma), math.copysign(1.0, t0))
@@ -164,11 +168,13 @@ def apply_rep(rep: LinearFunctionalRep, h: SpacePoint) -> float:
     """Evaluate the represented functional at the direction ``h``.
 
     A direction it cannot be applied to is :class:`PreconditionFailedError`:
-    POINT_MASS applies to function directions whose domain holds t0 (every
-    t0, for LINF_R, which extends constantly), SIGNED_INDEX and COEFF_SEQ
-    to sequence directions with at least p coordinates, or one per
-    coefficient.  A longer direction is read at its first coordinates.
+    one that is no point, by the point rule ``spaces._expect``, for every
+    kind; POINT_MASS applies to function directions whose domain holds t0
+    (every t0, for LINF_R, which extends constantly), SIGNED_INDEX and
+    COEFF_SEQ to sequence directions with at least p coordinates, or one
+    per coefficient.  A longer direction is read at its first coordinates.
     """
+    _expect(h, *_ANY_SPACE)
     if rep.kind is RepKind.ZERO:
         return 0.0
     if rep.kind is RepKind.POINT_MASS:

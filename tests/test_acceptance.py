@@ -64,3 +64,12 @@ def test_a_family_whose_densifier_fails_is_counted(monkeypatch):
     result = acceptance.criterion_5(BASE_SEED)
     assert not result.passed
     assert result.detail == "3000 (x, eps) pairs, 1000 failures"
+
+
+def test_an_estimate_off_the_oracle_is_counted(monkeypatch):
+    # an oracle of 0.5 is far outside 3 sigma of every estimate, at n = 2 and n = 10 alike
+    monkeypatch.setattr(acceptance, "tie_probability_oracle", lambda spec, n, delta: 0.5)
+    result = acceptance.criterion_7(BASE_SEED)
+    assert not result.passed
+    assert result.detail.count("vs oracle 0.500000") == 8
+    assert result.detail.startswith("n=2 delta=0.1: MC ") and "; n=10 delta=0.001: MC " in result.detail

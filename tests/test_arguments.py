@@ -22,10 +22,12 @@ from banachdiff.errors import NonpositiveVarianceError, PreconditionFailedError
 from banachdiff.gaussmeasure import (
     GaussianSpec,
     b2_tie_probability_oracle,
+    default_spec,
     estimate_nondiff_measures,
     standard_normal_spec,
+    tie_probability_oracle,
 )
-from banachdiff.oracles import oracle_csup, oracle_l1, oracle_Linf, oracle_linf, witness_linf
+from banachdiff.oracles import apply_rep, coeff_rep, oracle_csup, oracle_l1, oracle_Linf, oracle_linf, witness_linf
 from banachdiff.projective import (
     lipschitz_factor_check,
     make_cylinder,
@@ -86,6 +88,7 @@ _REAL_ARGUMENTS = {
     "b2_tie_probability_oracle-delta": (
         "delta", lambda v: b2_tie_probability_oracle(standard_normal_spec(2), v), 0.25, 1, -0.25,
     ),
+    "tie_probability_oracle-delta": ("delta", lambda v: tie_probability_oracle(default_spec(), 10, v), 0.25, 1, -0.25),
     "estimate_nondiff_measures-delta": (
         "delta", lambda v: estimate_nondiff_measures(standard_normal_spec(2), 2, [0.0, v], 1000, 1), 0.25, 1, -0.25,
     ),
@@ -153,6 +156,7 @@ _POINT_CHECKS = {
     "oracle_l1-None": (lambda: oracle_l1(None), "L1_SEQ", "NoneType"),
     "densify_l1-list": (lambda: densify_l1([0.0, 1.0], 0.5), "L1_SEQ", "list"),
     "classify-list": (lambda: classify([1.0, 2.0]), "L1_SEQ, LINF_SEQ, RT, C_AB, LINF_R, NBV_AB", "list"),
+    "apply_rep-list": (lambda: apply_rep(coeff_rep([1.0]), [1.0]), "L1_SEQ, LINF_SEQ, RT, C_AB, LINF_R, NBV_AB", "list"),
     "densify_l1": (lambda: densify_l1(_LINF, 0.5), "L1_SEQ", "LINF_SEQ"),
     "densify_linf": (lambda: densify_linf(_L1, 0.5), "LINF_SEQ, RT", "L1_SEQ"),
     "densify_csup": (lambda: densify_csup(_TENT_R, 0.5), "C_AB", "LINF_R"),

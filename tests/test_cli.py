@@ -24,16 +24,16 @@ import banachdiff
 from banachdiff import cli
 from banachdiff.diffengine import VerdictStatus
 from banachdiff.errors import EvalFailureError
-from banachdiff.gaussmeasure import MAX_N, MAX_TERMS
+from banachdiff.gaussmeasure import MAX_N, MAX_TERMS, default_spec, standard_normal_spec, tie_probability_oracle
 from banachdiff.oracles import witness_Linf, witness_nbv
 from banachdiff.spaces import Space, constant_fn, point_to_dict, point_to_json, pw_from_values, seq_point
 
 # Monte Carlo tie-band fraction for two unit-variance coordinates at
 # delta = 0.01, 20000 draws, seed 7 — frozen from a direct run of the
 # sampler; the matching quadrature value is asserted alongside it, frozen
-# from the Gauss-Legendre oracle (9.8e-18 above the 40-digit value).
+# from the order-statistics oracle (5.8e-19 below the 40-digit value).
 MC_STD_FRACTION = 0.01135
-B2_STD_001 = 0.01125186718195502
+B2_STD_001 = 0.011251867181955009
 
 # left-to-right partial sum of (k+2)^(-2) over the first 1000 terms
 PARTIAL_1000 = 0.3939365606965239
@@ -150,6 +150,18 @@ def test_measure_includes_quadrature_oracle_for_two_coordinates(capsys):
     assert result["oracle_fraction"] == B2_STD_001
     assert abs(result["fraction"] - result["oracle_fraction"]) < 3.0 * result["std_error"]
     assert doc["inputs"]["seed"] == 7
+
+
+@pytest.mark.parametrize("n, law", [(1, "std"), (10, "inv_log"), (64, "std")])
+def test_measure_reports_the_quadrature_oracle_at_every_n(capsys, n, law):
+    rc, doc = run_cli(
+        capsys, ["measure", "--n", str(n), "--delta", "0.1", "--count", "20000", "--seed", "7", "--law", law]
+    )
+    assert rc == 0
+    result = doc["result"]
+    spec = standard_normal_spec(n) if law == "std" else default_spec()
+    assert result["oracle_fraction"] == tie_probability_oracle(spec, n, 0.1)
+    assert abs(result["fraction"] - result["oracle_fraction"]) < 3.0 * result["std_error"]
 
 
 def test_vakhania_partial_sum_is_frozen_value(capsys):
@@ -423,8 +435,8 @@ def test_readme_diff_report_is_unchanged_byte_for_byte(capsys):
 
 # sha256 of the report of the README `measure` example, frozen from the
 # sampler that built each block from separate uniform, normal and scaled
-# arrays, and from the Gauss-Legendre oracle split at its kink
-README_MEASURE_SHA256 = "de5a8a116695b9aa553f0b20e40782b6b3b98b28f891495a0086d0cd7f293bc9"
+# arrays, and from the order-statistics oracle
+README_MEASURE_SHA256 = "52b0836e02ffd7b2e8f33cd6b4c60c4ca5af558c7956e138f054f1228f504b8e"
 
 
 def test_readme_measure_report_is_unchanged_byte_for_byte(capsys):

@@ -35,6 +35,7 @@ from banachdiff.gaussmeasure import (
     estimate_nondiff_measures,
     gaussian_sample,
     standard_normal_spec,
+    tie_probability_oracle,
     vakhania_check,
 )
 from banachdiff.spaces import Space
@@ -48,9 +49,9 @@ PARTIAL_10K = 0.39483409184206125
 CLOSED_FORM = math.pi ** 2 / 6.0 - 1.25
 
 # two-coordinate tie-band probabilities at delta = 0.01, frozen from the
-# Gauss-Legendre oracle: 9.8e-18 and 4.2e-18 above the 40-digit values below
-B2_STD_001 = 0.01125186718195502
-B2_INVLOG_001 = 0.012453539772756133
+# order-statistics oracle: 5.8e-19 and 1.1e-18 below the 40-digit values below
+B2_STD_001 = 0.011251867181955009
+B2_INVLOG_001 = 0.012453539772756128
 
 # P(||X_1| - |X_2|| <= delta) by 40-digit mpmath quadrature of the integral
 # the oracle computes, split at its kink, on unit variances ("std") and on
@@ -66,6 +67,28 @@ B2_REFERENCE = {
     ("inv_log", 0.01): 1.245353977275612881180282433123891862501e-2,
     ("inv_log", 0.1): 0.1208818571732211955433689856468727328967,
     ("inv_log", 1.0): 0.8104804075585541941193504788579668979451,
+}
+
+# the same at delta = 1e-8, where the band G(u) - G(u - delta) as a plain
+# difference of two erf values loses 1e-9 relative to cancellation
+B2_TINY_DELTA = {
+    "std": 1.128379163912413726263674144807981973563e-8,
+    "inv_log": 1.249294912148681567814891298772211291974e-8,
+}
+
+# P(|X_1| <= delta) = erf(delta / (s sqrt 2)) by 40-digit mpmath, on unit
+# variance ("std") and on the first variance 1/ln 3 of the default law
+N1_REFERENCE = {
+    ("std", 1e-5): 7.978845607895673451361042430108147587998e-6,
+    ("std", 1e-3): 7.978844278221251857899455289315823907070e-4,
+    ("std", 0.01): 7.978712629263207569664780819368526329463e-3,
+    ("std", 0.1): 7.965567455405796733786781540425470562247e-2,
+    ("std", 1.0): 0.6826894921370858971704650912640758449558,
+    ("inv_log", 1e-5): 8.363003677546168686716163948276918744310e-6,
+    ("inv_log", 1e-3): 8.363002146416447080284138434361702546855e-4,
+    ("inv_log", 0.01): 8.362850551912518182790866670198886477502e-3,
+    ("inv_log", 0.1): 8.347716048010291730311397858950134634679e-2,
+    ("inv_log", 1.0): 0.7054291492677638543239811028069561040703,
 }
 
 
@@ -271,6 +294,44 @@ def test_the_quadrature_oracle_matches_40_digit_values(law, delta):
     assert abs(b2_tie_probability_oracle(spec, delta) - want) <= 1e-11 * want
 
 
+@pytest.mark.parametrize(
+    "n, law, delta", [(1, *key) for key in sorted(N1_REFERENCE)] + [(2, *key) for key in sorted(B2_REFERENCE)]
+)
+def test_the_oracle_is_within_1e_12_of_40_digit_values_at_one_and_two_coordinates(n, law, delta):
+    spec = standard_normal_spec(n) if law == "std" else default_spec()
+    want = (N1_REFERENCE if n == 1 else B2_REFERENCE)[law, delta]
+    assert abs(tie_probability_oracle(spec, n, delta) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("law", sorted(B2_TINY_DELTA))
+def test_a_band_far_narrower_than_its_coordinate_does_not_cancel(law):
+    spec = standard_normal_spec(2) if law == "std" else default_spec()
+    want = B2_TINY_DELTA[law]
+    assert abs(tie_probability_oracle(spec, 2, 1e-8) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n, count", [(10, 400_000), (64, 100_000)])
+def test_estimates_at_ten_and_sixty_four_coordinates_match_the_oracle(n, count):
+    deltas = (0.1, 0.01, 0.001)
+    for est in estimate_nondiff_measures(default_spec(), n, deltas, count, seed=30):
+        value = tie_probability_oracle(default_spec(), n, est.delta)
+        assert abs(est.fraction - value) <= 3.0 * math.sqrt(value * (1.0 - value) / count), (est.delta, value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, MAX_N])
+def test_the_oracle_is_zero_at_delta_zero_and_rises_with_delta(n):
+    values = [tie_probability_oracle(default_spec(), n, d) for d in (0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0)]
+    assert values[0] == 0.0 and values == sorted(values) and values[-1] <= 1.0
+
+
+def test_the_oracle_refuses_a_coordinate_count_the_estimator_refuses():
+    for n in (0, MAX_N + 1, 2.0, True):
+        with pytest.raises(PreconditionFailedError, match="need integers 1 <= n"):
+            tie_probability_oracle(default_spec(), n, 0.1)
+        with pytest.raises(PreconditionFailedError, match="need integers 1 <= n"):
+            estimate_nondiff_measure(default_spec(), n, 0.1, 10, seed=1)
+
+
 def test_tie_band_mass_shrinks_with_delta():
     spec = default_spec()
     fracs = []
@@ -315,8 +376,10 @@ def test_importing_the_package_leaves_scipy_unloaded():
 
 def test_the_quadrature_oracle_loads_no_scipy_module():
     code = (
-        "from banachdiff.gaussmeasure import b2_tie_probability_oracle, standard_normal_spec\n"
-        "print(b2_tie_probability_oracle(standard_normal_spec(2), 0.01))"
+        "from banachdiff.gaussmeasure import default_spec, standard_normal_spec\n"
+        "from banachdiff.gaussmeasure import b2_tie_probability_oracle, tie_probability_oracle\n"
+        "print(b2_tie_probability_oracle(standard_normal_spec(2), 0.01))\n"
+        "print(tie_probability_oracle(default_spec(), 10, 0.01))"
     )
     assert _scipy_modules_after(code) == "[]"
 
@@ -486,6 +549,40 @@ def test_chunked_counts_equal_the_whole_block_reference(monkeypatch, n, coarse):
         assert [e.fraction for e in ests] == [h / count for h in hits]
         assert all(e.tie_hits == ties for e in ests)
         assert ties > 0 if coarse else ties == 0
+
+
+class _StubDraw:
+    """A Philox stand-in whose draw is the integers ``ks``, row by row."""
+
+    def __init__(self, ks):
+        self.ks = np.array(ks, dtype=np.uint64)
+        self.bit_generator = self
+
+    def advance(self, steps):
+        pass
+
+    def random_raw(self, size):
+        pass
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 53, np.uint64)
+        return np.resize(self.ks, size)
+
+
+def test_the_top_53_bit_draw_gives_a_finite_normal(monkeypatch):
+    # from 2**52 up, k + 0.5 rounds to the even neighbour, so k = 2**53 - 1
+    # gave u = 1.0 and ndtri inf; the clamp to 1 - 2**-53 moves only that k
+    from scipy.special import ndtri
+
+    ks = [0, 1 << 52, (1 << 53) - 2, (1 << 53) - 1]
+    monkeypatch.setattr(gaussmeasure, "philox_gen", lambda seed, block=0: _StubDraw(ks))
+    a = _sample_block(standard_normal_spec(1), 1, 1, 0, rows=4)
+    assert a[:, 0].tolist() == ndtri([2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]).tolist()
+    assert np.isfinite(a).all() and a[2, 0] < a[3, 0]
+    (x,) = gaussian_sample(standard_normal_spec(1), 1, 1, seed=1)  # k = 0 here, then the top draw
+    monkeypatch.setattr(gaussmeasure, "philox_gen", lambda seed, block=0: _StubDraw([(1 << 53) - 1]))
+    (top,) = gaussian_sample(standard_normal_spec(1), 1, 1, seed=1)
+    assert x.coords.tolist() == [ndtri(2.0**-54)] and top.coords.tolist() == [ndtri(1.0 - 2.0**-53)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, MAX_N])

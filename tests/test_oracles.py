@@ -1,5 +1,7 @@
 """Closed-form derivative representations and failure witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -80,6 +82,23 @@ def test_apply_rep_refuses_a_direction_it_cannot_apply_to():
         apply_rep(coeff_rep([1.0, 1.0, 5.0]), h)
     # a longer direction is read at its first coordinates
     assert apply_rep(coeff_rep([1.0, 1.0]), seq_point(Space.LINF_SEQ, [1.0, 2.0, 5.0])) == 3.0
+
+
+@pytest.mark.parametrize("rep", [coeff_rep([1.0]), signed_index_rep(1, 1.0), point_mass_rep(0.5, 1.0), zero_rep()])
+@pytest.mark.parametrize("h", [[1.0], np.array([1.0]), None], ids=["list", "array", "None"])
+def test_apply_rep_refuses_a_direction_that_is_no_point(rep, h):
+    # the point rule of spaces._expect, for every kind; a list once raised AttributeError
+    with pytest.raises(PreconditionFailedError, match=f"^expected a point of .*, got {type(h).__name__}$"):
+        apply_rep(rep, h)
+
+
+@pytest.mark.parametrize("gap", [None, 0.5])
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf, "0.5", None, True], ids=repr)
+def test_a_point_mass_at_a_location_that_is_no_finite_number_is_refused(t0, gap):
+    # a nan t0 was accepted, and applied to a LINF_R direction read nan
+    with pytest.raises(PreconditionFailedError, match="^t0 must be a finite number") as err:
+        point_mass_rep(t0, 1.0, gap)
+    assert err.value.context == {"t0": t0}
 
 
 @pytest.mark.parametrize("space", [Space.C_AB, Space.NBV_AB])
